@@ -20,7 +20,7 @@ from .benchmarks import (
     run_cantilever_benchmark,
     run_cosine_benchmark,
 )
-from .doe import DoeRequest, grid, lhs
+from .doe import grid, lhs
 from .errors import (
     DimensionMismatch,
     LevelOutOfRange,

@@ -239,54 +239,23 @@ class BenchmarkResult:
             raise ValueError("rmse must be non-negative")
 
 
-_NESTING_ORDER = {
-    kr.CategoricalKernelKind.GD: 0,
-    kr.CategoricalKernelKind.CR: 1,
-    kr.CategoricalKernelKind.FE: 2,
-    kr.CategoricalKernelKind.EHH: 2,
-    kr.CategoricalKernelKind.HH: 3,
-}
+def _warm_starts(kind, previous: dict, epsilon: float) -> tuple:
+    """Embed already-fitted kinds without angles (CR, then GD) into ``kind``.
 
-
-def _warm_starts(space, kind, previous: dict, epsilon: float) -> tuple:
-    """Embed already-fitted simpler kernels into ``kind``'s parameter space."""
+    Only sources of lower nesting rank are used; a source that ``kind``
+    cannot represent is skipped.
+    """
+    rank = kr.KINDS[kind].nesting_rank
+    sources = [k for k, rule in sorted(kr.KINDS.items(), key=lambda item: -item[1].nesting_rank)
+               if k in previous and not rule.angle_upper and rule.nesting_rank < rank]
     starts = []
-    if kind is kr.CategoricalKernelKind.GD:
-        return ()
-    for src_kind in (kr.CategoricalKernelKind.CR, kr.CategoricalKernelKind.GD):
-        src = previous.get(src_kind)
-        if src is None or src_kind is kind:
-            continue
-        theta = src.theta_star
+    for src_kind in sources:
+        theta = previous[src_kind].theta_star
         try:
-            mats = []
-            for theta_i, L in zip(theta.theta_cat, space.level_counts):
-                if kind is kr.CategoricalKernelKind.CR:
-                    # GD scalar theta -> CR diagonal theta/2 reproduces R exactly
-                    mats.append(kr.SymmetricHyperMatrix(kind, L, theta_i.theta_diagonal()))
-                elif kind is kr.CategoricalKernelKind.FE:
-                    values = np.zeros(L * (L + 1) // 2)
-                    pos = 0
-                    diag = theta_i.theta_diagonal()
-                    for row in range(L):
-                        pos += row
-                        values[pos] = diag[row]
-                        pos += 1
-                    mats.append(kr.SymmetricHyperMatrix(kind, L, values))
-                elif kind is kr.CategoricalKernelKind.EHH:
-                    Ri = kr.categorical_matrix(src.kind, theta_i, epsilon)
-                    Ri = np.clip(Ri, epsilon * (1.0 + 1e-9), 1.0)
-                    np.fill_diagonal(Ri, 1.0)
-                    mats.append(kr.recover_angles_from_correlation(Ri, epsilon))
-                else:  # HH: aim the Gram matrix straight at the source correlations
-                    Ri = kr.categorical_matrix(src.kind, theta_i, epsilon)
-                    packed = kr.gram_to_angles(Ri)
-                    mats.append(kr.SymmetricHyperMatrix(kind, L, packed))
-            starts.append(kr.HyperparameterSet(
-                kind, theta.theta_cont, theta.theta_int, tuple(mats), epsilon
-            ))
+            mats = tuple(kr.embed_hyper_matrix(kind, m, epsilon) for m in theta.theta_cat)
         except MixedGpError:
             continue
+        starts.append(kr.HyperparameterSet(kind, theta.theta_cont, theta.theta_int, mats, epsilon))
     return tuple(starts)
 
 
@@ -312,10 +281,10 @@ def _run_problem(
     corr: dict = {}
     errors: dict = {}
     fitted: dict = {}
-    for kind in sorted(set(kinds), key=lambda k: _NESTING_ORDER[k]):
+    for kind in sorted(set(kinds), key=lambda k: kr.KINDS[k].nesting_rank):
         config = replace(
             fit_config,
-            extra_starts=fit_config.extra_starts + _warm_starts(space, kind, fitted, epsilon),
+            extra_starts=fit_config.extra_starts + _warm_starts(kind, fitted, epsilon),
         )
         try:
             model = gp.fit(dataset, kind, p, config, epsilon)
@@ -390,7 +359,7 @@ def run_cantilever_benchmark(
     )
 
 
-def write_benchmark_report(results, errors, path, extra_errors_as_rows: bool = True) -> None:
+def write_benchmark_report(results, errors, path) -> None:
     """One delimited row per result; failed kinds get an error marker row."""
     lines = ["kernel,p,n_hyper,rmse,pva,log_likelihood,fit_seconds,seed,status"]
     for res in results:
@@ -398,8 +367,7 @@ def write_benchmark_report(results, errors, path, extra_errors_as_rows: bool = T
             f"{res.kind.value},{res.p},{res.n_hyper},{res.rmse!r},{res.pva!r},"
             f"{res.log_likelihood!r},{res.fit_seconds:.3f},{res.seed},ok"
         )
-    if extra_errors_as_rows:
-        for kind, exc in errors.items():
-            lines.append(f"{kind.value},,,,,,,,error:{type(exc).__name__}")
+    for kind, exc in errors.items():
+        lines.append(f"{kind.value},,,,,,,,error:{type(exc).__name__}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -24,7 +24,6 @@ from .errors import (
     NumericalFailure,
     ObjectiveFailure,
     OutOfBounds,
-    ParseError,
     SizeOverflow,
 )
 from .optimize import write_trace
@@ -42,6 +41,12 @@ EXIT_GENERATION = 3
 EXIT_NUMERICAL = 4
 EXIT_VALIDATION = 5
 EXIT_BENCHMARK = 6
+
+# package errors with an exit code of their own; every other one exits EXIT_PARSE
+_EXIT_CODES = (
+    ((NumericalFailure, ObjectiveFailure), EXIT_NUMERICAL),
+    ((OutOfBounds, LevelOutOfRange), EXIT_VALIDATION),
+)
 
 _KERNEL_CHOICES = [k.value for k in kr.CategoricalKernelKind]
 
@@ -164,11 +169,7 @@ def _cmd_fit(args) -> int:
         jitter=args.jitter if args.jitter is not None else _default_jitter(),
         seed=args.seed if args.seed is not None else _default_seed(),
     )
-    try:
-        model = gp.fit(dataset, kind, args.p, config)
-    except (NumericalFailure, ObjectiveFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    model = gp.fit(dataset, kind, args.p, config)
     gp.save_model(model, args.out_model)
     if args.trace is not None:
         write_trace(model.start_log, args.trace)
@@ -183,11 +184,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = gp.load_model(args.model_file)
     points = load_points(model.dataset.space, args.points_file)
-    try:
-        means, variances = gp.predict(model, points)
-    except (OutOfBounds, LevelOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    means, variances = gp.predict(model, points)
     space = model.dataset.space
     lines = [",".join(list(space.names()) + ["mean", "stddev"])]
     for w, m, v in zip(points, means, variances):
@@ -268,25 +265,16 @@ def _cmd_kernel_info(args) -> int:
 def _cmd_export_corr(args) -> int:
     model = gp.load_model(args.model_file)
     space = model.dataset.space
-    if args.variable is None:
-        cat_positions = [i for i, v in enumerate(space.variables) if isinstance(v, Categorical)]
-        if not cat_positions:
-            print("error: model space has no categorical variable", file=sys.stderr)
-            return EXIT_VALIDATION
-        position = cat_positions[0]
-    else:
-        position = args.variable - 1
-        if not 0 <= position < len(space.variables) or not isinstance(
-            space.variables[position], Categorical
-        ):
-            print(f"error: variable {args.variable} is not categorical", file=sys.stderr)
-            return EXIT_VALIDATION
-    cat_index = sum(
-        1 for v in space.variables[:position] if isinstance(v, Categorical)
-    )
-    matrix = kr.categorical_matrix(
-        model.kind, model.theta_star.theta_cat[cat_index], model.epsilon
-    )
+    cat_positions = [i for i, v in enumerate(space.variables) if isinstance(v, Categorical)]
+    if args.variable is None and not cat_positions:
+        print("error: model space has no categorical variable", file=sys.stderr)
+        return EXIT_VALIDATION
+    position = cat_positions[0] if args.variable is None else args.variable - 1
+    if position not in cat_positions:
+        print(f"error: variable {args.variable} is not categorical", file=sys.stderr)
+        return EXIT_VALIDATION
+    theta_i = model.theta_star.theta_cat[cat_positions.index(position)]
+    matrix = kr.categorical_matrix(model.kind, theta_i, model.epsilon)
     _write_matrix(matrix, space.variables[position].levels, args.out)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} correlation matrix to {args.out}")
     return 0
@@ -305,18 +293,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValueError) as exc:
+    except (MixedGpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (OutOfBounds, LevelOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MixedGpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for errors, code in _EXIT_CODES if isinstance(exc, errors)), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -12,44 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeOverflow
 from .space import Categorical, Continuous, DesignSpace, Integer, MixedPoint
 
-__all__ = ["DoeRequest", "lhs", "grid", "GRID_SIZE_CAP"]
+__all__ = ["lhs", "grid", "GRID_SIZE_CAP"]
 
 GRID_SIZE_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class DoeRequest:
-    """A sampling request: LHS of ``n_points`` or a grid of ``points_per_dim``."""
-
-    space: DesignSpace
-    n_points: int = 1
-    seed: int = 0
-    method: str = "lhs"  # "lhs" | "grid"
-    points_per_dim: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.method not in ("lhs", "grid"):
-            raise ValueError(f"unknown DoE method {self.method!r}")
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if self.points_per_dim is not None and any(c < 1 for c in self.points_per_dim):
-            raise ValueError("grid counts must be >= 1 per dimension")
-
-    def run(self) -> tuple[MixedPoint, ...]:
-        if self.method == "lhs":
-            return lhs(self.space, self.n_points, self.seed)
-        counts = self.points_per_dim
-        n_numeric = self.space.n_continuous + self.space.n_integer
-        if counts is None:
-            counts = (self.n_points,) * n_numeric
-        return grid(self.space, counts)
 
 
 def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> tuple[MixedPoint, ...]:

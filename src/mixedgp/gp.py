@@ -9,7 +9,10 @@ of the likelihood in closed form:
     sigma2    = (y - mu_hat)' R^-1 (y - mu_hat) / n_t
     log L     = -(n_t/2) log sigma2 - (1/2) log |R| - (n_t/2)(1 + log 2 pi)
 
-All solves go through one Cholesky factor of R + jitter*I; the jitter
+One evaluator, ``_Workspace.evaluate``, maps a natural-units
+hyperparameter vector to R and its likelihood; fitting, model building and
+:func:`concentrated_log_likelihood` all go through it.  All solves go
+through one Cholesky factor of R + jitter*I; the jitter
 escalates by factors of 10 (up to 1e-4) when factorization fails, which
 makes duplicate design points survivable.  Internally the GP always sees
 continuous/integer coordinates normalized to [0, 1] and targets
@@ -22,14 +25,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import kernels as kr
-from .errors import NumericalFailure, ParseError, ShapeMismatch
+from .errors import MixedGpError, NumericalFailure, ParseError, ShapeMismatch
 from .optimize import BoxBounds, MultistartResult, SearchConfig, multistart
 from .space import (
     Categorical,
@@ -64,8 +68,9 @@ JITTER_DEFAULT = 1e-10
 JITTER_MAX = 1e-4
 
 
-def solve_triangular(a, b, lower=False, trans=0):
-    return scipy.linalg.solve_triangular(a, b, lower=lower, trans=trans, check_finite=False)
+def _solve(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 b (trans=0) or L^-T b (trans=1) for a lower Cholesky factor L."""
+    return dtrtrs(chol, b, lower=1, trans=trans)[0]
 
 
 @dataclass(frozen=True)
@@ -92,18 +97,31 @@ class FitConfig:
 
 
 # ---------------------------------------------------------------------------
-# kernel workspace: precomputed distance/indexing structures
+# kernel workspace: precomputed distance/indexing structures and the evaluator
 # ---------------------------------------------------------------------------
 
+class _Evaluation(NamedTuple):
+    """One likelihood evaluation and the factors a model keeps from it."""
+
+    log_likelihood: float
+    mu: float
+    sigma2: float
+    R: np.ndarray
+    chol: np.ndarray
+    jitter: float
+    r_ones: np.ndarray  # L^-1 1
+
+
 class _Workspace:
-    """Per-dataset caches making one likelihood evaluation cheap.
+    """Per-dataset caches and the one likelihood evaluator.
 
     Holds |x_r - x_s|^p per continuous/integer dimension and the 0-based
     level index column per categorical variable, all on normalized
-    coordinates.
+    coordinates, plus the targets :meth:`evaluate` scores and their
+    variance floor.
     """
 
-    def __init__(self, space: DesignSpace, points, p: int):
+    def __init__(self, space: DesignSpace, points, p: int, targets: np.ndarray):
         self.space = space
         self.p = kr.check_exponent(p)
         X, Z, C = normalized_coordinate_arrays(space, points)
@@ -111,79 +129,83 @@ class _Workspace:
         self.n_points = XZ.shape[0]
         self.n_numeric = XZ.shape[1]
         self.numeric = XZ
-        if self.n_numeric:
-            diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
-            self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
-        else:
-            self.pair_powers = np.zeros((0, self.n_points, self.n_points))
+        diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
+        self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
         self.levels = C - 1
+        self.level_counts = space.level_counts
+        self.y = targets
+        self.ones = np.ones(self.n_points)
+        var_y = float(np.var(targets))
+        self.sigma2_floor = 1e-12 * var_y if var_y > 0 else 1e-12
 
-    def correlation(self, theta: kr.HyperparameterSet) -> np.ndarray:
-        """R(Theta) with exact unit diagonal, no jitter."""
-        rates = np.concatenate([theta.theta_cont, theta.theta_int])
-        if rates.size != self.n_numeric:
-            raise ShapeMismatch(
-                f"{rates.size} numeric rates for {self.n_numeric} numeric dimensions"
-            )
-        if rates.size:
-            R = np.exp(-np.tensordot(rates, self.pair_powers, axes=1))
-        else:
-            R = np.ones((self.n_points, self.n_points))
-        for i, theta_i in enumerate(theta.theta_cat):
-            Ri = kr.categorical_matrix(theta.kind, theta_i, theta.epsilon)
+    def flat(self, theta: kr.HyperparameterSet) -> np.ndarray:
+        """theta's natural-units vector, once its layout is checked against the space."""
+        layout = (theta.theta_cont.size + theta.theta_int.size,
+                  tuple(m.size for m in theta.theta_cat))
+        if layout != (self.n_numeric, self.level_counts):
+            raise ShapeMismatch(f"hyperparameter layout {layout} does not fit the space's "
+                                f"{(self.n_numeric, self.level_counts)}")
+        return theta.flat()
+
+    def _categorical_factors(self, kind, flat, epsilon):
+        """(variable index, level matrix) per categorical variable."""
+        pos = self.n_numeric
+        for i, L in enumerate(self.level_counts):
+            k = kr.categorical_param_count(kind, L)
+            yield i, kr.level_matrix(kind, L, flat[pos:pos + k], epsilon)
+            pos += k
+
+    def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
+        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
+        R = np.exp(-np.tensordot(flat[:self.n_numeric], self.pair_powers, axes=1))
+        for i, Ri in self._categorical_factors(kind, flat, epsilon):
             idx = self.levels[:, i]
             R *= Ri[np.ix_(idx, idx)]
         np.fill_diagonal(R, 1.0)
         return R
 
-    def cross_correlation(self, theta: kr.HyperparameterSet, points) -> np.ndarray:
+    def cross_correlation(self, kind, flat: np.ndarray, epsilon: float, points) -> np.ndarray:
         """k(new, train) matrix of shape (n_new, n_train)."""
         X, Z, C = normalized_coordinate_arrays(self.space, points)
         XZ = np.hstack([X, Z])
-        rates = np.concatenate([theta.theta_cont, theta.theta_int])
-        if rates.size:
-            diffs = np.abs(XZ[:, None, :] - self.numeric[None, :, :]) ** self.p
-            K = np.exp(-(diffs @ rates))
-        else:
-            K = np.ones((XZ.shape[0], self.n_points))
-        for i, theta_i in enumerate(theta.theta_cat):
-            Ri = kr.categorical_matrix(theta.kind, theta_i, theta.epsilon)
+        diffs = np.abs(XZ[:, None, :] - self.numeric[None, :, :]) ** self.p
+        K = np.exp(-(diffs @ flat[:self.n_numeric]))
+        for i, Ri in self._categorical_factors(kind, flat, epsilon):
             K *= Ri[np.ix_(C[:, i] - 1, self.levels[:, i])]
         return K
+
+    def evaluate(self, kind, flat: np.ndarray, epsilon: float, jitter: float) -> _Evaluation:
+        """Profiled likelihood of the workspace targets at ``flat``.
+
+        Raises NumericalFailure when R + jitter*I cannot be factored even
+        after jitter escalation.
+        """
+        R = self.correlation(kind, flat, epsilon)
+        chol, jitter_used = _cholesky_with_escalation(R, jitter)
+        n = self.n_points
+        a = _solve(chol, self.y)
+        b = _solve(chol, self.ones)
+        mu = float((b @ a) / (b @ b))
+        resid = a - mu * b
+        sigma2 = max(float(resid @ resid) / n, self.sigma2_floor)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
+        return _Evaluation(ll, mu, sigma2, R, chol, jitter_used, b)
 
 
 def _cholesky_with_escalation(R: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of R + j*I, escalating j by 10 up to JITTER_MAX."""
     j = float(jitter)
-    work = R.copy()
-    base_diag = R.diagonal().copy()
-    diag = np.einsum("ii->i", work)
+    diagonal = np.diag_indices_from(R)
     while True:
-        diag[:] = base_diag + j
-        try:
-            return scipy.linalg.cholesky(work, lower=True, check_finite=False), j
-        except scipy.linalg.LinAlgError:
-            if j >= JITTER_MAX:
-                raise NumericalFailure(
-                    f"Cholesky failed even with jitter {j:g}"
-                ) from None
-            j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
-
-
-def _profiled_terms(chol: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(log-likelihood, mu_hat, sigma2_hat) given the Cholesky factor of R."""
-    n = y.size
-    a = solve_triangular(chol, y, lower=True)
-    b = solve_triangular(chol, np.ones(n), lower=True)
-    mu = float((b @ a) / (b @ b))
-    resid = a - mu * b
-    sigma2 = float(resid @ resid) / n
-    var_y = float(np.var(y))
-    floor = 1e-12 * var_y if var_y > 0 else 1e-12
-    sigma2 = max(sigma2, floor)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
-    return ll, mu, sigma2
+        work = np.array(R, dtype=float, order="F")
+        work[diagonal] += j
+        chol, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return chol, j
+        if j >= JITTER_MAX:
+            raise NumericalFailure(f"Cholesky failed even with jitter {j:g}")
+        j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +217,8 @@ def correlation_matrix(dataset: Dataset, theta: kr.HyperparameterSet, p: int = 2
 
     Symmetric with exact unit diagonal; no jitter is added here.
     """
-    return _Workspace(dataset.space, dataset.points, p).correlation(theta)
+    ws = _Workspace(dataset.space, dataset.points, p, dataset.targets)
+    return ws.correlation(theta.kind, ws.flat(theta), theta.epsilon)
 
 
 def concentrated_log_likelihood(
@@ -213,10 +236,8 @@ def concentrated_log_likelihood(
     Raises NumericalFailure when R + jitter*I cannot be factored even after
     jitter escalation.
     """
-    ws = _Workspace(dataset.space, dataset.points, p)
-    chol, _ = _cholesky_with_escalation(ws.correlation(theta), jitter)
-    ll, _, _ = _profiled_terms(chol, dataset.targets)
-    return ll
+    ws = _Workspace(dataset.space, dataset.points, p, dataset.targets)
+    return ws.evaluate(theta.kind, ws.flat(theta), theta.epsilon, jitter).log_likelihood
 
 
 def standardize_targets(dataset: Dataset) -> tuple[Dataset, float, float]:
@@ -284,8 +305,7 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
     iteration stops early if it stalls (inconsistent duplicate targets).
     """
     def solve(v):
-        return solve_triangular(chol, solve_triangular(chol, v, lower=True),
-                                lower=True, trans="T")
+        return _solve(chol, _solve(chol, v), trans=1)
 
     alpha = solve(target)
     best_alpha, best_norm = alpha, math.inf
@@ -303,6 +323,31 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
     return best_alpha
 
 
+def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
+           y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
+    """The model at theta, on a workspace holding the standardized targets."""
+    ev = ws.evaluate(theta.kind, ws.flat(theta), theta.epsilon, jitter)
+    alpha = _refined_weights(ev.R, ev.chol, ws.y - ev.mu)
+    r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
+    return GpModel(
+        dataset=dataset,
+        kind=theta.kind,
+        p=ws.p,
+        theta_star=theta,
+        chol=ev.chol,
+        mu_hat=y_mean + y_scale * ev.mu,
+        sigma2_hat=y_scale ** 2 * ev.sigma2,
+        jitter=ev.jitter,
+        log_likelihood=ev.log_likelihood,
+        y_mean=y_mean,
+        y_scale=y_scale,
+        fit_seconds=fit_seconds,
+        _workspace=ws,
+        _alpha=alpha,
+        _r_inv_ones=r_inv_ones,
+    )
+
+
 def build_model(
     dataset: Dataset,
     theta: kr.HyperparameterSet,
@@ -312,31 +357,8 @@ def build_model(
 ) -> GpModel:
     """Assemble a GpModel at fixed hyperparameters (no optimization)."""
     ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(dataset.space, dataset.points, p)
-    R_raw = ws.correlation(theta)
-    chol, jitter_used = _cholesky_with_escalation(R_raw, jitter)
-    ll, mu_std, sigma2_std = _profiled_terms(chol, ds_std.targets)
-    n = len(dataset)
-    b = solve_triangular(chol, np.ones(n), lower=True)
-    alpha = _refined_weights(R_raw, chol, ds_std.targets - mu_std)
-    r_inv_ones = solve_triangular(chol, b, lower=True, trans="T")
-    return GpModel(
-        dataset=dataset,
-        kind=theta.kind,
-        p=kr.check_exponent(p),
-        theta_star=theta,
-        chol=chol,
-        mu_hat=y_mean + y_scale * mu_std,
-        sigma2_hat=y_scale ** 2 * sigma2_std,
-        jitter=jitter_used,
-        log_likelihood=ll,
-        y_mean=y_mean,
-        y_scale=y_scale,
-        fit_seconds=fit_seconds,
-        _workspace=ws,
-        _alpha=alpha,
-        _r_inv_ones=r_inv_ones,
-    )
+    ws = _Workspace(dataset.space, dataset.points, p, ds_std.targets)
+    return _model(ws, dataset, theta, jitter, y_mean, y_scale, fit_seconds)
 
 
 def fit(
@@ -354,21 +376,18 @@ def fit(
     """
     t0 = time.perf_counter()
     space = dataset.space
-    p = kr.check_exponent(p)
-    ds_std, _, _ = standardize_targets(dataset)
-    ws = _Workspace(space, dataset.points, p)
-    y_std = ds_std.targets
+    ds_std, y_mean, y_scale = standardize_targets(dataset)
+    ws = _Workspace(space, dataset.points, p, ds_std.targets)
 
-    lower, upper, _ = kr.search_bounds(space, kind, config.theta_log_bounds)
+    lower, upper, log_mask = kr.search_bounds(space, kind, config.theta_log_bounds)
     bounds = BoxBounds(lower, upper)
 
     def objective(v: np.ndarray) -> float:
-        theta = kr.set_from_search_vector(space, kind, v, epsilon)
         try:
-            chol, _ = _cholesky_with_escalation(ws.correlation(theta), config.jitter)
+            ev = ws.evaluate(kind, kr.natural_from_search(v, log_mask), epsilon, config.jitter)
         except NumericalFailure:
             return -math.inf
-        return _profiled_terms(chol, y_std)[0]
+        return ev.log_likelihood
 
     extra = []
     for hp in config.extra_starts:
@@ -383,8 +402,8 @@ def fit(
         objective, bounds, config.n_starts, search_cfg, extra_starts=tuple(extra)
     )
     theta_star = kr.set_from_search_vector(space, kind, result.point, epsilon)
-    model = build_model(dataset, theta_star, p, config.jitter,
-                        fit_seconds=time.perf_counter() - t0)
+    model = _model(ws, dataset, theta_star, config.jitter, y_mean, y_scale,
+                   fit_seconds=time.perf_counter() - t0)
     # sanity: the model stores exactly the value the optimizer maximized
     if model.log_likelihood != result.value:
         raise NumericalFailure(
@@ -397,6 +416,11 @@ def fit(
 # prediction
 # ---------------------------------------------------------------------------
 
+def _cross_correlation(model: GpModel, points) -> np.ndarray:
+    theta = model.theta_star
+    return model._workspace.cross_correlation(theta.kind, theta.flat(), theta.epsilon, points)
+
+
 def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Batch posterior mean and variance (original units, variance >= 0)."""
     pts = list(points)
@@ -404,10 +428,10 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
         validate_point(model.dataset.space, w)
     if not pts:
         return np.zeros(0), np.zeros(0)
-    K = model._workspace.cross_correlation(model.theta_star, pts)
+    K = _cross_correlation(model, pts)
     mean_std = model.mu_std + K @ model._alpha
     means = model.y_mean + model.y_scale * mean_std
-    v = solve_triangular(model.chol, K.T, lower=True)
+    v = _solve(model.chol, K.T)
     quad = np.sum(v * v, axis=0)
     ones_r_ones = float(model._r_inv_ones.sum())
     shortfall = 1.0 - K @ model._r_inv_ones
@@ -431,38 +455,25 @@ def predict_variance(model: GpModel, w: MixedPoint) -> float:
 def correlation_vector(model: GpModel, w: MixedPoint) -> np.ndarray:
     """Correlations k(w, w_j) against every training point."""
     validate_point(model.dataset.space, w)
-    return model._workspace.cross_correlation(model.theta_star, [w])[0]
+    return _cross_correlation(model, [w])[0]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
+_VARIABLE_TYPES = {"continuous": Continuous, "integer": Integer, "categorical": Categorical}
+
+
 def _space_to_json(space: DesignSpace) -> list[dict]:
-    out = []
-    for v in space.variables:
-        if isinstance(v, Continuous):
-            out.append({"kind": "continuous", "name": v.name, "lower": v.lower, "upper": v.upper})
-        elif isinstance(v, Integer):
-            out.append({"kind": "integer", "name": v.name, "lower": v.lower, "upper": v.upper})
-        else:
-            out.append({"kind": "categorical", "name": v.name, "levels": list(v.levels)})
-    return out
+    return [{"kind": type(v).__name__.lower(), **asdict(v)} for v in space.variables]
 
 
 def _space_from_json(items) -> DesignSpace:
-    variables = []
-    for item in items:
-        kind = item["kind"]
-        if kind == "continuous":
-            variables.append(Continuous(item["name"], item["lower"], item["upper"]))
-        elif kind == "integer":
-            variables.append(Integer(item["name"], item["lower"], item["upper"]))
-        elif kind == "categorical":
-            variables.append(Categorical(item["name"], tuple(item["levels"])))
-        else:
-            raise ParseError(f"unknown variable kind {kind!r} in model file")
-    return DesignSpace(tuple(variables))
+    return DesignSpace(tuple(
+        _VARIABLE_TYPES[item["kind"]](**{k: v for k, v in item.items() if k != "kind"})
+        for item in items
+    ))
 
 
 def save_model(model: GpModel, path) -> None:
@@ -492,23 +503,46 @@ def save_model(model: GpModel, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+# keys load_model reads, with the JSON types each must have
+_MODEL_KEYS = {"kernel": str, "p": int, "epsilon": (int, float), "jitter": (int, float),
+               "theta_flat": list, "space": list, "points": dict, "targets": list}
+
+
 def load_model(path) -> GpModel:
-    """Rebuild a model saved by :func:`save_model` (bit-identical predictions)."""
+    """Rebuild a model saved by :func:`save_model` (bit-identical predictions).
+
+    Raises ParseError when the file is not a model file, misses a key, holds
+    a value of the wrong type, or its hyperparameters are not finite or
+    violate their domain (negative rates, say).
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
-    if doc.get("format") != "mixedgp-model":
+    if not isinstance(doc, dict) or doc.get("format") != "mixedgp-model":
         raise ParseError(f"{path} is not a mixedgp model file")
-    space = _space_from_json(doc["space"])
-    pts = doc["points"]
-    points = tuple(
-        MixedPoint(tuple(c), tuple(z), tuple(l))
-        for c, z, l in zip(pts["continuous"], pts["integer"], pts["categorical"])
-    )
-    dataset = Dataset(space, points, np.array(doc["targets"], dtype=float))
-    kind = kr.CategoricalKernelKind.parse(doc["kernel"])
-    theta = kr.HyperparameterSet.from_flat(space, kind, doc["theta_flat"], doc["epsilon"])
-    model = build_model(dataset, theta, int(doc["p"]), float(doc["jitter"]),
-                        fit_seconds=float(doc.get("fit_seconds", 0.0)))
-    return model
+    for key, types in _MODEL_KEYS.items():
+        if key not in doc:
+            raise ParseError(f"{path}: model file has no {key!r}")
+        if isinstance(doc[key], bool) or not isinstance(doc[key], types):
+            raise ParseError(f"{path}: {key!r} has the wrong type: {doc[key]!r}")
+    try:
+        space = _space_from_json(doc["space"])
+        pts = doc["points"]
+        points = tuple(
+            MixedPoint(tuple(c), tuple(z), tuple(l))
+            for c, z, l in zip(pts["continuous"], pts["integer"], pts["categorical"])
+        )
+        dataset = Dataset(space, points, np.array(doc["targets"], dtype=float))
+        kind = kr.CategoricalKernelKind.parse(doc["kernel"])
+        p = kr.check_exponent(doc["p"])
+        if not (math.isfinite(doc["jitter"]) and doc["jitter"] > 0):
+            raise ValueError(f"jitter must be positive, got {doc['jitter']!r}")
+        theta_flat = np.array(doc["theta_flat"], dtype=float)
+        if not np.all(np.isfinite(theta_flat)):
+            raise ValueError("theta_flat holds a non-finite value")
+        theta = kr.HyperparameterSet.from_flat(space, kind, theta_flat, doc["epsilon"])
+    except (KeyError, TypeError, ValueError, MixedGpError) as exc:
+        raise ParseError(f"{path}: invalid model file: {exc}") from exc
+    return build_model(dataset, theta, p, float(doc["jitter"]),
+                       fit_seconds=float(doc.get("fit_seconds", 0.0)))

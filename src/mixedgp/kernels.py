@@ -11,7 +11,10 @@ a transform ``Phi`` and a scalar map ``kappa``:
     [R]_{rr} = 1
     [R]_{rs} = kappa(2 Phi_rs) * kappa(Phi_rr) * kappa(Phi_ss)   (r != s)
 
-Five named parameterizations are provided:
+The five named parameterizations differ only in ``kappa``, in how ``Phi``
+is built from the packed hyperparameters and in which of those are searched
+in log space.  :data:`KINDS` holds all of it, one :class:`KindRule` per
+kind; in short:
 
 =======  =============  ============================  ====================
  kind     kappa(phi)     Phi diagonal / off-diagonal   parameters per var
@@ -39,6 +42,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +53,8 @@ __all__ = [
     "EPSILON",
     "THETA_LOG_BOUNDS",
     "CategoricalKernelKind",
+    "KindRule",
+    "KINDS",
     "check_exponent",
     "SymmetricHyperMatrix",
     "HyperparameterSet",
@@ -59,12 +65,15 @@ __all__ = [
     "phi_transform",
     "level_correlation",
     "categorical_matrix",
+    "level_matrix",
     "mixed_kernel",
     "categorical_param_count",
     "hyperparameter_count",
     "gram_to_angles",
     "recover_angles_from_correlation",
+    "embed_hyper_matrix",
     "search_bounds",
+    "natural_from_search",
     "set_from_search_vector",
     "search_vector_from_set",
 ]
@@ -105,19 +114,82 @@ def check_exponent(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-variable hyperparameter container
+# the kind table
 # ---------------------------------------------------------------------------
 
-def categorical_param_count(kind: CategoricalKernelKind, n_levels: int) -> int:
-    """Number of hyperparameters one categorical variable contributes."""
-    L = int(n_levels)
-    if kind is CategoricalKernelKind.GD:
-        return 1
-    if kind is CategoricalKernelKind.CR:
-        return L
-    if kind in (CategoricalKernelKind.EHH, CategoricalKernelKind.HH):
-        return L * (L - 1) // 2
-    return L * (L + 1) // 2  # FE
+def _exp_kappa(a, b, c):
+    """kappa = exp(-.): kappa(a) kappa(b) kappa(c) evaluated as exp(-(a + b + c))."""
+    return np.exp(-(a + b + c))
+
+
+def _identity_kappa(a, b, c):
+    """kappa = identity: kappa(a) kappa(b) kappa(c) = a b c."""
+    return a * b * c
+
+
+def _diagonal_phi(gram, diagonal, epsilon):
+    """GD/CR: Theta's diagonal, zero off the diagonal."""
+    return np.diag(diagonal)
+
+
+def _exponential_sphere_phi(gram, diagonal, epsilon):
+    """EHH/FE: (log eps)/2 (G - 1) off the diagonal, Theta's diagonal on it."""
+    phi = 0.5 * math.log(epsilon) * (gram - 1.0)
+    np.fill_diagonal(phi, diagonal)
+    return phi
+
+
+def _sphere_phi(gram, diagonal, epsilon):
+    """HH: G/2 off the diagonal and 1 on it, so the diagonal kappa factors are 1."""
+    phi = 0.5 * gram
+    np.fill_diagonal(phi, 1.0)
+    return phi
+
+
+def _ehh_angles(R, epsilon):
+    """EHH angles reproducing R once its entries are clipped into (eps, 1]."""
+    R = np.clip(R, epsilon * (1.0 + 1e-9), 1.0)
+    np.fill_diagonal(R, 1.0)
+    return recover_angles_from_correlation(R, epsilon).values
+
+
+def _hh_angles(R, epsilon):
+    """HH angles whose Gram matrix is R itself."""
+    return gram_to_angles(R)
+
+
+@dataclass(frozen=True)
+class KindRule:
+    """Everything the package knows about one categorical kernel kind.
+
+    ``kappa(a, b, c)`` is kappa(a) kappa(b) kappa(c).  ``diagonal`` says how
+    Theta's diagonal is packed: "shared" (one theta, Theta_jj = theta/2),
+    "per-level" (one theta_jj per level) or "zero"; packed diagonal values
+    are searched in log space.  The angles, Theta's strict lower triangle,
+    are searched in [0, angle_upper]; 0 means the kind has none.  ``phi``
+    builds Phi from the hypersphere Gram matrix (None without angles),
+    Theta's diagonal and epsilon.  ``angles_from_correlation`` gives packed
+    angles reproducing a level correlation matrix; kinds without it take a
+    warm start's diagonal instead.  ``nesting_rank`` orders warm starts.
+    """
+
+    kappa: Callable
+    diagonal: str
+    angle_upper: float
+    phi: Callable
+    nesting_rank: int
+    angles_from_correlation: Callable | None = None
+
+
+_K = CategoricalKernelKind
+
+KINDS: dict[CategoricalKernelKind, KindRule] = {
+    _K.GD: KindRule(_exp_kappa, "shared", 0.0, _diagonal_phi, 0),
+    _K.CR: KindRule(_exp_kappa, "per-level", 0.0, _diagonal_phi, 1),
+    _K.EHH: KindRule(_exp_kappa, "zero", math.pi / 2.0, _exponential_sphere_phi, 2, _ehh_angles),
+    _K.FE: KindRule(_exp_kappa, "per-level", math.pi / 2.0, _exponential_sphere_phi, 2),
+    _K.HH: KindRule(_identity_kappa, "zero", math.pi, _sphere_phi, 3, _hh_angles),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,18 +197,74 @@ def _tril_indices(L: int, with_diag: bool) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(L, 0 if with_diag else -1)
 
 
+class _Packing(NamedTuple):
+    """Where a kind keeps Theta in its packed values (row-major lower triangle).
+
+    Theta_jj is ``scale * values[diagonal[j]]`` (0 when ``diagonal`` is None);
+    the strict lower triangle, row by row, is ``values[angles]``.
+    """
+
+    size: int
+    diagonal: np.ndarray | None
+    scale: float
+    angles: np.ndarray
+    log_mask: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(kind: CategoricalKernelKind, L: int) -> _Packing:
+    rule = KINDS[kind]
+    rows, cols = _tril_indices(L, with_diag=True)
+    on_diag = rows == cols
+    kept = np.where(on_diag, rule.diagonal == "per-level", rule.angle_upper > 0)
+    slot = np.cumsum(kept) - 1
+    size = int(kept.sum())
+    diagonal, scale = slot[on_diag], 1.0
+    if rule.diagonal == "shared":
+        size, diagonal, scale = 1, np.zeros(L, dtype=int), 0.5
+    elif rule.diagonal == "zero":
+        diagonal = None
+    log_mask = np.zeros(size, dtype=bool)
+    if diagonal is not None:
+        log_mask[diagonal] = True
+    return _Packing(size, diagonal, scale, slot[~on_diag & kept], log_mask)
+
+
+def categorical_param_count(kind: CategoricalKernelKind, n_levels: int) -> int:
+    """Number of hyperparameters one categorical variable contributes."""
+    return _packing(kind, int(n_levels)).size
+
+
+def _theta_diagonal(kind, L, values) -> np.ndarray:
+    pack = _packing(kind, L)
+    if pack.diagonal is None:
+        return np.zeros(L)
+    return values[pack.diagonal] * pack.scale
+
+
+def _angle_matrix(kind, L, values) -> np.ndarray:
+    out = np.zeros((L, L))
+    out[_tril_indices(L, with_diag=False)] = values[_packing(kind, L).angles]
+    return out
+
+
+def _require_nonnegative(values, what: str) -> None:
+    """The one sign check, over exponential-scale (log-masked) slots."""
+    if not np.all(values >= 0):
+        raise ValueError(f"{what}: exponential-scale entries must be >= 0")
+
+
+# ---------------------------------------------------------------------------
+# per-variable hyperparameter container
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class SymmetricHyperMatrix:
     """Hyperparameters of one categorical variable, packed per kernel kind.
 
-    ``values`` follows row-major lower-triangle order:
-
-    * GD: a single scalar ``theta``;
-    * CR: the L diagonal entries;
-    * EHH/HH: the L(L-1)/2 strict lower-triangle angles, rows top to bottom;
-    * FE: the L(L+1)/2 lower-triangle entries including the diagonal, where
-      diagonal positions are exponential-scale values and off-diagonal
-      positions are angles.
+    ``values`` holds the entries of Theta_i that the kind packs (see
+    :class:`KindRule`) in row-major lower-triangle order: the GD scalar, the
+    CR diagonal, the EHH/HH strict lower triangle, the whole FE lower triangle.
     """
 
     kind: CategoricalKernelKind
@@ -146,54 +274,21 @@ class SymmetricHyperMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
         object.__setattr__(self, "values", v)
-        expected = categorical_param_count(self.kind, self.size)
-        if v.size != expected:
+        pack = _packing(self.kind, self.size)
+        if v.size != pack.size:
             raise ShapeMismatch(
-                f"{self.kind.value} with {self.size} levels expects {expected} "
+                f"{self.kind.value} with {self.size} levels expects {pack.size} "
                 f"values, got {v.size}"
             )
-        if np.any(self.theta_diagonal() < 0):
-            raise ValueError(f"{self.kind.value}: exponential-scale entries must be >= 0")
-
-    # -- views --------------------------------------------------------------
+        _require_nonnegative(v[pack.log_mask], self.kind.value)
 
     def theta_diagonal(self) -> np.ndarray:
         """Diagonal of Theta_i: theta/2 for GD, theta_jj for CR/FE, zeros otherwise."""
-        L = self.size
-        if self.kind is CategoricalKernelKind.GD:
-            return np.full(L, self.values[0] / 2.0)
-        if self.kind is CategoricalKernelKind.CR:
-            return self.values.copy()
-        if self.kind is CategoricalKernelKind.FE:
-            return np.diag(self.full_matrix()).copy()
-        return np.zeros(L)
+        return _theta_diagonal(self.kind, self.size, self.values)
 
     def angles(self) -> np.ndarray:
         """Strict lower-triangle angles as an (L, L) matrix (zeros elsewhere)."""
-        L = self.size
-        out = np.zeros((L, L))
-        if self.kind in (CategoricalKernelKind.EHH, CategoricalKernelKind.HH):
-            out[_tril_indices(L, with_diag=False)] = self.values
-        elif self.kind is CategoricalKernelKind.FE:
-            full = self.full_matrix()
-            out[_tril_indices(L, with_diag=False)] = full[_tril_indices(L, with_diag=False)]
-        return out
-
-    def full_matrix(self) -> np.ndarray:
-        """The symmetric hyperparameter matrix Theta_i as an (L, L) array."""
-        L = self.size
-        out = np.zeros((L, L))
-        if self.kind is CategoricalKernelKind.GD:
-            np.fill_diagonal(out, self.values[0] / 2.0)
-        elif self.kind is CategoricalKernelKind.CR:
-            np.fill_diagonal(out, self.values)
-        elif self.kind is CategoricalKernelKind.FE:
-            out[_tril_indices(L, with_diag=True)] = self.values
-            out = out + out.T - np.diag(np.diag(out))
-        else:  # EHH / HH: zero diagonal, angle off-diagonals
-            out[_tril_indices(L, with_diag=False)] = self.values
-            out = out + out.T
-        return out
+        return _angle_matrix(self.kind, self.size, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +319,12 @@ class HyperparameterSet:
         for m in self.theta_cat:
             if m.kind is not self.kind:
                 raise ShapeMismatch(f"variable matrix kind {m.kind} != set kind {self.kind}")
-
-    @property
-    def n_params(self) -> int:
-        return (
-            self.theta_cont.size
-            + self.theta_int.size
-            + sum(m.values.size for m in self.theta_cat)
-        )
+        # the matrices have checked their own log-masked slots
+        _require_nonnegative(np.concatenate([self.theta_cont, self.theta_int]), "rates")
 
     def flat(self) -> np.ndarray:
         """Natural-units packing: theta_cont, theta_int, then per-variable values."""
-        parts = [self.theta_cont, self.theta_int] + [m.values for m in self.theta_cat]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate([self.theta_cont, self.theta_int] + [m.values for m in self.theta_cat])
 
     @classmethod
     def from_flat(
@@ -331,6 +419,21 @@ def hypersphere_lower_triangular(theta_i: SymmetricHyperMatrix) -> np.ndarray:
 # unified categorical kernel
 # ---------------------------------------------------------------------------
 
+def _phi(kind, L, values, epsilon) -> np.ndarray:
+    gram = None
+    if KINDS[kind].angle_upper > 0:
+        C = _hypersphere_from_angles(_angle_matrix(kind, L, values))
+        gram = C @ C.T
+    return KINDS[kind].phi(gram, _theta_diagonal(kind, L, values), epsilon)
+
+
+def _levels(kind, phi) -> np.ndarray:
+    d = np.diag(phi)
+    R = KINDS[kind].kappa(2.0 * phi, d[:, None], d[None, :])
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
 def phi_transform(
     kind: CategoricalKernelKind,
     theta_i: SymmetricHyperMatrix,
@@ -339,18 +442,7 @@ def phi_transform(
     """The (L, L) matrix Phi(Theta_i) for the requested kernel kind."""
     if theta_i.kind is not kind:
         raise ShapeMismatch(f"hyper matrix is {theta_i.kind.value}, requested {kind.value}")
-    if kind in (CategoricalKernelKind.GD, CategoricalKernelKind.CR):
-        return np.diag(theta_i.theta_diagonal())
-    C = hypersphere_lower_triangular(theta_i)
-    gram = C @ C.T
-    if kind is CategoricalKernelKind.HH:
-        phi = 0.5 * gram
-        np.fill_diagonal(phi, 1.0)
-        return phi
-    # EHH / FE off-diagonals: (log eps)/2 * (G - 1)
-    phi = 0.5 * math.log(epsilon) * (gram - 1.0)
-    np.fill_diagonal(phi, theta_i.theta_diagonal() if kind is CategoricalKernelKind.FE else 0.0)
-    return phi
+    return _phi(kind, theta_i.size, theta_i.values, epsilon)
 
 
 def level_correlation(
@@ -361,17 +453,13 @@ def level_correlation(
 ) -> float:
     """Correlation between two levels given Phi(Theta_i).
 
-    Equal levels correlate 1.  Otherwise the level-wise form
-    kappa(2 Phi_rs) kappa(Phi_rr) kappa(Phi_ss) applies, with kappa the
-    exponential for GD/CR/EHH/FE and the identity for HH (whose diagonal
-    kappa factors equal 1 by construction).
+    Equal levels correlate 1; otherwise the level-wise form
+    kappa(2 Phi_rs) kappa(Phi_rr) kappa(Phi_ss) applies, with the kind's kappa.
     """
     r, s = int(level_r) - 1, int(level_s) - 1
     if r == s:
         return 1.0
-    if kind is CategoricalKernelKind.HH:
-        return float(2.0 * phi[r, s] * phi[r, r] * phi[s, s])
-    return float(np.exp(-(2.0 * phi[r, s] + phi[r, r] + phi[s, s])))
+    return float(KINDS[kind].kappa(2.0 * phi[r, s], phi[r, r], phi[s, s]))
 
 
 def categorical_matrix(
@@ -384,15 +472,17 @@ def categorical_matrix(
     Symmetric with unit diagonal; SPD with entries in [0, 1] for the
     exponential kinds, entries in [-1, 1] for HH.
     """
-    phi = phi_transform(kind, theta_i, epsilon)
-    if kind is CategoricalKernelKind.HH:
-        R = 2.0 * phi  # equals C C^T off the diagonal
-        np.fill_diagonal(R, 1.0)
-        return R
-    d = np.diag(phi)
-    R = np.exp(-(2.0 * phi + d[:, None] + d[None, :]))
-    np.fill_diagonal(R, 1.0)
-    return R
+    return _levels(kind, phi_transform(kind, theta_i, epsilon))
+
+
+def level_matrix(
+    kind: CategoricalKernelKind,
+    n_levels: int,
+    values: np.ndarray,
+    epsilon: float = EPSILON,
+) -> np.ndarray:
+    """:func:`categorical_matrix` from packed values, unvalidated (the evaluator's form)."""
+    return _levels(kind, _phi(kind, n_levels, values, epsilon))
 
 
 def mixed_kernel(
@@ -506,6 +596,28 @@ def recover_angles_from_correlation(
     return SymmetricHyperMatrix(CategoricalKernelKind.EHH, L, packed)
 
 
+def embed_hyper_matrix(
+    kind: CategoricalKernelKind,
+    source: SymmetricHyperMatrix,
+    epsilon: float = EPSILON,
+) -> SymmetricHyperMatrix:
+    """``kind``'s hyperparameters reproducing a GD or CR source's correlations.
+
+    Kinds that pack Theta's diagonal take the source's diagonal with zero
+    angles, which reproduces it exactly; the others aim their angles at the
+    source's correlation matrix.  Raises NotRepresentable where that matrix
+    lies outside the kind's range.
+    """
+    L, pack = source.size, _packing(kind, source.size)
+    inverse = KINDS[kind].angles_from_correlation
+    if inverse is None:
+        values = np.zeros(pack.size)
+        values[pack.diagonal] = source.theta_diagonal() / pack.scale
+    else:
+        values = inverse(categorical_matrix(source.kind, source, epsilon), epsilon)
+    return SymmetricHyperMatrix(kind, L, values)
+
+
 # ---------------------------------------------------------------------------
 # optimizer packing
 # ---------------------------------------------------------------------------
@@ -513,31 +625,14 @@ def recover_angles_from_correlation(
 # The flat search vector follows the natural packing of HyperparameterSet:
 # theta_cont, theta_int, then each variable's values in row-major
 # lower-triangle order.  Exponential-scale coordinates (theta_cont,
-# theta_int, GD scalars, CR and FE diagonals) are searched in log space;
-# angle coordinates are searched directly, in [0, pi/2] for EHH/FE and
-# [0, pi] for HH.
-
-def _per_variable_masks(kind: CategoricalKernelKind, L: int) -> np.ndarray:
-    """True where a packed coordinate is exponential-scale (log-searched)."""
-    k = categorical_param_count(kind, L)
-    if kind in (CategoricalKernelKind.GD, CategoricalKernelKind.CR):
-        return np.ones(k, dtype=bool)
-    if kind is CategoricalKernelKind.FE:
-        mask = np.zeros(k, dtype=bool)
-        pos = 0
-        for row in range(L):
-            pos += row  # strict lower part of this row: angles
-            mask[pos] = True  # diagonal entry
-            pos += 1
-        return mask
-    return np.zeros(k, dtype=bool)  # EHH / HH: all angles
-
+# theta_int and each kind's packed diagonal) are searched in log space;
+# angle coordinates are searched directly, in [0, angle_upper].
 
 @functools.lru_cache(maxsize=None)
 def _log_mask(space: DesignSpace, kind: CategoricalKernelKind) -> np.ndarray:
     n_exp = space.n_continuous + space.n_integer
     parts = [np.ones(n_exp, dtype=bool)]
-    parts += [_per_variable_masks(kind, L) for L in space.level_counts]
+    parts += [_packing(kind, L).log_mask for L in space.level_counts]
     return np.concatenate(parts)
 
 
@@ -554,10 +649,14 @@ def search_bounds(
     """
     lo_t, hi_t = theta_log_bounds
     mask = _log_mask(space, kind)
-    angle_hi = math.pi if kind is CategoricalKernelKind.HH else math.pi / 2.0
     lower = np.where(mask, lo_t, 0.0)
-    upper = np.where(mask, hi_t, angle_hi)
+    upper = np.where(mask, hi_t, KINDS[kind].angle_upper)
     return lower, upper, mask.copy()
+
+
+def natural_from_search(vector: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
+    """Natural-units flat vector from a search vector: exp on log-masked coordinates."""
+    return np.where(log_mask, np.exp(np.minimum(vector, 700.0)), vector)
 
 
 def set_from_search_vector(
@@ -571,8 +670,7 @@ def set_from_search_vector(
     mask = _log_mask(space, kind)
     if vector.size != mask.size:
         raise ShapeMismatch(f"search vector length {vector.size}, expected {mask.size}")
-    natural = np.where(mask, np.exp(np.minimum(vector, 700.0)), vector)
-    return HyperparameterSet.from_flat(space, kind, natural, epsilon)
+    return HyperparameterSet.from_flat(space, kind, natural_from_search(vector, mask), epsilon)
 
 
 def search_vector_from_set(space: DesignSpace, theta: HyperparameterSet) -> np.ndarray:

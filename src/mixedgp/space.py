@@ -3,9 +3,8 @@
 A design space is an ordered list of variables of three kinds: continuous
 ranges, bounded integers and categorical variables with named levels.
 Points are stored split by kind (continuous / integer / categorical), with
-categorical coordinates held as 1-based level indices.  Conversion to
-0-based indices happens in exactly one place (``level_index_arrays``), so
-the rest of the package never has to think about it.
+categorical coordinates held as 1-based level indices.  The GP layer
+converts them to 0-based indices when it builds its correlation workspace.
 
 Integer coordinates are kept as floats: the kernels treat integers through
 continuous relaxation, and normalized points reuse the same container.
@@ -267,6 +266,11 @@ class Dataset:
             raise DimensionMismatch(
                 f"{len(self.points)} points but {y.size} targets"
             )
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(
+                f"targets must be finite: row {bad[0]} (0-based) holds {y[bad[0]]!r}"
+            )
         for p in self.points:
             validate_point(self.space, p)
 
@@ -281,8 +285,8 @@ class Dataset:
 # array views used by the GP internals
 # ---------------------------------------------------------------------------
 
-def coordinate_arrays(space: DesignSpace, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack points into (X, Z, C) arrays.
+def normalized_coordinate_arrays(space: DesignSpace, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack points into (X, Z, C) arrays, continuous/integer columns mapped onto [0, 1].
 
     X is (n_t, n_continuous) float, Z is (n_t, n_integer) float, C is
     (n_t, n_categorical) int with 1-based levels.
@@ -291,23 +295,11 @@ def coordinate_arrays(space: DesignSpace, points) -> tuple[np.ndarray, np.ndarra
     X = np.array([p.continuous for p in pts], dtype=float).reshape(len(pts), space.n_continuous)
     Z = np.array([p.integer for p in pts], dtype=float).reshape(len(pts), space.n_integer)
     C = np.array([p.categorical for p in pts], dtype=int).reshape(len(pts), space.n_categorical)
-    return X, Z, C
-
-
-def normalized_coordinate_arrays(space: DesignSpace, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Like ``coordinate_arrays`` but with continuous/integer columns in [0, 1]."""
-    X, Z, C = coordinate_arrays(space, points)
     for j, v in enumerate(space.continuous):
         X[:, j] = (X[:, j] - v.lower) / (v.upper - v.lower)
     for j, v in enumerate(space.integer):
         Z[:, j] = (Z[:, j] - v.lower) / (v.upper - v.lower)
     return X, Z, C
-
-
-def level_index_arrays(space: DesignSpace, points) -> np.ndarray:
-    """0-based level index array (n_t, n_categorical); the single 1-based boundary."""
-    _, _, C = coordinate_arrays(space, points)
-    return C - 1
 
 
 # ---------------------------------------------------------------------------

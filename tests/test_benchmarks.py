@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,19 @@ from mixedgp.benchmarks import (
     rmse,
     run_cosine_benchmark,
     write_benchmark_report,
+    _warm_starts,
 )
 from mixedgp.doe import lhs
 from mixedgp.errors import DimensionMismatch
 from mixedgp.gp import FitConfig, concentrated_log_likelihood, fit, standardize_targets
 from mixedgp.kernels import (
+    EPSILON,
     THETA_LOG_BOUNDS,
     CategoricalKernelKind,
+    HyperparameterSet,
+    SymmetricHyperMatrix,
+    categorical_matrix,
+    categorical_param_count,
     hyperparameter_count,
     set_from_search_vector,
 )
@@ -212,3 +219,40 @@ def test_benchmark_report_file(tmp_path):
     assert lines[0].startswith("kernel,p,n_hyper,rmse,pva")
     assert lines[1].startswith("gd,2,2,1.5")
     assert "error:RuntimeError" in lines[2]
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source", [K.GD, K.CR])
+def test_warm_starts_reproduce_source_correlations(source):
+    """Each embedded start reproduces its source's level correlations.
+
+    CR and FE take the source's diagonal and match exactly; EHH matches to
+    EPSILON, the floor it clips the source's correlations to; HH aims its
+    Gram matrix at them.  A source a kind cannot represent yields no start.
+    """
+    rng = np.random.default_rng(5)
+    lo, hi = THETA_LOG_BOUNDS
+    tolerance = {K.CR: 0.0, K.FE: 0.0, K.EHH: EPSILON, K.HH: 1e-12}
+    returned = dict.fromkeys(tolerance, 0)
+    for draw in range(150):
+        L = (2, 5, 13)[draw % 3]
+        values = np.exp(rng.uniform(lo, hi, categorical_param_count(source, L)))
+        theta_i = SymmetricHyperMatrix(source, L, values)
+        theta = HyperparameterSet(source, [0.7], [], (theta_i,))
+        R_source = categorical_matrix(source, theta_i)
+        for kind, tol in tolerance.items():
+            for start in _warm_starts(kind, {source: SimpleNamespace(theta_star=theta)}, EPSILON):
+                assert start.kind is kind and np.array_equal(start.theta_cont, [0.7])
+                R = categorical_matrix(kind, start.theta_cat[0])
+                if tol == 0.0:
+                    assert np.array_equal(R, R_source)
+                else:
+                    assert np.max(np.abs(R - R_source)) <= tol
+                returned[kind] += 1
+    # a kind starts only from sources of lower nesting rank
+    assert returned[K.CR] == (150 if source is K.GD else 0)
+    assert returned[K.FE] == returned[K.HH] == 150
+    assert returned[K.EHH] > 100

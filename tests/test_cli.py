@@ -194,3 +194,44 @@ def test_seed_env_override(tmp_path, cosine_files, monkeypatch):
     monkeypatch.delenv("MIXEDGP_SEED")
     assert main(["doe", str(space_file), "--n", "9", "--seed", "11", "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_fit_rejects_nan_target(tmp_path, cosine_files, capsys):
+    space, space_file, data_file = cosine_files
+    lines = data_file.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1] + ["nan"])
+    data_file.write_text("\n".join(lines) + "\n")
+    code = main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "row 2" in capsys.readouterr().err
+
+
+@pytest.fixture
+def gd_model_file(tmp_path, cosine_files):
+    _, space_file, data_file = cosine_files
+    model_file = tmp_path / "model.json"
+    assert main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(model_file)]) == 0
+    return model_file
+
+
+@pytest.mark.parametrize("command", ["predict", "export-corr"])
+def test_model_file_without_theta_exits_2(tmp_path, cosine_files, gd_model_file, command, capsys):
+    _, _, data_file = cosine_files
+    doc = json.loads(gd_model_file.read_text())
+    del doc["theta_flat"]
+    gd_model_file.write_text(json.dumps(doc))
+    args = [command, str(gd_model_file)] + ([str(data_file)] if command == "predict" else [])
+    assert main(args + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert "theta_flat" in capsys.readouterr().err
+
+
+def test_model_file_with_negative_theta_exits_2(tmp_path, cosine_files, gd_model_file, capsys):
+    _, _, data_file = cosine_files
+    doc = json.loads(gd_model_file.read_text())
+    doc["theta_flat"][0] = -1.0  # the continuous rate
+    gd_model_file.write_text(json.dumps(doc))
+    code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "must be >= 0" in capsys.readouterr().err

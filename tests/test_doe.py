@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixedgp.doe import DoeRequest, grid, lhs
+from mixedgp.doe import grid, lhs
 from mixedgp.errors import SizeOverflow
 from mixedgp.space import (
     Categorical,
@@ -49,6 +49,8 @@ def test_lhs_categorical_balance(cosine_like):
 def test_lhs_deterministic(cosine_like):
     assert lhs(cosine_like, 31, seed=9) == lhs(cosine_like, 31, seed=9)
     assert lhs(cosine_like, 31, seed=9) != lhs(cosine_like, 31, seed=10)
+    with pytest.raises(ValueError):
+        lhs(cosine_like, 0)
 
 
 def test_lhs_integer_rounding():
@@ -106,14 +108,3 @@ def test_grid_counts_must_match():
         grid(space, (10, 10))
     with pytest.raises(ValueError):
         grid(space, (0,))
-
-
-def test_doe_request_dispatch(cosine_like):
-    req = DoeRequest(cosine_like, n_points=13, seed=4, method="lhs")
-    assert len(req.run()) == 13
-    req2 = DoeRequest(cosine_like, method="grid", points_per_dim=(7,))
-    assert len(req2.run()) == 7 * 13
-    with pytest.raises(ValueError):
-        DoeRequest(cosine_like, method="sobol")
-    with pytest.raises(ValueError):
-        DoeRequest(cosine_like, n_points=0)

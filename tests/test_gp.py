@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -358,3 +359,31 @@ def test_load_model_rejects_other_files(tmp_path):
     path2.write_text("hello")
     with pytest.raises(ParseError):
         load_model(path2)
+
+
+def _corrupted(doc, case):
+    theta = doc["theta_flat"]
+    return {
+        "missing theta_flat": {k: v for k, v in doc.items() if k != "theta_flat"},
+        "theta_flat not a list": {**doc, "theta_flat": "1.0"},
+        "p not an int": {**doc, "p": 2.5},
+        "non-finite theta": {**doc, "theta_flat": [float("nan")] + theta[1:]},
+        "negative continuous rate": {**doc, "theta_flat": [-1.0] + theta[1:]},
+        "negative CR diagonal": {**doc, "theta_flat": theta[:-1] + [-0.1]},
+        "non-positive jitter": {**doc, "jitter": 0.0},
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "missing theta_flat", "theta_flat not a list", "p not an int", "non-finite theta",
+    "negative continuous rate", "negative CR diagonal", "non-positive jitter",
+])
+def test_load_model_validates_keys_types_and_domains(tmp_path, case):
+    from mixedgp.errors import ParseError
+
+    ds = mixed_dataset(10)
+    path = tmp_path / "model.json"
+    save_model(build_model(ds, random_theta(ds.space, K.CR, np.random.default_rng(4))), path)
+    path.write_text(json.dumps(_corrupted(json.loads(path.read_text()), case)))
+    with pytest.raises(ParseError):
+        load_model(path)

@@ -357,6 +357,16 @@ def test_flat_roundtrip_all_kinds():
         assert np.allclose(again.flat(), flat, rtol=1e-12)
 
 
+def test_hyperparameter_set_rejects_negative_rates():
+    with pytest.raises(ValueError, match=">= 0"):
+        HyperparameterSet(K.GD, [-1.0], [], ())
+    with pytest.raises(ValueError, match=">= 0"):
+        HyperparameterSet(K.GD, [], [-0.5], ())
+    with pytest.raises(ValueError, match=">= 0"):
+        SymmetricHyperMatrix(K.FE, 2, [1.0, 0.3, -2.0])  # FE diagonal slot
+    SymmetricHyperMatrix(K.HH, 2, [3.0])  # angles carry no sign constraint
+
+
 def test_search_bounds_layout():
     space = DesignSpace((Continuous("x", 0.0, 1.0), Categorical("c", tuple("abc"))))
     lower, upper, mask = search_bounds(space, K.EHH)

@@ -183,3 +183,11 @@ def test_dataset_header_required(tmp_path, mixed_space):
 def test_dataset_validates_points(mixed_space):
     with pytest.raises(LevelOutOfRange):
         Dataset(mixed_space, (MixedPoint((0.5,), (2,), (9,)),), np.array([0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_targets(mixed_space, bad):
+    points = (MixedPoint((0.1,), (1,), (1,)), MixedPoint((0.5,), (2,), (2,)),
+              MixedPoint((0.9,), (3,), (3,)))
+    with pytest.raises(ValueError, match="row 1"):
+        Dataset(mixed_space, points, np.array([0.0, bad, 1.0]))
