@@ -39,12 +39,9 @@ from .gp import (
     build_model,
     concentrated_log_likelihood,
     correlation_matrix,
-    correlation_vector,
     fit,
     load_model,
     predict,
-    predict_mean,
-    predict_variance,
     save_model,
 )
 from .kernels import (
@@ -73,6 +70,7 @@ from .space import (
     DesignSpace,
     Integer,
     MixedPoint,
+    PointBatch,
     load_dataset,
     load_points,
     load_space,
@@ -80,6 +78,7 @@ from .space import (
     one_hot_encode,
     save_dataset,
     save_points,
+    save_predictions,
     save_space,
     validate_point,
 )

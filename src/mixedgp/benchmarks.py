@@ -28,7 +28,7 @@ from . import gp
 from . import kernels as kr
 from .doe import grid, lhs
 from .errors import DimensionMismatch, MixedGpError
-from .space import Categorical, Continuous, Dataset, DesignSpace, MixedPoint
+from .space import Categorical, Continuous, Dataset, DesignSpace
 
 __all__ = [
     "BenchmarkResult",
@@ -160,14 +160,15 @@ def beam_space() -> DesignSpace:
     ))
 
 
-def cantilever_deflection(cfg: CantileverConfig, level: int, length, surface):
-    """Tip deflection F L^3 / (3 E S^2 I~) in meters."""
-    level = int(level)
-    if not 1 <= level <= 12:
+def cantilever_deflection(cfg: CantileverConfig, level, length, surface):
+    """Tip deflection F L^3 / (3 E S^2 I~) in meters; ``level`` may be an array of levels."""
+    level = np.asarray(level, dtype=int)
+    if np.any((level < 1) | (level > 12)):
         raise ValueError("section level must lie in 1..12")
+    inertia = np.asarray(cfg.inertia)[level - 1]
     length = np.asarray(length, dtype=float)
     surface = np.asarray(surface, dtype=float)
-    value = cfg.force * length ** 3 / (3.0 * cfg.young_modulus * surface ** 2 * cfg.inertia[level - 1])
+    value = cfg.force * length ** 3 / (3.0 * cfg.young_modulus * surface ** 2 * inertia)
     return float(value) if value.ndim == 0 else value
 
 
@@ -270,12 +271,11 @@ def _run_problem(
     fit_config: gp.FitConfig,
     epsilon: float,
 ):
-    """Shared driver: sample, fit every kind, score on the validation grid."""
+    """Sample, fit every kind and score on the validation grid; ``truth`` maps a batch to values."""
     kinds = [kr.CategoricalKernelKind.parse(k) if isinstance(k, str) else k for k in kinds]
     train_points = lhs(space, doe_size, seed)
-    y_train = np.array([truth(w) for w in train_points])
-    dataset = Dataset(space, train_points, y_train)
-    y_valid = np.array([truth(w) for w in validation_points])
+    dataset = Dataset(space, train_points, truth(train_points))
+    y_valid = truth(validation_points)
 
     results: dict = {}
     corr: dict = {}
@@ -327,7 +327,7 @@ def run_cosine_benchmark(
     """
     space = cosine_space()
     validation = grid(space, (grid_points,))
-    truth = lambda w: cosine_function(w.continuous[0], w.categorical[0])
+    truth = lambda points: cosine_function(points.X[:, 0], points.C[:, 0])
     return _run_problem(
         space, truth, validation, kinds, doe_size, seed, p,
         fit_config or gp.FitConfig(seed=seed), epsilon,
@@ -350,8 +350,8 @@ def run_cantilever_benchmark(
     """
     space = beam_space()
     validation = grid(space, grid_points)
-    truth = lambda w: cantilever_deflection(
-        cfg, w.categorical[0], w.continuous[0], w.continuous[1]
+    truth = lambda points: cantilever_deflection(
+        cfg, points.C[:, 0], points.X[:, 0], points.X[:, 1]
     )
     return _run_problem(
         space, truth, validation, kinds, doe_size, seed, p,

@@ -29,11 +29,11 @@ from .errors import (
 from .optimize import write_trace
 from .space import (
     Categorical,
-    _point_to_row,
     load_dataset,
     load_points,
     load_space,
     save_points,
+    save_predictions,
 )
 
 EXIT_PARSE = 2
@@ -185,12 +185,7 @@ def _cmd_predict(args) -> int:
     model = gp.load_model(args.model_file)
     points = load_points(model.dataset.space, args.points_file)
     means, variances = gp.predict(model, points)
-    space = model.dataset.space
-    lines = [",".join(list(space.names()) + ["mean", "stddev"])]
-    for w, m, v in zip(points, means, variances):
-        lines.append(",".join(_point_to_row(space, w) + [repr(float(m)), repr(float(np.sqrt(v)))]))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_predictions(points, means, variances, args.out)
     print(f"wrote {len(points)} predictions to {args.out}")
     return 0
 

@@ -10,20 +10,19 @@ each categorical variable one permutation and one shuffle.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import SizeOverflow
-from .space import Categorical, Continuous, DesignSpace, Integer, MixedPoint
+from .space import Categorical, Continuous, DesignSpace, Integer, PointBatch
 
 __all__ = ["lhs", "grid", "GRID_SIZE_CAP"]
 
 GRID_SIZE_CAP = 10_000_000
 
 
-def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> tuple[MixedPoint, ...]:
+def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> PointBatch:
     """Latin hypercube sample of ``n_points`` mixed points.
 
     Continuous and integer coordinates are stratified: each of the
@@ -50,25 +49,14 @@ def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> tuple[MixedPoint, .
             levels = np.tile(order, reps)[:n_points]
             rng.shuffle(levels)
             columns.append(levels)
-    points = []
-    for row in range(n_points):
-        cont, intg, cat = [], [], []
-        for var, col in zip(space.variables, columns):
-            if isinstance(var, Continuous):
-                cont.append(float(col[row]))
-            elif isinstance(var, Integer):
-                intg.append(float(col[row]))
-            else:
-                cat.append(int(col[row]))
-        points.append(MixedPoint(tuple(cont), tuple(intg), tuple(cat)))
-    return tuple(points)
+    return PointBatch.from_columns(space, columns)
 
 
 def grid(
     space: DesignSpace,
     points_per_dim,
     size_cap: int = GRID_SIZE_CAP,
-) -> tuple[MixedPoint, ...]:
+) -> PointBatch:
     """Full-factorial grid, row-major in variable order.
 
     ``points_per_dim`` lists one count per continuous/integer variable (in
@@ -87,34 +75,19 @@ def grid(
         raise ValueError("grid counts must be >= 1 per dimension")
 
     total = 1
-    axes: list[tuple[str, np.ndarray]] = []
-    numeric_pos = 0
+    axes: list[np.ndarray] = []
+    numeric_counts = iter(counts)
     for var in space.variables:
-        if isinstance(var, Continuous):
-            values = np.linspace(var.lower, var.upper, counts[numeric_pos])
-            axes.append(("cont", values))
-            total *= values.size
-            numeric_pos += 1
-        elif isinstance(var, Integer):
-            values = np.rint(np.linspace(var.lower, var.upper, counts[numeric_pos]))
-            axes.append(("int", values))
-            total *= values.size
-            numeric_pos += 1
+        if isinstance(var, Categorical):
+            values = np.arange(1, var.n_levels + 1)
         else:
-            axes.append(("cat", np.arange(1, var.n_levels + 1)))
-            total *= var.n_levels
+            values = np.linspace(var.lower, var.upper, next(numeric_counts))
+            if isinstance(var, Integer):
+                values = np.rint(values)
+        axes.append(values)
+        total *= values.size
         if total > size_cap:
             raise SizeOverflow(f"grid would hold {total} > {size_cap} points")
-
-    points = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        cont, intg, cat = [], [], []
-        for (kind, _), value in zip(axes, combo):
-            if kind == "cont":
-                cont.append(float(value))
-            elif kind == "int":
-                intg.append(float(value))
-            else:
-                cat.append(int(value))
-        points.append(MixedPoint(tuple(cont), tuple(intg), tuple(cat)))
-    return tuple(points)
+    return PointBatch.from_columns(
+        space, [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij", copy=False)]
+    )

@@ -35,16 +35,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from . import kernels as kr
 from .errors import MixedGpError, NumericalFailure, ParseError, ShapeMismatch
 from .optimize import BoxBounds, MultistartResult, SearchConfig, multistart
-from .space import (
-    Categorical,
-    Continuous,
-    Dataset,
-    DesignSpace,
-    Integer,
-    MixedPoint,
-    normalized_coordinate_arrays,
-    validate_point,
-)
+from .space import Categorical, Continuous, Dataset, DesignSpace, Integer, PointBatch
 
 __all__ = [
     "JITTER_DEFAULT",
@@ -52,14 +43,11 @@ __all__ = [
     "FitConfig",
     "GpModel",
     "correlation_matrix",
-    "correlation_vector",
     "concentrated_log_likelihood",
     "standardize_targets",
     "build_model",
     "fit",
     "predict",
-    "predict_mean",
-    "predict_variance",
     "save_model",
     "load_model",
 ]
@@ -121,10 +109,9 @@ class _Workspace:
     variance floor.
     """
 
-    def __init__(self, space: DesignSpace, points, p: int, targets: np.ndarray):
-        self.space = space
+    def __init__(self, points: PointBatch, p: int, targets: np.ndarray):
         self.p = kr.check_exponent(p)
-        X, Z, C = normalized_coordinate_arrays(space, points)
+        X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
         self.n_points = XZ.shape[0]
         self.n_numeric = XZ.shape[1]
@@ -132,7 +119,7 @@ class _Workspace:
         diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
         self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
         self.levels = C - 1
-        self.level_counts = space.level_counts
+        self.level_counts = points.space.level_counts
         self.y = targets
         self.ones = np.ones(self.n_points)
         var_y = float(np.var(targets))
@@ -166,7 +153,7 @@ class _Workspace:
 
     def cross_correlation(self, kind, flat: np.ndarray, epsilon: float, points) -> np.ndarray:
         """k(new, train) matrix of shape (n_new, n_train)."""
-        X, Z, C = normalized_coordinate_arrays(self.space, points)
+        X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
         diffs = np.abs(XZ[:, None, :] - self.numeric[None, :, :]) ** self.p
         K = np.exp(-(diffs @ flat[:self.n_numeric]))
@@ -217,7 +204,7 @@ def correlation_matrix(dataset: Dataset, theta: kr.HyperparameterSet, p: int = 2
 
     Symmetric with exact unit diagonal; no jitter is added here.
     """
-    ws = _Workspace(dataset.space, dataset.points, p, dataset.targets)
+    ws = _Workspace(dataset.points, p, dataset.targets)
     return ws.correlation(theta.kind, ws.flat(theta), theta.epsilon)
 
 
@@ -236,7 +223,7 @@ def concentrated_log_likelihood(
     Raises NumericalFailure when R + jitter*I cannot be factored even after
     jitter escalation.
     """
-    ws = _Workspace(dataset.space, dataset.points, p, dataset.targets)
+    ws = _Workspace(dataset.points, p, dataset.targets)
     return ws.evaluate(theta.kind, ws.flat(theta), theta.epsilon, jitter).log_likelihood
 
 
@@ -357,7 +344,7 @@ def build_model(
 ) -> GpModel:
     """Assemble a GpModel at fixed hyperparameters (no optimization)."""
     ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(dataset.space, dataset.points, p, ds_std.targets)
+    ws = _Workspace(dataset.points, p, ds_std.targets)
     return _model(ws, dataset, theta, jitter, y_mean, y_scale, fit_seconds)
 
 
@@ -377,7 +364,7 @@ def fit(
     t0 = time.perf_counter()
     space = dataset.space
     ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(space, dataset.points, p, ds_std.targets)
+    ws = _Workspace(dataset.points, p, ds_std.targets)
 
     lower, upper, log_mask = kr.search_bounds(space, kind, config.theta_log_bounds)
     bounds = BoxBounds(lower, upper)
@@ -416,19 +403,13 @@ def fit(
 # prediction
 # ---------------------------------------------------------------------------
 
-def _cross_correlation(model: GpModel, points) -> np.ndarray:
-    theta = model.theta_star
-    return model._workspace.cross_correlation(theta.kind, theta.flat(), theta.epsilon, points)
-
-
 def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Batch posterior mean and variance (original units, variance >= 0)."""
-    pts = list(points)
-    for w in pts:
-        validate_point(model.dataset.space, w)
-    if not pts:
+    """Posterior mean and variance at a batch or MixedPoints (original units, variance >= 0)."""
+    batch = PointBatch.of(model.dataset.space, points)
+    if not len(batch):
         return np.zeros(0), np.zeros(0)
-    K = _cross_correlation(model, pts)
+    theta = model.theta_star
+    K = model._workspace.cross_correlation(theta.kind, theta.flat(), theta.epsilon, batch)
     mean_std = model.mu_std + K @ model._alpha
     means = model.y_mean + model.y_scale * mean_std
     v = _solve(model.chol, K.T)
@@ -438,24 +419,6 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / ones_r_ones)
     variances = model.y_scale ** 2 * np.maximum(var_std, 0.0)
     return means, variances
-
-
-def predict_mean(model: GpModel, w: MixedPoint) -> float:
-    """Posterior mean at one point."""
-    means, _ = predict(model, [w])
-    return float(means[0])
-
-
-def predict_variance(model: GpModel, w: MixedPoint) -> float:
-    """Posterior variance at one point, clamped at zero from below."""
-    _, variances = predict(model, [w])
-    return float(variances[0])
-
-
-def correlation_vector(model: GpModel, w: MixedPoint) -> np.ndarray:
-    """Correlations k(w, w_j) against every training point."""
-    validate_point(model.dataset.space, w)
-    return _cross_correlation(model, [w])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +457,9 @@ def save_model(model: GpModel, path) -> None:
         "fit_seconds": model.fit_seconds,
         "space": _space_to_json(model.dataset.space),
         "points": {
-            "continuous": [list(p.continuous) for p in model.dataset.points],
-            "integer": [list(p.integer) for p in model.dataset.points],
-            "categorical": [list(p.categorical) for p in model.dataset.points],
+            "continuous": model.dataset.points.X.tolist(),
+            "integer": model.dataset.points.Z.tolist(),
+            "categorical": model.dataset.points.C.tolist(),
         },
         "targets": model.dataset.targets.tolist(),
     }
@@ -528,12 +491,12 @@ def load_model(path) -> GpModel:
             raise ParseError(f"{path}: {key!r} has the wrong type: {doc[key]!r}")
     try:
         space = _space_from_json(doc["space"])
-        pts = doc["points"]
-        points = tuple(
-            MixedPoint(tuple(c), tuple(z), tuple(l))
-            for c, z, l in zip(pts["continuous"], pts["integer"], pts["categorical"])
-        )
-        dataset = Dataset(space, points, np.array(doc["targets"], dtype=float))
+        rows = {name: doc["points"][name] for name in ("continuous", "integer", "categorical")}
+        for name, r in rows.items():
+            if len(r) != len(doc["targets"]):
+                raise ValueError(f"points.{name} holds {len(r)} rows for "
+                                 f"{len(doc['targets'])} targets")
+        dataset = Dataset(space, PointBatch(space, *rows.values()), doc["targets"])
         kind = kr.CategoricalKernelKind.parse(doc["kernel"])
         p = kr.check_exponent(doc["p"])
         if not (math.isfinite(doc["jitter"]) and doc["jitter"] > 0):

@@ -2,9 +2,10 @@
 
 A design space is an ordered list of variables of three kinds: continuous
 ranges, bounded integers and categorical variables with named levels.
-Points are stored split by kind (continuous / integer / categorical), with
-categorical coordinates held as 1-based level indices.  The GP layer
-converts them to 0-based indices when it builds its correlation workspace.
+A set of points is a :class:`PointBatch`: arrays split by kind (``X``
+continuous, ``Z`` integer, ``C`` categorical as 1-based level indices),
+checked once, with vectorised tests, when it enters the program.
+:class:`MixedPoint` is its row view, taken by the single-point helpers.
 
 Integer coordinates are kept as floats: the kernels treat integers through
 continuous relaxation, and normalized points reuse the same container.
@@ -26,6 +27,7 @@ __all__ = [
     "Categorical",
     "DesignSpace",
     "MixedPoint",
+    "PointBatch",
     "Dataset",
     "validate_point",
     "one_hot_encode",
@@ -37,6 +39,7 @@ __all__ = [
     "save_dataset",
     "load_points",
     "save_points",
+    "save_predictions",
 ]
 
 
@@ -167,9 +170,9 @@ class MixedPoint:
     categorical: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "continuous", tuple(float(x) for x in self.continuous))
-        object.__setattr__(self, "integer", tuple(float(z) for z in self.integer))
-        object.__setattr__(self, "categorical", tuple(int(c) for c in self.categorical))
+        object.__setattr__(self, "continuous", tuple(map(float, self.continuous)))
+        object.__setattr__(self, "integer", tuple(map(float, self.integer)))
+        object.__setattr__(self, "categorical", tuple(map(int, self.categorical)))
 
 
 def validate_point(space: DesignSpace, point: MixedPoint) -> None:
@@ -248,58 +251,125 @@ def normalize(space: DesignSpace, point: MixedPoint) -> MixedPoint:
     return MixedPoint(cont, intg, point.categorical)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Design of experiments: points of one space plus a target per point."""
+@dataclass(frozen=True, eq=False)
+class PointBatch:
+    """Points of one space as read-only raw-unit arrays, checked on construction.
+
+    ``X`` is (n, n_continuous) float, ``Z`` (n, n_integer) float and ``C``
+    (n, n_categorical) int with 1-based levels.  An integer index and
+    iteration yield :class:`MixedPoint` rows; a slice yields a batch.
+    """
 
     space: DesignSpace
-    points: tuple[MixedPoint, ...]
+    X: np.ndarray
+    Z: np.ndarray
+    C: np.ndarray
+
+    def __post_init__(self):
+        for name, array in zip("XZC", _checked_arrays(self.space, (self.X, self.Z, self.C))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def of(cls, space: DesignSpace, points) -> "PointBatch":
+        """Checked batch of ``points`` on ``space``; a batch of an equal space is returned as is."""
+        if isinstance(points, PointBatch):
+            return points if points.space == space else cls(space, points.X, points.Z, points.C)
+        points = list(points)
+        return cls(space, [p.continuous for p in points], [p.integer for p in points],
+                   [p.categorical for p in points])
+
+    @classmethod
+    def from_columns(cls, space: DesignSpace, columns) -> "PointBatch":
+        """A batch from one column of raw values per variable, in space order."""
+        n, by_kind = len(columns[0]), {Continuous: [], Integer: [], Categorical: []}
+        for var, column in zip(space.variables, columns):
+            by_kind[type(var)].append(column)
+        return cls(space, *(np.array(cols, dtype=t).reshape(len(cols), n).T
+                            for cols, t in zip(by_kind.values(), (float, float, int))))
+
+    def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, Z, C) with the continuous and integer columns mapped affinely onto [0, 1]."""
+        (lx, ux), (lz, uz) = _bounds(self.space.continuous), _bounds(self.space.integer)
+        return (self.X - lx) / (ux - lx), (self.Z - lz) / (uz - lz), self.C
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointBatch(self.space, self.X[index], self.Z[index], self.C[index])
+        return MixedPoint(self.X[index], self.Z[index], self.C[index])
+
+    def __iter__(self):
+        for x, z, c in zip(self.X.tolist(), self.Z.tolist(), self.C.tolist()):
+            yield MixedPoint(x, z, c)
+
+    def __eq__(self, other):
+        return isinstance(other, PointBatch) and self.space == other.space and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in "XZC")
+
+
+def _bounds(specs) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array([getattr(v, b) for v in specs], dtype=float) for b in ("lower", "upper"))
+
+
+def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
+    """Three row sequences as (n, width) arrays; raises as validate_point on the first bad point."""
+    n, widths = len(rows[0]), (space.n_continuous, space.n_integer, space.n_categorical)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"X, Z and C hold {[len(r) for r in rows]} rows")
+    try:
+        # one memory layout for every batch: the sums in a prediction depend on it
+        arrays = [np.array(r, dtype=t, order="C") for r, t in zip(rows, (float, float, int))]
+        arrays = [a.reshape(n, w) if n == 0 else a for a, w in zip(arrays, widths)]
+        shaped = all(a.shape == (n, w) for a, w in zip(arrays, widths))
+    except (TypeError, ValueError, OverflowError):
+        shaped = False
+    bad = np.ones(n, dtype=bool)
+    if shaped:
+        X, Z, C = arrays
+        bad = ~np.all((C >= 1) & (C <= np.array(space.level_counts, dtype=int)), axis=1)
+        for A, (lower, upper) in ((X, _bounds(space.continuous)), (Z, _bounds(space.integer))):
+            bad |= ~np.all((A >= lower) & (A <= upper) & np.isfinite(A), axis=1)
+    for i in np.flatnonzero(bad):  # validate_point raises on the first bad point
+        validate_point(space, MixedPoint(*(r[i] for r in rows)))
+    if not shaped:
+        raise DimensionMismatch(f"point rows do not have the space's widths {widths}")
+    return arrays
+
+
+def _checked_targets(n_points: int, targets) -> np.ndarray:
+    """Targets as a float vector holding one finite value per point."""
+    y = np.asarray(targets, dtype=float).reshape(-1)
+    if n_points == 0:
+        raise ValueError("a dataset needs at least one point")
+    if n_points != y.size:
+        raise DimensionMismatch(f"{n_points} points but {y.size} targets")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"targets must be finite: row {bad[0]} (0-based) holds {y[bad[0]]!r}")
+    return y
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Design of experiments: points of one space (held as a batch) plus a target per point."""
+
+    space: DesignSpace
+    points: PointBatch
     targets: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        y = np.asarray(self.targets, dtype=float).reshape(-1)
-        object.__setattr__(self, "targets", y)
-        if len(self.points) == 0:
-            raise ValueError("a dataset needs at least one point")
-        if len(self.points) != y.size:
-            raise DimensionMismatch(
-                f"{len(self.points)} points but {y.size} targets"
-            )
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise ValueError(
-                f"targets must be finite: row {bad[0]} (0-based) holds {y[bad[0]]!r}"
-            )
-        for p in self.points:
-            validate_point(self.space, p)
+        points = self.points if isinstance(self.points, PointBatch) else tuple(self.points)
+        object.__setattr__(self, "targets", _checked_targets(len(points), self.targets))
+        object.__setattr__(self, "points", PointBatch.of(self.space, points))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def with_targets(self, y) -> "Dataset":
         return Dataset(self.space, self.points, np.asarray(y, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# array views used by the GP internals
-# ---------------------------------------------------------------------------
-
-def normalized_coordinate_arrays(space: DesignSpace, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack points into (X, Z, C) arrays, continuous/integer columns mapped onto [0, 1].
-
-    X is (n_t, n_continuous) float, Z is (n_t, n_integer) float, C is
-    (n_t, n_categorical) int with 1-based levels.
-    """
-    pts = list(points)
-    X = np.array([p.continuous for p in pts], dtype=float).reshape(len(pts), space.n_continuous)
-    Z = np.array([p.integer for p in pts], dtype=float).reshape(len(pts), space.n_integer)
-    C = np.array([p.categorical for p in pts], dtype=int).reshape(len(pts), space.n_categorical)
-    for j, v in enumerate(space.continuous):
-        X[:, j] = (X[:, j] - v.lower) / (v.upper - v.lower)
-    for j, v in enumerate(space.integer):
-        Z[:, j] = (Z[:, j] - v.lower) / (v.upper - v.lower)
-    return X, Z, C
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +382,9 @@ def normalized_coordinate_arrays(space: DesignSpace, points) -> tuple[np.ndarray
 #     integer     <name> <lower> <upper>
 #     categorical <name> <level> <level> [...]
 #
-# Dataset file: CSV with a header row naming the variables in space order,
-# optionally followed by a final ``target`` column.  Categorical cells hold
-# level names.
+# Points and dataset files: CSV with a header row naming the variables in
+# space order, optionally followed by a final ``target`` column.  Categorical
+# cells hold level names.  A predictions file appends ``mean`` and ``stddev``.
 
 def save_space(space: DesignSpace, path) -> None:
     lines = ["# mixedgp design space: kind name bounds-or-levels"]
@@ -356,57 +426,53 @@ def load_space(path) -> DesignSpace:
     return DesignSpace(tuple(variables))
 
 
-def _point_to_row(space: DesignSpace, point: MixedPoint) -> list[str]:
-    row = []
-    ic = ii = il = 0
-    for v in space.variables:
+def _text_columns(points: PointBatch) -> list[list[str]]:
+    """Each variable's cells as a CSV file holds them, in space order."""
+    columns = {Continuous: iter(points.X.T.tolist()), Integer: iter(points.Z.T.tolist()),
+               Categorical: iter(points.C.T.tolist())}
+    cells = []
+    for v in points.space.variables:
+        values = next(columns[type(v)])
         if isinstance(v, Continuous):
-            row.append(repr(point.continuous[ic]))
-            ic += 1
+            cells.append([repr(x) for x in values])
         elif isinstance(v, Integer):
-            z = point.integer[ii]
-            row.append(str(int(z)) if float(z).is_integer() else repr(z))
-            ii += 1
+            cells.append([str(int(z)) if z.is_integer() else repr(z) for z in values])
         else:
-            row.append(v.levels[point.categorical[il] - 1])
-            il += 1
-    return row
+            cells.append([v.levels[c - 1] for c in values])
+    return cells
 
 
-def _row_to_point(space: DesignSpace, row: list[str], where: str) -> MixedPoint:
-    cont, intg, cat = [], [], []
-    for v, cell in zip(space.variables, row):
-        try:
-            if isinstance(v, Continuous):
-                cont.append(float(cell))
-            elif isinstance(v, Integer):
-                intg.append(float(cell))
-            else:
-                cat.append(v.levels.index(cell) + 1)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad cell {cell!r} for variable {v.name}") from exc
-    return MixedPoint(tuple(cont), tuple(intg), tuple(cat))
+def _write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator=lineterminator)
+        w.writerow(header)
+        w.writerows(zip(*columns))
 
 
 def save_points(space: DesignSpace, points, path) -> None:
     """Write a points file (no target column)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(space.names())
-        for p in points:
-            w.writerow(_point_to_row(space, p))
+    _write_csv(path, space.names(), _text_columns(PointBatch.of(space, points)))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset file (points plus final ``target`` column)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(dataset.space.names()) + ["target"])
-        for p, y in zip(dataset.points, dataset.targets):
-            w.writerow(_point_to_row(dataset.space, p) + [repr(float(y))])
+    _write_csv(path, list(dataset.space.names()) + ["target"],
+               _text_columns(dataset.points) + [[repr(y) for y in dataset.targets.tolist()]])
 
 
-def _read_rows(space: DesignSpace, path, expect_target: bool | None):
+def save_predictions(points: PointBatch, means, variances, path) -> None:
+    """Write the points plus ``mean`` and ``stddev`` columns, lines ending in a bare newline."""
+    _write_csv(path, list(points.space.names()) + ["mean", "stddev"],
+               _text_columns(points) + [[repr(m) for m in np.asarray(means).tolist()],
+                                        [repr(s) for s in np.sqrt(variances).tolist()]],
+               lineterminator="\n")
+
+
+def _read_csv(space: DesignSpace, path, expect_target: bool | None):
+    """Values per variable (space order) and targets or None, parsed column by column.
+
+    A defect raises ParseError naming the first bad row and cell in file order.
+    """
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -423,30 +489,42 @@ def _read_rows(space: DesignSpace, path, expect_target: bool | None):
         )
     if expect_target is True and not has_target:
         raise ParseError(f"{path}: expected a final 'target' column")
-    n_cols = len(names) + (1 if has_target else 0)
-    points, targets = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != n_cols:
-            raise ParseError(f"{path}:{lineno}: expected {n_cols} cells, got {len(row)}")
-        points.append(_row_to_point(space, row, f"{path}:{lineno}"))
-        if has_target:
+    parsers = [{name: i for i, name in enumerate(v.levels, start=1)}.__getitem__
+               if isinstance(v, Categorical) else float for v in space.variables]
+    parsers += [float] if has_target else []
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    try:
+        if any(len(row) != len(parsers) for _, row in body):
+            raise ValueError
+        cells = list(zip(*(row for _, row in body))) or [()] * len(parsers)
+        columns = [list(map(parse, column)) for parse, column in zip(parsers, cells)]
+    except (KeyError, ValueError):
+        _raise_first_defect(path, body, names, parsers)
+    return columns[:len(names)], (columns[-1] if has_target else None)
+
+
+def _raise_first_defect(path, body, names, parsers) -> None:
+    for lineno, row in body:
+        if len(row) != len(parsers):
+            raise ParseError(f"{path}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
+        for j, (parse, cell) in enumerate(zip(parsers, row)):
             try:
-                targets.append(float(row[-1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad target {row[-1]!r}") from exc
-    return points, (targets if has_target else None)
+                parse(cell)
+            except (KeyError, ValueError) as exc:
+                what = (f"target {cell!r}" if j == len(names)
+                        else f"cell {cell!r} for variable {names[j]}")
+                raise ParseError(f"{path}:{lineno}: bad {what}") from exc
 
 
 def load_dataset(space: DesignSpace, path) -> Dataset:
-    points, targets = _read_rows(space, path, expect_target=True)
-    if not points:
+    columns, targets = _read_csv(space, path, expect_target=True)
+    if not targets:
         raise ParseError(f"{path}: dataset has no rows")
-    return Dataset(space, tuple(points), np.array(targets))
+    targets = _checked_targets(len(targets), targets)  # before the points, as Dataset orders them
+    return Dataset(space, PointBatch.from_columns(space, columns), targets)
 
 
-def load_points(space: DesignSpace, path) -> tuple[MixedPoint, ...]:
+def load_points(space: DesignSpace, path) -> PointBatch:
     """Read a points file; a trailing target column, if present, is ignored."""
-    points, _ = _read_rows(space, path, expect_target=None)
-    return tuple(points)
+    columns, _ = _read_csv(space, path, expect_target=None)
+    return PointBatch.from_columns(space, columns)

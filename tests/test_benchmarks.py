@@ -20,7 +20,7 @@ from mixedgp.benchmarks import (
     write_benchmark_report,
     _warm_starts,
 )
-from mixedgp.doe import lhs
+from mixedgp.doe import grid, lhs
 from mixedgp.errors import DimensionMismatch
 from mixedgp.gp import FitConfig, concentrated_log_likelihood, fit, standardize_targets
 from mixedgp.kernels import (
@@ -136,6 +136,21 @@ def test_beam_config_validation():
         CantileverConfig(inertia=(0.0,) + (1.0,) * 11)
     with pytest.raises(ValueError):
         cantilever_deflection(CantileverConfig(), 13, 10.0, 1.0)
+
+
+def test_vectorised_truths_equal_per_point_truths():
+    """The benchmark truths take whole batches; the per-point calls are the reference."""
+    cfg = CantileverConfig()
+    for points in [grid(beam_space(), (30, 30))] + [lhs(beam_space(), 98, s) for s in range(3)]:
+        per_point = [cantilever_deflection(cfg, w.categorical[0], w.continuous[0], w.continuous[1])
+                     for w in points]
+        assert cantilever_deflection(cfg, points.C[:, 0], points.X[:, 0], points.X[:, 1]).tolist() \
+            == per_point
+    for points in [grid(cosine_space(), (1000,))] + [lhs(cosine_space(), 98, s) for s in range(3)]:
+        per_point = [cosine_function(w.continuous[0], w.categorical[0]) for w in points]
+        assert cosine_function(points.X[:, 0], points.C[:, 0]).tolist() == per_point
+    with pytest.raises(ValueError):
+        cantilever_deflection(cfg, np.array([1, 13]), 10.0, 1.0)
 
 
 def test_beam_space_counts():

@@ -235,3 +235,13 @@ def test_model_file_with_negative_theta_exits_2(tmp_path, cosine_files, gd_model
     code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_model_file_with_extra_point_row_exits_2(tmp_path, cosine_files, gd_model_file, capsys):
+    _, _, data_file = cosine_files
+    doc = json.loads(gd_model_file.read_text())
+    doc["points"]["continuous"].append(doc["points"]["continuous"][0])
+    gd_model_file.write_text(json.dumps(doc))
+    code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "points.continuous holds 41 rows for 40 targets" in capsys.readouterr().err

@@ -11,12 +11,9 @@ from mixedgp.gp import (
     build_model,
     concentrated_log_likelihood,
     correlation_matrix,
-    correlation_vector,
     fit,
     load_model,
     predict,
-    predict_mean,
-    predict_variance,
     save_model,
     standardize_targets,
 )
@@ -119,14 +116,6 @@ def test_correlation_matrix_ehh_single_level_difference():
     )
     R = correlation_matrix(ds, theta)
     assert R[0, 1] == pytest.approx(theta.epsilon, rel=1e-9)
-
-
-def test_correlation_vector_against_training_point():
-    ds = mixed_dataset(12)
-    model = build_model(ds, random_theta(ds.space, K.CR, np.random.default_rng(1)))
-    r = correlation_vector(model, ds.points[3])
-    assert r.shape == (12,)
-    assert r[3] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +273,9 @@ def test_predict_far_point_variance_limit():
     # r(w) ~ 0: variance tends to sigma2 * (1 + 1/(1' R^-1 1))
     R = correlation_matrix(ds, theta) + model.jitter * np.eye(3)
     expected = model.sigma2_hat * (1.0 + 1.0 / np.sum(np.linalg.inv(R)))
-    assert predict_variance(model, far) == pytest.approx(expected, rel=1e-6)
-    assert predict_mean(model, far) == pytest.approx(model.mu_hat, abs=1e-9)
+    means, variances = predict(model, [far])
+    assert variances[0] == pytest.approx(expected, rel=1e-6)
+    assert means[0] == pytest.approx(model.mu_hat, abs=1e-9)
 
 
 def test_predict_variance_nonnegative():
@@ -386,4 +376,24 @@ def test_load_model_validates_keys_types_and_domains(tmp_path, case):
     save_model(build_model(ds, random_theta(ds.space, K.CR, np.random.default_rng(4))), path)
     path.write_text(json.dumps(_corrupted(json.loads(path.read_text()), case)))
     with pytest.raises(ParseError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name, change, rows", [
+    ("continuous", "extra row", 11),
+    ("integer", "emptied", 0),
+    ("categorical", "last row dropped", 9),
+])
+def test_load_model_requires_one_point_row_per_target(tmp_path, name, change, rows):
+    from mixedgp.errors import ParseError
+
+    ds = mixed_dataset(10)
+    path = tmp_path / "model.json"
+    save_model(build_model(ds, random_theta(ds.space, K.CR, np.random.default_rng(5))), path)
+    doc = json.loads(path.read_text())
+    lists = doc["points"]
+    lists[name] = {"extra row": lists[name] + lists[name][:1], "emptied": [],
+                   "last row dropped": lists[name][:-1]}[change]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"points.{name} holds {rows} rows for 10 targets"):
         load_model(path)

@@ -162,7 +162,7 @@ def test_dataset_file_roundtrip(tmp_path, mixed_space):
     path = tmp_path / "data.csv"
     save_dataset(ds, path)
     loaded = load_dataset(mixed_space, path)
-    assert loaded.points == points
+    assert tuple(loaded.points) == points
     assert np.array_equal(loaded.targets, ds.targets)
 
 
@@ -170,7 +170,7 @@ def test_points_file_roundtrip(tmp_path, mixed_space):
     points = (MixedPoint((0.1,), (3,), (2,)),)
     path = tmp_path / "points.csv"
     save_points(mixed_space, points, path)
-    assert load_points(mixed_space, path) == points
+    assert tuple(load_points(mixed_space, path)) == points
 
 
 def test_dataset_header_required(tmp_path, mixed_space):
