@@ -281,7 +281,8 @@ def _run_problem(
     corr: dict = {}
     errors: dict = {}
     fitted: dict = {}
-    for kind in sorted(set(kinds), key=lambda k: kr.KINDS[k].nesting_rank):
+    # stable sort: kinds of one nesting rank are fitted in the caller's order
+    for kind in sorted(dict.fromkeys(kinds), key=lambda k: kr.KINDS[k].nesting_rank):
         config = replace(
             fit_config,
             extra_starts=fit_config.extra_starts + _warm_starts(kind, fitted, epsilon),

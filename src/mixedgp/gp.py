@@ -55,6 +55,12 @@ __all__ = [
 JITTER_DEFAULT = 1e-10
 JITTER_MAX = 1e-4
 
+# Rows per prediction chunk.  A multiple of 4: OpenBLAS dgemv computes
+# K @ alpha in blocks of 4 rows and rounds the tail rows differently, so
+# chunk edges on multiples of 4 give every row the bits of one whole-batch
+# product (see also _row_chunks).
+_PREDICT_CHUNK = 256
+
 
 def _solve(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 b (trans=0) or L^-T b (trans=1) for a lower Cholesky factor L."""
@@ -103,10 +109,10 @@ class _Evaluation(NamedTuple):
 class _Workspace:
     """Per-dataset caches and the one likelihood evaluator.
 
-    Holds |x_r - x_s|^p per continuous/integer dimension and the 0-based
-    level index column per categorical variable, all on normalized
-    coordinates, plus the targets :meth:`evaluate` scores and their
-    variance floor.
+    Holds |x_r - x_s|^p per continuous/integer dimension, the 0-based
+    level index column and the flat level-pair indices per categorical
+    variable, all on normalized coordinates, plus the targets
+    :meth:`evaluate` scores and their variance floor.
     """
 
     def __init__(self, points: PointBatch, p: int, targets: np.ndarray):
@@ -120,6 +126,9 @@ class _Workspace:
         self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
         self.levels = C - 1
         self.level_counts = points.space.level_counts
+        # flat index of level pair (c_r, c_s) in the row-major L x L level matrix
+        self.level_pairs = [(idx[:, None] * L + idx[None, :]).astype(np.intp)
+                            for idx, L in zip(self.levels.T, self.level_counts)]
         self.y = targets
         self.ones = np.ones(self.n_points)
         var_y = float(np.var(targets))
@@ -146,20 +155,35 @@ class _Workspace:
         """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
         R = np.exp(-np.tensordot(flat[:self.n_numeric], self.pair_powers, axes=1))
         for i, Ri in self._categorical_factors(kind, flat, epsilon):
-            idx = self.levels[:, i]
-            R *= Ri[np.ix_(idx, idx)]
+            R *= Ri.take(self.level_pairs[i])
         np.fill_diagonal(R, 1.0)
         return R
 
-    def cross_correlation(self, kind, flat: np.ndarray, epsilon: float, points) -> np.ndarray:
-        """k(new, train) matrix of shape (n_new, n_train)."""
+    def cross_correlations(self, kind, flat: np.ndarray, epsilon: float, points):
+        """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
+
+        Each block has shape (len(rows), n_train); the |x_new - x_train|^p
+        work array is allocated once, so memory is O(chunk * n_train * d).
+        """
         X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
-        diffs = np.abs(XZ[:, None, :] - self.numeric[None, :, :]) ** self.p
-        K = np.exp(-(diffs @ flat[:self.n_numeric]))
-        for i, Ri in self._categorical_factors(kind, flat, epsilon):
-            K *= Ri[np.ix_(C[:, i] - 1, self.levels[:, i])]
-        return K
+        theta = flat[:self.n_numeric]
+        tables = [(i, Ri[:, self.levels[:, i]])
+                  for i, Ri in self._categorical_factors(kind, flat, epsilon)]
+        work = np.empty((min(len(points), _PREDICT_CHUNK + 1), self.n_points, self.n_numeric))
+        for rows in _row_chunks(len(points)):
+            diffs = work[:rows.stop - rows.start]
+            for j in range(self.n_numeric):
+                column = diffs[:, :, j]
+                np.subtract(XZ[rows, j, None], self.numeric[:, j], out=column)
+                if self.p == 1:
+                    np.abs(column, out=column)
+                else:  # the square of -x and of |x| have the same bits
+                    np.square(column, out=column)
+            K = np.exp(-(diffs @ theta))
+            for i, table in tables:
+                K *= table.take(C[rows, i] - 1, axis=0)
+            yield rows, K
 
     def evaluate(self, kind, flat: np.ndarray, epsilon: float, jitter: float) -> _Evaluation:
         """Profiled likelihood of the workspace targets at ``flat``.
@@ -403,21 +427,44 @@ def fit(
 # prediction
 # ---------------------------------------------------------------------------
 
+def _row_chunks(n: int) -> list[slice]:
+    """Consecutive row slices of _PREDICT_CHUNK rows covering range(n).
+
+    A final chunk of one row is folded into the one before it (which then
+    holds _PREDICT_CHUNK + 1 rows): a one-column ``dtrtrs`` rounds
+    differently from a wide one.
+    """
+    chunks = [slice(start, min(start + _PREDICT_CHUNK, n))
+              for start in range(0, n, _PREDICT_CHUNK)]
+    if len(chunks) > 1 and n % _PREDICT_CHUNK == 1:
+        chunks[-2:] = [slice(chunks[-2].start, n)]
+    return chunks
+
+
 def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at a batch or MixedPoints (original units, variance >= 0)."""
+    """Posterior mean and variance at a batch or MixedPoints (original units, variance >= 0).
+
+    The points are processed in chunks of rows, so memory beyond the two
+    output vectors stays O(chunk * n_train) whatever the batch size.  A
+    point's last digits depend on where it sits in the batch: BLAS rounds
+    the rows of a matrix-vector product in blocks of four, and a one-point
+    triangular solve differently from a wide one, so
+    ``predict(m, g[i:i+1])`` may differ from ``predict(m, g)[i]`` by
+    rounding.  The same batch always gives the same bits.
+    """
     batch = PointBatch.of(model.dataset.space, points)
-    if not len(batch):
-        return np.zeros(0), np.zeros(0)
     theta = model.theta_star
-    K = model._workspace.cross_correlation(theta.kind, theta.flat(), theta.epsilon, batch)
-    mean_std = model.mu_std + K @ model._alpha
-    means = model.y_mean + model.y_scale * mean_std
-    v = _solve(model.chol, K.T)
-    quad = np.sum(v * v, axis=0)
+    means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
-    shortfall = 1.0 - K @ model._r_inv_ones
-    var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / ones_r_ones)
-    variances = model.y_scale ** 2 * np.maximum(var_std, 0.0)
+    for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat(), theta.epsilon,
+                                                       batch):
+        mean_std = model.mu_std + K @ model._alpha
+        means[rows] = model.y_mean + model.y_scale * mean_std
+        v = _solve(model.chol, K.T)
+        quad = np.sum(v * v, axis=0)
+        shortfall = 1.0 - K @ model._r_inv_ones
+        var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / ones_r_ones)
+        variances[rows] = model.y_scale ** 2 * np.maximum(var_std, 0.0)
     return means, variances
 
 

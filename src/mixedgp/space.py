@@ -352,7 +352,7 @@ def _checked_targets(n_points: int, targets) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design of experiments: points of one space (held as a batch) plus a target per point."""
 
@@ -370,6 +370,10 @@ class Dataset:
 
     def with_targets(self, y) -> "Dataset":
         return Dataset(self.space, self.points, np.asarray(y, dtype=float))
+
+    def __eq__(self, other):
+        return isinstance(other, Dataset) and self.space == other.space and (
+            self.points == other.points and np.array_equal(self.targets, other.targets))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,6 +206,25 @@ def test_benchmark_results_keep_input_order():
     fast = FitConfig(n_starts=1, max_evals=100)
     results, _, _ = run_cosine_benchmark(["ehh", "gd"], doe_size=5, seed=1, fit_config=fast)
     assert [r.kind for r in results] == [K.EHH, K.GD]
+
+
+def test_fit_order_does_not_follow_the_hash_seed():
+    # EHH and FE share a nesting rank; with string hashing seeded 0 and 1,
+    # a set of the two iterates in opposite orders
+    script = ("from mixedgp import benchmarks, gp; "
+              "_, corr, _ = benchmarks.run_cosine_benchmark(['ehh', 'fe'], doe_size=10, "
+              "fit_config=gp.FitConfig(n_starts=1, max_evals=5), grid_points=5); "
+              "print([k.value for k in corr])")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    orders = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        orders.append(result.stdout.strip())
+    assert orders == ["['ehh', 'fe']"] * 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -166,6 +166,15 @@ def test_dataset_file_roundtrip(tmp_path, mixed_space):
     assert np.array_equal(loaded.targets, ds.targets)
 
 
+def test_dataset_equality(mixed_space):
+    points = (MixedPoint((0.25,), (2,), (1,)), MixedPoint((0.75,), (5,), (3,)))
+    ds = Dataset(mixed_space, points, np.array([1.5, -2.25]))
+    assert ds == Dataset(mixed_space, list(points), [1.5, -2.25])
+    assert ds != ds.with_targets([1.5, -2.0])
+    assert ds != Dataset(mixed_space, points[::-1], ds.targets)
+    assert ds != ds.points
+
+
 def test_points_file_roundtrip(tmp_path, mixed_space):
     points = (MixedPoint((0.1,), (3,), (2,)),)
     path = tmp_path / "points.csv"
