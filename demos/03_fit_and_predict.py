@@ -46,17 +46,15 @@ for kind in (CategoricalKernelKind.GD, CategoricalKernelKind.CR):
           f"(fit {models[kind].fit_seconds:.1f}s)")
 
 # the EHH family nests CR, so seed its multistart with the correlation
-# structure CR already found (this is what the benchmark harness does too)
-from mixedgp import EPSILON, HyperparameterSet, categorical_matrix, recover_angles_from_correlation
+# structure CR already found (this is what the benchmark harness does too):
+# keep CR's rates and aim EHH's angles at CR's level correlations
+from mixedgp import HyperparameterSet, embed_hyper_matrix
 
-cr = models[CategoricalKernelKind.CR]
-R_cr = categorical_matrix(CategoricalKernelKind.CR, cr.theta_star.theta_cat[0])
-R_cr = np.clip(R_cr, EPSILON * (1 + 1e-9), 1.0)
-np.fill_diagonal(R_cr, 1.0)
-warm = HyperparameterSet(
-    CategoricalKernelKind.EHH, cr.theta_star.theta_cont, cr.theta_star.theta_int,
-    (recover_angles_from_correlation(R_cr),),
-)
+cr = models[CategoricalKernelKind.CR].theta_star
+angles = embed_hyper_matrix(CategoricalKernelKind.EHH, CategoricalKernelKind.CR,
+                            space.level_counts[0], cr.variable(0))
+warm = HyperparameterSet.from_flat(space, CategoricalKernelKind.EHH,
+                                   np.concatenate([cr.rates, angles]))
 models[CategoricalKernelKind.EHH] = fit(
     dataset, CategoricalKernelKind.EHH, p=2,
     config=FitConfig(n_starts=4, max_evals=2000, extra_starts=(warm,)),

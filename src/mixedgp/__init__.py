@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     LevelOutOfRange,
     MixedGpError,
+    NotIntegral,
     NotRepresentable,
     NumericalFailure,
     ObjectiveFailure,
@@ -48,10 +49,10 @@ from .kernels import (
     EPSILON,
     CategoricalKernelKind,
     HyperparameterSet,
-    SymmetricHyperMatrix,
     categorical_matrix,
     categorical_param_count,
     continuous_kernel,
+    embed_hyper_matrix,
     gram_to_angles,
     hamming_score,
     hyperparameter_count,

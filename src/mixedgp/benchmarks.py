@@ -253,10 +253,12 @@ def _warm_starts(kind, previous: dict, epsilon: float) -> tuple:
     for src_kind in sources:
         theta = previous[src_kind].theta_star
         try:
-            mats = tuple(kr.embed_hyper_matrix(kind, m, epsilon) for m in theta.theta_cat)
+            embedded = [kr.embed_hyper_matrix(kind, src_kind, L, theta.variable(i), epsilon)
+                        for i, L in enumerate(theta.layout[1])]
         except MixedGpError:
             continue
-        starts.append(kr.HyperparameterSet(kind, theta.theta_cont, theta.theta_int, mats, epsilon))
+        flat = np.concatenate([theta.rates, *embedded])
+        starts.append(kr.HyperparameterSet(kind, theta.layout, flat, epsilon))
     return tuple(starts)
 
 
@@ -306,7 +308,7 @@ def _run_problem(
         )
         if space.n_categorical:
             corr[kind] = kr.categorical_matrix(
-                kind, model.theta_star.theta_cat[0], epsilon
+                kind, space.level_counts[0], model.theta_star.variable(0), epsilon
             )
     ordered = [results[k] for k in kinds if k in results]
     return ordered, corr, errors

@@ -268,8 +268,9 @@ def _cmd_export_corr(args) -> int:
     if position not in cat_positions:
         print(f"error: variable {args.variable} is not categorical", file=sys.stderr)
         return EXIT_VALIDATION
-    theta_i = model.theta_star.theta_cat[cat_positions.index(position)]
-    matrix = kr.categorical_matrix(model.kind, theta_i, model.epsilon)
+    i = cat_positions.index(position)
+    matrix = kr.categorical_matrix(model.kind, space.level_counts[i],
+                                   model.theta_star.variable(i), model.epsilon)
     _write_matrix(matrix, space.variables[position].levels, args.out)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} correlation matrix to {args.out}")
     return 0

@@ -8,14 +8,20 @@ class MixedGpError(Exception):
 class OutOfBounds(MixedGpError):
     """A continuous or integer coordinate violates its variable bounds."""
 
+    message = "coordinate {index} = {value!r} outside [{lower}, {upper}]"
+
     def __init__(self, index, value, lower, upper):
         self.index = index
         self.value = value
         self.lower = lower
         self.upper = upper
-        super().__init__(
-            f"coordinate {index} = {value!r} outside [{lower}, {upper}]"
-        )
+        super().__init__(self.message.format(index=index, value=value, lower=lower, upper=upper))
+
+
+class NotIntegral(OutOfBounds):
+    """An integer coordinate is not a whole number."""
+
+    message = "integer coordinate {index} = {value!r} is not a whole number"
 
 
 class LevelOutOfRange(MixedGpError):

@@ -126,6 +126,7 @@ class _Workspace:
         self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
         self.levels = C - 1
         self.level_counts = points.space.level_counts
+        self.layout = (self.n_numeric, self.level_counts)
         # flat index of level pair (c_r, c_s) in the row-major L x L level matrix
         self.level_pairs = [(idx[:, None] * L + idx[None, :]).astype(np.intp)
                             for idx, L in zip(self.levels.T, self.level_counts)]
@@ -136,19 +137,17 @@ class _Workspace:
 
     def flat(self, theta: kr.HyperparameterSet) -> np.ndarray:
         """theta's natural-units vector, once its layout is checked against the space."""
-        layout = (theta.theta_cont.size + theta.theta_int.size,
-                  tuple(m.size for m in theta.theta_cat))
-        if layout != (self.n_numeric, self.level_counts):
-            raise ShapeMismatch(f"hyperparameter layout {layout} does not fit the space's "
-                                f"{(self.n_numeric, self.level_counts)}")
-        return theta.flat()
+        if theta.layout != self.layout:
+            raise ShapeMismatch(f"hyperparameter layout {theta.layout} does not fit the "
+                                f"space's {self.layout}")
+        return theta.flat
 
     def _categorical_factors(self, kind, flat, epsilon):
         """(variable index, level matrix) per categorical variable."""
         pos = self.n_numeric
         for i, L in enumerate(self.level_counts):
             k = kr.categorical_param_count(kind, L)
-            yield i, kr.level_matrix(kind, L, flat[pos:pos + k], epsilon)
+            yield i, kr.categorical_matrix(kind, L, flat[pos:pos + k], epsilon)
             pos += k
 
     def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
@@ -406,7 +405,7 @@ def fit(
             raise ShapeMismatch(
                 f"warm start kind {hp.kind.value} does not match fit kind {kind.value}"
             )
-        extra.append(kr.search_vector_from_set(space, hp))
+        extra.append(kr.search_from_natural(ws.flat(hp), log_mask))
 
     search_cfg = SearchConfig(max_evals=config.max_evals, seed=config.seed)
     result: MultistartResult = multistart(
@@ -456,7 +455,7 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     theta = model.theta_star
     means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
-    for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat(), theta.epsilon,
+    for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat, theta.epsilon,
                                                        batch):
         mean_std = model.mu_std + K @ model._alpha
         means[rows] = model.y_mean + model.y_scale * mean_std
@@ -495,7 +494,7 @@ def save_model(model: GpModel, path) -> None:
         "p": model.p,
         "epsilon": model.epsilon,
         "jitter": model.jitter,
-        "theta_flat": model.theta_star.flat().tolist(),
+        "theta_flat": model.theta_star.flat.tolist(),
         "mu_hat": model.mu_hat,
         "sigma2_hat": model.sigma2_hat,
         "log_likelihood": model.log_likelihood,

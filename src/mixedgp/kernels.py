@@ -34,6 +34,12 @@ by ``eps``.  HH correlations may be negative.
 
 The exponent ``p`` never reaches the categorical part, so categorical
 correlation matrices are identical for p = 1 and p = 2.
+
+A model's hyperparameters are one natural-units vector,
+:class:`HyperparameterSet`: the continuous then integer rates, then each
+categorical variable's packed values, the entries of Theta_i its kind keeps
+(row-major lower triangle); per-variable functions take those values as
+``(kind, n_levels, values)``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +62,6 @@ __all__ = [
     "KindRule",
     "KINDS",
     "check_exponent",
-    "SymmetricHyperMatrix",
     "HyperparameterSet",
     "continuous_kernel",
     "integer_kernel",
@@ -65,7 +70,6 @@ __all__ = [
     "phi_transform",
     "level_correlation",
     "categorical_matrix",
-    "level_matrix",
     "mixed_kernel",
     "categorical_param_count",
     "hyperparameter_count",
@@ -74,8 +78,8 @@ __all__ = [
     "embed_hyper_matrix",
     "search_bounds",
     "natural_from_search",
+    "search_from_natural",
     "set_from_search_vector",
-    "search_vector_from_set",
 ]
 
 # Correlation floor of the exponential hypersphere map; exp(-20) ~ 2.06e-9.
@@ -150,12 +154,7 @@ def _ehh_angles(R, epsilon):
     """EHH angles reproducing R once its entries are clipped into (eps, 1]."""
     R = np.clip(R, epsilon * (1.0 + 1e-9), 1.0)
     np.fill_diagonal(R, 1.0)
-    return recover_angles_from_correlation(R, epsilon).values
-
-
-def _hh_angles(R, epsilon):
-    """HH angles whose Gram matrix is R itself."""
-    return gram_to_angles(R)
+    return recover_angles_from_correlation(R, epsilon)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,9 @@ KINDS: dict[CategoricalKernelKind, KindRule] = {
     _K.CR: KindRule(_exp_kappa, "per-level", 0.0, _diagonal_phi, 1),
     _K.EHH: KindRule(_exp_kappa, "zero", math.pi / 2.0, _exponential_sphere_phi, 2, _ehh_angles),
     _K.FE: KindRule(_exp_kappa, "per-level", math.pi / 2.0, _exponential_sphere_phi, 2),
-    _K.HH: KindRule(_identity_kappa, "zero", math.pi, _sphere_phi, 3, _hh_angles),
+    # HH's angles take R itself as their Gram matrix
+    _K.HH: KindRule(_identity_kappa, "zero", math.pi, _sphere_phi, 3,
+                    lambda R, epsilon: gram_to_angles(R)),
 }
 
 
@@ -242,121 +243,96 @@ def _theta_diagonal(kind, L, values) -> np.ndarray:
     return values[pack.diagonal] * pack.scale
 
 
-def _angle_matrix(kind, L, values) -> np.ndarray:
-    out = np.zeros((L, L))
-    out[_tril_indices(L, with_diag=False)] = values[_packing(kind, L).angles]
-    return out
-
-
-def _require_nonnegative(values, what: str) -> None:
-    """The one sign check, over exponential-scale (log-masked) slots."""
-    if not np.all(values >= 0):
-        raise ValueError(f"{what}: exponential-scale entries must be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# per-variable hyperparameter container
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymmetricHyperMatrix:
-    """Hyperparameters of one categorical variable, packed per kernel kind.
-
-    ``values`` holds the entries of Theta_i that the kind packs (see
-    :class:`KindRule`) in row-major lower-triangle order: the GD scalar, the
-    CR diagonal, the EHH/HH strict lower triangle, the whole FE lower triangle.
-    """
-
-    kind: CategoricalKernelKind
-    size: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        object.__setattr__(self, "values", v)
-        pack = _packing(self.kind, self.size)
-        if v.size != pack.size:
-            raise ShapeMismatch(
-                f"{self.kind.value} with {self.size} levels expects {pack.size} "
-                f"values, got {v.size}"
-            )
-        _require_nonnegative(v[pack.log_mask], self.kind.value)
-
-    def theta_diagonal(self) -> np.ndarray:
-        """Diagonal of Theta_i: theta/2 for GD, theta_jj for CR/FE, zeros otherwise."""
-        return _theta_diagonal(self.kind, self.size, self.values)
-
-    def angles(self) -> np.ndarray:
-        """Strict lower-triangle angles as an (L, L) matrix (zeros elsewhere)."""
-        return _angle_matrix(self.kind, self.size, self.values)
+def _packed(kind, n_levels, values) -> tuple[int, np.ndarray]:
+    """(L, values as a float vector), once it holds as many values as ``kind`` packs."""
+    L = int(n_levels)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    size = _packing(kind, L).size
+    if values.size != size:
+        raise ShapeMismatch(
+            f"{kind.value} with {L} levels expects {size} values, got {values.size}")
+    return L, values
 
 
 # ---------------------------------------------------------------------------
-# full hyperparameter set
+# the hyperparameter vector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _layout(space: DesignSpace) -> tuple[int, tuple[int, ...]]:
+    """(rate count, level counts): the shape a space gives the flat vector."""
+    return space.n_continuous + space.n_integer, space.level_counts
+
+
+@functools.lru_cache(maxsize=None)
+def _log_mask(kind: CategoricalKernelKind, layout) -> np.ndarray:
+    """True on the exponential-scale slots of the flat vector: rates and packed diagonals."""
+    n_rates, level_counts = layout
+    mask = np.concatenate([np.ones(n_rates, dtype=bool)]
+                          + [_packing(kind, L).log_mask for L in level_counts])
+    mask.flags.writeable = False
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
 class HyperparameterSet:
-    """All kernel hyperparameters of one model.
+    """All kernel hyperparameters of one model: one read-only natural-units vector.
 
-    ``theta_cont`` and ``theta_int`` are non-negative exponential rates for
-    the continuous and integer coordinates; ``theta_cat`` holds one
-    :class:`SymmetricHyperMatrix` per categorical variable.
+    ``layout`` is ``(n_rates, level_counts)``.  ``flat`` holds ``n_rates``
+    exponential rates, for the continuous and then the integer coordinates,
+    followed by each categorical variable's packed values (see
+    :class:`KindRule`).  ``rates`` and ``variable(i)`` are views of it.
+    Build a set with :meth:`from_flat`; the fields' constructor runs the
+    same checks: the length, and that every exponential-scale slot is >= 0.
     """
 
     kind: CategoricalKernelKind
-    theta_cont: np.ndarray
-    theta_int: np.ndarray
-    theta_cat: tuple[SymmetricHyperMatrix, ...]
+    layout: tuple[int, tuple[int, ...]]
+    flat: np.ndarray
     epsilon: float = EPSILON
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_cont", np.asarray(self.theta_cont, dtype=float).reshape(-1))
-        object.__setattr__(self, "theta_int", np.asarray(self.theta_int, dtype=float).reshape(-1))
-        object.__setattr__(self, "theta_cat", tuple(self.theta_cat))
+        n_rates, level_counts = self.layout
+        layout = (int(n_rates), tuple(map(int, level_counts)))
+        flat = np.array(self.flat, dtype=float).reshape(-1)
+        flat.flags.writeable = False
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "flat", flat)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        for m in self.theta_cat:
-            if m.kind is not self.kind:
-                raise ShapeMismatch(f"variable matrix kind {m.kind} != set kind {self.kind}")
-        # the matrices have checked their own log-masked slots
-        _require_nonnegative(np.concatenate([self.theta_cont, self.theta_int]), "rates")
-
-    def flat(self) -> np.ndarray:
-        """Natural-units packing: theta_cont, theta_int, then per-variable values."""
-        return np.concatenate([self.theta_cont, self.theta_int] + [m.values for m in self.theta_cat])
+        mask = _log_mask(self.kind, layout)
+        if flat.size != mask.size:
+            raise ShapeMismatch(f"flat vector of length {flat.size}, {self.kind.value} "
+                                f"on layout {layout} needs {mask.size}")
+        if not np.all(flat[mask] >= 0):
+            raise ValueError(f"{self.kind.value}: exponential-scale entries must be >= 0")
 
     @classmethod
-    def from_flat(
-        cls,
-        space: DesignSpace,
-        kind: CategoricalKernelKind,
-        flat,
-        epsilon: float = EPSILON,
-    ) -> "HyperparameterSet":
-        flat = np.asarray(flat, dtype=float).reshape(-1)
-        expected = hyperparameter_count(space, kind)
-        if flat.size != expected:
-            raise ShapeMismatch(
-                f"flat vector of length {flat.size}, {kind.value} on this space needs {expected}"
-            )
-        n, m = space.n_continuous, space.n_integer
-        theta_cont, theta_int = flat[:n], flat[n:n + m]
-        mats, pos = [], n + m
-        for L in space.level_counts:
-            k = categorical_param_count(kind, L)
-            mats.append(SymmetricHyperMatrix(kind, L, flat[pos:pos + k]))
-            pos += k
-        return cls(kind, theta_cont, theta_int, tuple(mats), epsilon)
+    def from_flat(cls, space: DesignSpace, kind: CategoricalKernelKind, flat,
+                  epsilon: float = EPSILON) -> "HyperparameterSet":
+        """``kind``'s hyperparameters on ``space``, from their natural-units vector."""
+        return cls(kind, _layout(space), flat, epsilon)
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Exponential rates of the continuous, then the integer coordinates."""
+        return self.flat[:self.layout[0]]
+
+    def variable(self, i: int) -> np.ndarray:
+        """Packed values of categorical variable ``i`` (0-based, in space order)."""
+        n_rates, level_counts = self.layout
+        i = range(len(level_counts))[i]
+        start = n_rates + sum(_packing(self.kind, L).size for L in level_counts[:i])
+        return self.flat[start:start + _packing(self.kind, level_counts[i]).size]
+
+    def __eq__(self, other):
+        return (isinstance(other, HyperparameterSet) and self.kind is other.kind
+                and self.layout == other.layout and self.epsilon == other.epsilon
+                and np.array_equal(self.flat, other.flat))
 
 
 def hyperparameter_count(space: DesignSpace, kind: CategoricalKernelKind) -> int:
     """Total number of hyperparameters for ``kind`` on ``space``."""
-    return (
-        space.n_continuous
-        + space.n_integer
-        + sum(categorical_param_count(kind, L) for L in space.level_counts)
-    )
+    return _log_mask(kind, _layout(space)).size
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +368,21 @@ def hamming_score(level_r: int, level_s: int) -> int:
 # hypersphere decomposition
 # ---------------------------------------------------------------------------
 
-def _hypersphere_from_angles(angles: np.ndarray) -> np.ndarray:
-    """Lower-triangular C with unit-norm rows from strict-lower-triangle angles.
+def hypersphere_lower_triangular(
+    kind: CategoricalKernelKind,
+    n_levels: int,
+    values,
+) -> np.ndarray:
+    """Hypersphere factor C(Theta_i) from packed values; every row has unit Euclidean norm.
 
-    Row k reads (cos a_k1, cos a_k2 sin a_k1, ..., prod_j sin a_kj): the
-    spherical coordinates of a unit vector, so C C^T has unit diagonal.
+    With a the angles, Theta_i's strict lower triangle (all zero for kinds
+    without angles), row k reads (cos a_k1, cos a_k2 sin a_k1, ...,
+    prod_j sin a_kj): the spherical coordinates of a unit vector, so C C^T
+    has unit diagonal.
     """
-    L = angles.shape[0]
+    L, values = _packed(kind, n_levels, values)
+    angles = np.zeros((L, L))
+    angles[_tril_indices(L, with_diag=False)] = values[_packing(kind, L).angles]
     strict = np.tri(L, L, -1, dtype=bool)
     sines = np.where(strict, np.sin(angles), 1.0)
     # prefix[k, j] = prod of sin(angles[k, :j]); column j=0 is 1
@@ -410,39 +394,23 @@ def _hypersphere_from_angles(angles: np.ndarray) -> np.ndarray:
     return C
 
 
-def hypersphere_lower_triangular(theta_i: SymmetricHyperMatrix) -> np.ndarray:
-    """Hypersphere factor C(Theta_i); every row has unit Euclidean norm."""
-    return _hypersphere_from_angles(theta_i.angles())
-
-
 # ---------------------------------------------------------------------------
 # unified categorical kernel
 # ---------------------------------------------------------------------------
 
-def _phi(kind, L, values, epsilon) -> np.ndarray:
-    gram = None
-    if KINDS[kind].angle_upper > 0:
-        C = _hypersphere_from_angles(_angle_matrix(kind, L, values))
-        gram = C @ C.T
-    return KINDS[kind].phi(gram, _theta_diagonal(kind, L, values), epsilon)
-
-
-def _levels(kind, phi) -> np.ndarray:
-    d = np.diag(phi)
-    R = KINDS[kind].kappa(2.0 * phi, d[:, None], d[None, :])
-    np.fill_diagonal(R, 1.0)
-    return R
-
-
 def phi_transform(
     kind: CategoricalKernelKind,
-    theta_i: SymmetricHyperMatrix,
+    n_levels: int,
+    values,
     epsilon: float = EPSILON,
 ) -> np.ndarray:
-    """The (L, L) matrix Phi(Theta_i) for the requested kernel kind."""
-    if theta_i.kind is not kind:
-        raise ShapeMismatch(f"hyper matrix is {theta_i.kind.value}, requested {kind.value}")
-    return _phi(kind, theta_i.size, theta_i.values, epsilon)
+    """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values."""
+    L, values = _packed(kind, n_levels, values)
+    gram = None
+    if KINDS[kind].angle_upper > 0:
+        C = hypersphere_lower_triangular(kind, L, values)
+        gram = C @ C.T
+    return KINDS[kind].phi(gram, _theta_diagonal(kind, L, values), epsilon)
 
 
 def level_correlation(
@@ -464,25 +432,22 @@ def level_correlation(
 
 def categorical_matrix(
     kind: CategoricalKernelKind,
-    theta_i: SymmetricHyperMatrix,
+    n_levels: int,
+    values,
     epsilon: float = EPSILON,
 ) -> np.ndarray:
-    """Full L x L level correlation matrix R_i(Theta_i).
+    """Full L x L level correlation matrix R_i(Theta_i) from packed values.
 
     Symmetric with unit diagonal; SPD with entries in [0, 1] for the
-    exponential kinds, entries in [-1, 1] for HH.
+    exponential kinds, entries in [-1, 1] for HH.  Only the count of
+    ``values`` is checked: the likelihood evaluator calls this once per
+    variable and evaluation.
     """
-    return _levels(kind, phi_transform(kind, theta_i, epsilon))
-
-
-def level_matrix(
-    kind: CategoricalKernelKind,
-    n_levels: int,
-    values: np.ndarray,
-    epsilon: float = EPSILON,
-) -> np.ndarray:
-    """:func:`categorical_matrix` from packed values, unvalidated (the evaluator's form)."""
-    return _levels(kind, _phi(kind, n_levels, values, epsilon))
+    phi = phi_transform(kind, n_levels, values, epsilon)
+    d = np.diag(phi)
+    R = KINDS[kind].kappa(2.0 * phi, d[:, None], d[None, :])
+    np.fill_diagonal(R, 1.0)
+    return R
 
 
 def mixed_kernel(
@@ -502,19 +467,20 @@ def mixed_kernel(
         or len(w_r.categorical) != len(w_s.categorical)
     ):
         raise DimensionMismatch("points have different coordinate layouts")
-    if len(w_r.categorical) != len(theta.theta_cat):
+    n_cont, (n_rates, level_counts) = len(w_r.continuous), theta.layout
+    if n_cont + len(w_r.integer) != n_rates or len(w_r.categorical) != len(level_counts):
         raise DimensionMismatch(
-            f"{len(w_r.categorical)} categorical coordinates but "
-            f"{len(theta.theta_cat)} hyperparameter matrices"
+            f"points with {n_cont + len(w_r.integer)} numeric and {len(w_r.categorical)} "
+            f"categorical coordinates do not fit hyperparameter layout {theta.layout}"
         )
     value = 1.0
     if w_r.continuous:
-        value *= continuous_kernel(w_r.continuous, w_s.continuous, theta.theta_cont, p)
+        value *= continuous_kernel(w_r.continuous, w_s.continuous, theta.rates[:n_cont], p)
     if w_r.integer:
-        value *= integer_kernel(w_r.integer, w_s.integer, theta.theta_int, p)
-    for theta_i, lr, ls in zip(theta.theta_cat, w_r.categorical, w_s.categorical):
+        value *= integer_kernel(w_r.integer, w_s.integer, theta.rates[n_cont:], p)
+    for i, (L, lr, ls) in enumerate(zip(level_counts, w_r.categorical, w_s.categorical)):
         if lr != ls:
-            phi = phi_transform(theta.kind, theta_i, theta.epsilon)
+            phi = phi_transform(theta.kind, L, theta.variable(i), theta.epsilon)
             value *= level_correlation(theta.kind, phi, lr, ls)
     return float(value)
 
@@ -570,8 +536,8 @@ def gram_to_angles(gram: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def recover_angles_from_correlation(
     T: np.ndarray,
     epsilon: float = EPSILON,
-) -> SymmetricHyperMatrix:
-    """Angles whose EHH pipeline reproduces the correlation matrix ``T``.
+) -> np.ndarray:
+    """Packed EHH angles whose correlation matrix is ``T``.
 
     Inverts the elementwise map t = eps * exp(-log(eps) * g) to get the unit
     Gram matrix g = 1 + log(t)/(-log eps), Cholesky-factors it, and reads
@@ -592,49 +558,40 @@ def recover_angles_from_correlation(
         raise NotRepresentable(f"entries must exceed epsilon = {epsilon:g}")
     gram = 1.0 + np.log(T) / (-math.log(epsilon))
     np.fill_diagonal(gram, 1.0)
-    packed = gram_to_angles(gram)
-    return SymmetricHyperMatrix(CategoricalKernelKind.EHH, L, packed)
+    return gram_to_angles(gram)
 
 
 def embed_hyper_matrix(
     kind: CategoricalKernelKind,
-    source: SymmetricHyperMatrix,
+    source_kind: CategoricalKernelKind,
+    n_levels: int,
+    values,
     epsilon: float = EPSILON,
-) -> SymmetricHyperMatrix:
-    """``kind``'s hyperparameters reproducing a GD or CR source's correlations.
+) -> np.ndarray:
+    """``kind``'s packed values reproducing the correlations of a GD or CR variable.
 
     Kinds that pack Theta's diagonal take the source's diagonal with zero
     angles, which reproduces it exactly; the others aim their angles at the
     source's correlation matrix.  Raises NotRepresentable where that matrix
     lies outside the kind's range.
     """
-    L, pack = source.size, _packing(kind, source.size)
+    L, values = _packed(source_kind, n_levels, values)
     inverse = KINDS[kind].angles_from_correlation
-    if inverse is None:
-        values = np.zeros(pack.size)
-        values[pack.diagonal] = source.theta_diagonal() / pack.scale
-    else:
-        values = inverse(categorical_matrix(source.kind, source, epsilon), epsilon)
-    return SymmetricHyperMatrix(kind, L, values)
+    if inverse is not None:
+        return inverse(categorical_matrix(source_kind, L, values, epsilon), epsilon)
+    pack = _packing(kind, L)
+    embedded = np.zeros(pack.size)
+    embedded[pack.diagonal] = _theta_diagonal(source_kind, L, values) / pack.scale
+    return embedded
 
 
 # ---------------------------------------------------------------------------
 # optimizer packing
 # ---------------------------------------------------------------------------
 #
-# The flat search vector follows the natural packing of HyperparameterSet:
-# theta_cont, theta_int, then each variable's values in row-major
-# lower-triangle order.  Exponential-scale coordinates (theta_cont,
-# theta_int and each kind's packed diagonal) are searched in log space;
-# angle coordinates are searched directly, in [0, angle_upper].
-
-@functools.lru_cache(maxsize=None)
-def _log_mask(space: DesignSpace, kind: CategoricalKernelKind) -> np.ndarray:
-    n_exp = space.n_continuous + space.n_integer
-    parts = [np.ones(n_exp, dtype=bool)]
-    parts += [_packing(kind, L).log_mask for L in space.level_counts]
-    return np.concatenate(parts)
-
+# The search vector is the flat vector with its exponential-scale slots
+# (the rates and each kind's packed diagonal) in log space; angle slots are
+# searched directly, in [0, angle_upper].
 
 def search_bounds(
     space: DesignSpace,
@@ -648,7 +605,7 @@ def search_bounds(
     for HH.
     """
     lo_t, hi_t = theta_log_bounds
-    mask = _log_mask(space, kind)
+    mask = _log_mask(kind, _layout(space))
     lower = np.where(mask, lo_t, 0.0)
     upper = np.where(mask, hi_t, KINDS[kind].angle_upper)
     return lower, upper, mask.copy()
@@ -659,6 +616,14 @@ def natural_from_search(vector: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
     return np.where(log_mask, np.exp(np.minimum(vector, 700.0)), vector)
 
 
+def search_from_natural(flat: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
+    """Search vector from a natural-units flat vector: log on log-masked coordinates."""
+    out = np.array(flat, dtype=float)
+    with np.errstate(divide="ignore"):
+        out[log_mask] = np.log(out[log_mask])
+    return out
+
+
 def set_from_search_vector(
     space: DesignSpace,
     kind: CategoricalKernelKind,
@@ -667,17 +632,7 @@ def set_from_search_vector(
 ) -> HyperparameterSet:
     """Decode an optimizer vector (log thetas + angles) into a HyperparameterSet."""
     vector = np.asarray(vector, dtype=float).reshape(-1)
-    mask = _log_mask(space, kind)
+    mask = _log_mask(kind, _layout(space))
     if vector.size != mask.size:
         raise ShapeMismatch(f"search vector length {vector.size}, expected {mask.size}")
     return HyperparameterSet.from_flat(space, kind, natural_from_search(vector, mask), epsilon)
-
-
-def search_vector_from_set(space: DesignSpace, theta: HyperparameterSet) -> np.ndarray:
-    """Inverse of :func:`set_from_search_vector` (log on exponential coords)."""
-    mask = _log_mask(space, theta.kind)
-    flat = theta.flat()
-    out = flat.copy()
-    with np.errstate(divide="ignore"):
-        out[mask] = np.log(flat[mask])
-    return out

@@ -7,8 +7,9 @@ continuous, ``Z`` integer, ``C`` categorical as 1-based level indices),
 checked once, with vectorised tests, when it enters the program.
 :class:`MixedPoint` is its row view, taken by the single-point helpers.
 
-Integer coordinates are kept as floats: the kernels treat integers through
-continuous relaxation, and normalized points reuse the same container.
+Integer coordinates are whole numbers kept as floats: the kernels treat
+integers through continuous relaxation, and normalized points reuse the
+same container.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, LevelOutOfRange, OutOfBounds, ParseError
+from .errors import DimensionMismatch, LevelOutOfRange, NotIntegral, OutOfBounds, ParseError
 
 __all__ = [
     "Continuous",
@@ -178,7 +179,8 @@ class MixedPoint:
 def validate_point(space: DesignSpace, point: MixedPoint) -> None:
     """Check every coordinate of ``point`` against its variable spec.
 
-    Raises OutOfBounds or LevelOutOfRange on the first violation;
+    Raises OutOfBounds (NotIntegral for an integer coordinate that is not a
+    whole number) or LevelOutOfRange on the first violation;
     DimensionMismatch if the coordinate counts disagree with the space.
     """
     if (
@@ -197,6 +199,8 @@ def validate_point(space: DesignSpace, point: MixedPoint) -> None:
     for i, (spec, z) in enumerate(zip(space.integer, point.integer)):
         if not (spec.lower <= z <= spec.upper) or not np.isfinite(z):
             raise OutOfBounds(i, z, spec.lower, spec.upper)
+        if not z.is_integer():
+            raise NotIntegral(i, z, spec.lower, spec.upper)
     for i, (spec, c) in enumerate(zip(space.categorical, point.categorical)):
         if not 1 <= c <= spec.n_levels:
             raise LevelOutOfRange(i, c, spec.n_levels)
@@ -332,6 +336,7 @@ def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
         bad = ~np.all((C >= 1) & (C <= np.array(space.level_counts, dtype=int)), axis=1)
         for A, (lower, upper) in ((X, _bounds(space.continuous)), (Z, _bounds(space.integer))):
             bad |= ~np.all((A >= lower) & (A <= upper) & np.isfinite(A), axis=1)
+        bad |= ~np.all(np.floor(Z) == Z, axis=1)
     for i in np.flatnonzero(bad):  # validate_point raises on the first bad point
         validate_point(space, MixedPoint(*(r[i] for r in rows)))
     if not shaped:
@@ -440,7 +445,7 @@ def _text_columns(points: PointBatch) -> list[list[str]]:
         if isinstance(v, Continuous):
             cells.append([repr(x) for x in values])
         elif isinstance(v, Integer):
-            cells.append([str(int(z)) if z.is_integer() else repr(z) for z in values])
+            cells.append([str(int(z)) for z in values])
         else:
             cells.append([v.levels[c - 1] for c in values])
     return cells

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 
-from mixedgp.kernels import CategoricalKernelKind, SymmetricHyperMatrix, categorical_param_count
+from mixedgp.kernels import CategoricalKernelKind, categorical_param_count
 
 K = CategoricalKernelKind
 
 
 def random_hyper(kind, L, rng):
-    """One admissible SymmetricHyperMatrix drawn inside the search bounds."""
+    """Packed values of one admissible categorical variable, drawn inside the search bounds."""
     count = categorical_param_count(kind, L)
     if kind is K.GD:
         values = rng.uniform(0.0, 10.0, 1)
@@ -25,4 +25,4 @@ def random_hyper(kind, L, rng):
             values[pos:pos + row] = rng.uniform(0.0, math.pi / 2.0, row)
             values[pos + row] = rng.uniform(0.0, 10.0)
             pos += row + 1
-    return SymmetricHyperMatrix(kind, L, values)
+    return values

@@ -40,7 +40,6 @@ from mixedgp.kernels import (
     hyperparameter_count,
     mixed_kernel,
     recover_angles_from_correlation,
-    SymmetricHyperMatrix,
 )
 from mixedgp.optimize import BoxBounds, SearchConfig, multistart
 from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer
@@ -90,7 +89,7 @@ def test_criterion_2_spd_property_suite():
     for kind in (K.GD, K.CR, K.EHH, K.FE):
         for draw in range(200):
             L = sizes[draw % len(sizes)]
-            R = categorical_matrix(kind, random_hyper(kind, L, rng))
+            R = categorical_matrix(kind, L, random_hyper(kind, L, rng))
             if not np.array_equal(np.diag(R), np.ones(L)):
                 failures.append((kind, draw, "diagonal"))
             if np.any(R < 0.0) or np.any(R > 1.0):
@@ -110,8 +109,8 @@ def test_criterion_3_reduction_equivalences():
     for _ in range(100):
         L = int(rng.integers(2, 14))
         theta = float(rng.uniform(0.0, 8.0))
-        R_gd = categorical_matrix(K.GD, SymmetricHyperMatrix(K.GD, L, [theta]))
-        R_cr = categorical_matrix(K.CR, SymmetricHyperMatrix(K.CR, L, np.full(L, theta / 2)))
+        R_gd = categorical_matrix(K.GD, L, [theta])
+        R_cr = categorical_matrix(K.CR, L, np.full(L, theta / 2))
         worst_gd_cr = max(worst_gd_cr, float(np.max(np.abs(R_gd - R_cr))))
 
         diag = rng.uniform(0.0, 8.0, L)
@@ -121,17 +120,17 @@ def test_criterion_3_reduction_equivalences():
             pos += row
             values[pos] = diag[row]
             pos += 1
-        R_fe = categorical_matrix(K.FE, SymmetricHyperMatrix(K.FE, L, values))
-        R_cr2 = categorical_matrix(K.CR, SymmetricHyperMatrix(K.CR, L, diag))
+        R_fe = categorical_matrix(K.FE, L, values)
+        R_cr2 = categorical_matrix(K.CR, L, diag)
         worst_cr_fe = max(worst_cr_fe, float(np.max(np.abs(R_fe - R_cr2))))
 
     done = 0
     while done < 100:
         L = int(rng.integers(2, 14))
-        T = categorical_matrix(K.EHH, random_hyper(K.EHH, L, rng))
+        T = categorical_matrix(K.EHH, L, random_hyper(K.EHH, L, rng))
         if np.any(T <= EPSILON):
             continue
-        T2 = categorical_matrix(K.EHH, recover_angles_from_correlation(T))
+        T2 = categorical_matrix(K.EHH, L, recover_angles_from_correlation(T))
         worst_roundtrip = max(worst_roundtrip, float(np.max(np.abs(T2 - T))))
         done += 1
 
@@ -150,13 +149,13 @@ def test_criterion_4_categorical_p_irrelevance():
         for _ in range(50):
             L = int(rng.integers(2, 14))
             m = random_hyper(kind, L, rng)
-            theta = HyperparameterSet(kind, [], [], (m,))
+            theta = HyperparameterSet(kind, (0, (L,)), m)
             a = mg.MixedPoint(categorical=(int(rng.integers(1, L + 1)),))
             b = mg.MixedPoint(categorical=(int(rng.integers(1, L + 1)),))
             k1 = mixed_kernel(a, b, theta, 1)
             k2 = mixed_kernel(a, b, theta, 2)
-            R1 = categorical_matrix(kind, m)
-            ok = ok and k1 == k2 and np.array_equal(R1, categorical_matrix(kind, m))
+            R1 = categorical_matrix(kind, L, m)
+            ok = ok and k1 == k2 and np.array_equal(R1, categorical_matrix(kind, L, m))
     assert report(4, ok, "categorical matrices bit-identical for p=1 and p=2")
 
 
@@ -287,8 +286,9 @@ def test_criterion_9_likelihood_oracle():
         points = lhs(space, 8, seed=trial)
         ds = Dataset(space, points, rng.normal(size=8))
         kind = list(K)[trial % 5]
-        mats = tuple(random_hyper(kind, L, rng) for L in space.level_counts)
-        theta = HyperparameterSet(kind, rng.uniform(0.1, 4, 1), rng.uniform(0.1, 4, 1), mats)
+        mats = [random_hyper(kind, L, rng) for L in space.level_counts]
+        theta = HyperparameterSet.from_flat(space, kind, np.concatenate(
+            [rng.uniform(0.1, 4, 1), rng.uniform(0.1, 4, 1), *mats]))
         jitter = 1e-10
         value = concentrated_log_likelihood(ds, theta, 2, jitter)
         R = correlation_matrix(ds, theta, 2) + jitter * np.eye(8)

@@ -32,7 +32,6 @@ from mixedgp.kernels import (
     THETA_LOG_BOUNDS,
     CategoricalKernelKind,
     HyperparameterSet,
-    SymmetricHyperMatrix,
     categorical_matrix,
     categorical_param_count,
     hyperparameter_count,
@@ -278,13 +277,12 @@ def test_warm_starts_reproduce_source_correlations(source):
     for draw in range(150):
         L = (2, 5, 13)[draw % 3]
         values = np.exp(rng.uniform(lo, hi, categorical_param_count(source, L)))
-        theta_i = SymmetricHyperMatrix(source, L, values)
-        theta = HyperparameterSet(source, [0.7], [], (theta_i,))
-        R_source = categorical_matrix(source, theta_i)
+        theta = HyperparameterSet(source, (1, (L,)), np.concatenate([[0.7], values]))
+        R_source = categorical_matrix(source, L, values)
         for kind, tol in tolerance.items():
             for start in _warm_starts(kind, {source: SimpleNamespace(theta_star=theta)}, EPSILON):
-                assert start.kind is kind and np.array_equal(start.theta_cont, [0.7])
-                R = categorical_matrix(kind, start.theta_cat[0])
+                assert start.kind is kind and np.array_equal(start.rates, [0.7])
+                R = categorical_matrix(kind, L, start.variable(0))
                 if tol == 0.0:
                     assert np.array_equal(R, R_source)
                 else:

@@ -8,6 +8,7 @@ from mixedgp.space import (
     Categorical,
     Continuous,
     DesignSpace,
+    Integer,
     load_points,
     save_dataset,
     save_points,
@@ -205,6 +206,16 @@ def test_fit_rejects_nan_target(tmp_path, cosine_files, capsys):
                  "--budget", "50", "--out-model", str(tmp_path / "m.json")])
     assert code == 2
     assert "row 2" in capsys.readouterr().err
+
+
+def test_fit_rejects_non_integral_integer_exits_5(tmp_path, capsys):
+    space_file, data_file = tmp_path / "mixed.space", tmp_path / "train.csv"
+    save_space(DesignSpace((Continuous("x", 0, 1), Integer("n", 1, 4))), space_file)
+    data_file.write_text("x,n,target\n0.1,1,0.5\n0.6,2.5,1.0\n0.9,4,2.0\n")
+    code = main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(tmp_path / "m.json")])
+    assert code == 5
+    assert "2.5 is not a whole number" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from mixedgp.gp import (
 from mixedgp.kernels import (
     CategoricalKernelKind,
     HyperparameterSet,
-    SymmetricHyperMatrix,
     mixed_kernel,
 )
 from mixedgp.space import (
@@ -62,13 +61,12 @@ def mixed_dataset(n=30, seed=42):
 
 
 def random_theta(space, kind, rng):
-    mats = tuple(random_hyper(kind, L, rng) for L in space.level_counts)
-    return HyperparameterSet(
-        kind,
+    mats = [random_hyper(kind, L, rng) for L in space.level_counts]
+    return HyperparameterSet.from_flat(space, kind, np.concatenate([
         rng.uniform(0.1, 5.0, space.n_continuous),
         rng.uniform(0.1, 5.0, space.n_integer),
-        mats,
-    )
+        *mats,
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +76,14 @@ def random_theta(space, kind, rng):
 def test_correlation_matrix_single_point():
     space = DesignSpace((Continuous("x", 0.0, 1.0),))
     ds = Dataset(space, (MixedPoint((0.4,)),), np.array([1.0]))
-    theta = HyperparameterSet(K.GD, [1.0], [], ())
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0])
     assert correlation_matrix(ds, theta).tolist() == [[1.0]]
 
 
 def test_correlation_matrix_duplicates_and_jitter():
     space = DesignSpace((Continuous("x", 0.0, 1.0),))
     ds = Dataset(space, (MixedPoint((0.4,)), MixedPoint((0.4,))), np.array([1.0, 1.0]))
-    theta = HyperparameterSet(K.GD, [1.0], [], ())
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0])
     R = correlation_matrix(ds, theta)
     assert np.array_equal(R, np.ones((2, 2)))
     # rank-deficient but factorable thanks to escalation
@@ -111,9 +109,7 @@ def test_correlation_matrix_ehh_single_level_difference():
     space = DesignSpace((Categorical("c", ("a", "b", "c")),))
     ds = Dataset(space, (MixedPoint(categorical=(1,)), MixedPoint(categorical=(2,))),
                  np.array([0.0, 1.0]))
-    theta = HyperparameterSet(
-        K.EHH, [], [], (SymmetricHyperMatrix(K.EHH, 3, [math.pi / 2] * 3),)
-    )
+    theta = HyperparameterSet.from_flat(space, K.EHH, [math.pi / 2] * 3)
     R = correlation_matrix(ds, theta)
     assert R[0, 1] == pytest.approx(theta.epsilon, rel=1e-9)
 
@@ -129,7 +125,7 @@ def test_likelihood_identity_matrix_closed_form():
     y = np.array([1.2, -0.3, 0.0, 0.8, -1.7, 0.0])
     y -= y.mean()
     ds = Dataset(space, tuple(MixedPoint((float(v),)) for v in xs), y)
-    theta = HyperparameterSet(K.GD, [3000.0], [], ())
+    theta = HyperparameterSet.from_flat(space, K.GD, [3000.0])
     n = len(y)
     expected = -0.5 * n * math.log(y @ y / n) - 0.5 * n * (1 + math.log(2 * math.pi))
     value = concentrated_log_likelihood(ds, theta, 2, jitter=1e-300)
@@ -157,7 +153,7 @@ def test_likelihood_matches_dense_inverse_oracle():
 def test_likelihood_single_point_floored():
     space = DesignSpace((Continuous("x", 0.0, 1.0),))
     ds = Dataset(space, (MixedPoint((0.5,)),), np.array([3.0]))
-    theta = HyperparameterSet(K.GD, [1.0], [], ())
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0])
     value = concentrated_log_likelihood(ds, theta)
     assert math.isfinite(value)
 
@@ -250,6 +246,25 @@ def test_fit_warm_start_kind_mismatch():
         fit(ds, K.CR, 2, FitConfig(n_starts=1, extra_starts=(gd_model.theta_star,)))
 
 
+@pytest.mark.parametrize("layout", [(1, (3,)), (2, (13,))], ids=["levels", "rates"])
+def test_fit_rejects_warm_start_of_another_layout(layout, monkeypatch):
+    """A warm start built for another space fails at entry, before any evaluation."""
+    from mixedgp.benchmarks import cosine_space
+    from mixedgp.errors import ShapeMismatch
+
+    space = cosine_space()
+    ds = Dataset(space, lhs(space, 20, seed=0), np.arange(20.0))
+    n_rates, (L,) = layout
+    warm = HyperparameterSet(K.CR, layout, np.ones(n_rates + L))
+
+    def evaluate(*args):
+        raise AssertionError("evaluated before the warm start was checked")
+
+    monkeypatch.setattr("mixedgp.gp._Workspace.evaluate", evaluate)
+    with pytest.raises(ShapeMismatch, match="layout"):
+        fit(ds, K.CR, 2, FitConfig(n_starts=1, extra_starts=(warm,)))
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -258,7 +273,7 @@ def test_predict_constant_dataset():
     space = DesignSpace((Continuous("x", 0.0, 1.0),))
     xs = np.linspace(0.1, 0.9, 7)
     ds = Dataset(space, tuple(MixedPoint((float(x),)) for x in xs), np.full(7, 4.25))
-    model = build_model(ds, HyperparameterSet(K.GD, [2.0], [], ()))
+    model = build_model(ds, HyperparameterSet.from_flat(space, K.GD, [2.0]))
     means, _ = predict(model, (MixedPoint((0.33,)), MixedPoint((0.77,))))
     assert np.allclose(means, 4.25, atol=1e-9)
 
@@ -267,7 +282,7 @@ def test_predict_far_point_variance_limit():
     space = DesignSpace((Continuous("x", 0.0, 1000.0),))
     xs = [0.0, 1.0, 2.0]
     ds = Dataset(space, tuple(MixedPoint((float(x),)) for x in xs), np.array([0.1, 0.5, -0.2]))
-    theta = HyperparameterSet(K.GD, [3e3], [], ())
+    theta = HyperparameterSet.from_flat(space, K.GD, [3e3])
     model = build_model(ds, theta)
     far = MixedPoint((1000.0,))
     # r(w) ~ 0: variance tends to sigma2 * (1 + 1/(1' R^-1 1))

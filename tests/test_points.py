@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedgp.doe import grid, lhs
-from mixedgp.errors import MixedGpError
+from mixedgp.errors import MixedGpError, NotIntegral, OutOfBounds
 from mixedgp.gp import build_model, load_model, predict, save_model
-from mixedgp.kernels import CategoricalKernelKind, HyperparameterSet, SymmetricHyperMatrix
+from mixedgp.kernels import CategoricalKernelKind, HyperparameterSet
 from mixedgp.space import (
     Categorical,
     Continuous,
@@ -43,10 +43,8 @@ def cat_int_cont():
 def gd_model(space):
     """A GD model on three LHS points, for checking what predict accepts."""
     ds = Dataset(space, lhs(space, 3, seed=0), np.array([0.0, 1.0, 2.0]))
-    theta = HyperparameterSet(
-        K.GD, np.ones(space.n_continuous), np.ones(space.n_integer),
-        tuple(SymmetricHyperMatrix(K.GD, L, [1.0]) for L in space.level_counts),
-    )
+    theta = HyperparameterSet.from_flat(
+        space, K.GD, np.ones(space.n_continuous + space.n_integer + space.n_categorical))
     return build_model(ds, theta)
 
 
@@ -85,6 +83,7 @@ def corrupt(draw, space, coords):
     options += [(defect, k) for k in (0, 1) if specs[k]
                 for defect in ("nan", "inf", "-inf", "below", "above")]
     options += [(defect, 2) for defect in ("level 0", "level L+1") if specs[2]]
+    options += [("non-integral", 1)] if specs[1] else []
     defect, k = draw(st.sampled_from(options))
     if defect == "width":
         if coords[k] and draw(st.booleans()):
@@ -98,6 +97,8 @@ def corrupt(draw, space, coords):
     v = specs[k][j]
     if defect.startswith("level"):
         coords[k][j] = 0 if defect == "level 0" else v.n_levels + 1
+    elif defect == "non-integral":
+        coords[k][j] = v.lower + draw(st.sampled_from([1e-9, 0.5]))
     elif defect in ("below", "above"):
         step = draw(st.sampled_from([1e-9, 0.5, 3.0]))
         coords[k][j] = v.lower - step if defect == "below" else v.upper + step
@@ -164,6 +165,23 @@ def test_entry_checks_raise_what_validate_point_raises(case):
         assert_raises_like(expected, lambda: PointBatch(space, *arrays))
 
 
+def test_non_integral_integer_fails_at_every_entry(tmp_path, cat_int_cont):
+    space = cat_int_cont
+    points = tuple(lhs(space, 4, seed=0)) + (MixedPoint((0.1,), (2.5,), (3,)),)
+    expected = NotIntegral(0, 2.5, -2, 4)
+    assert isinstance(expected, OutOfBounds)
+    assert str(expected) == "integer coordinate 0 = 2.5 is not a whole number"
+    arrays = [np.array([getattr(w, kind) for w in points]) for kind in KINDS]
+    (tmp_path / "p.csv").write_text("c,n,x\nlo,1,0.0\nhi,2.5,0.1\n")
+    for call in (lambda: validate_point(space, points[-1]),
+                 lambda: PointBatch.of(space, points),
+                 lambda: PointBatch(space, *arrays),
+                 lambda: Dataset(space, points, np.zeros(5)),
+                 lambda: predict(gd_model(space), points),
+                 lambda: load_points(space, tmp_path / "p.csv")):
+        assert_raises_like(expected, call)
+
+
 # ---------------------------------------------------------------------------
 # the row view
 # ---------------------------------------------------------------------------
@@ -208,7 +226,7 @@ def test_lhs_reproducible_from_seed_alone(cat_int_cont):
 
 def test_saved_files_reload_and_resave_byte_identical(tmp_path, cat_int_cont):
     space = cat_int_cont
-    points = tuple(lhs(space, 9, seed=2)) + (MixedPoint((0.1,), (0.5,), (3,)),)
+    points = tuple(lhs(space, 9, seed=2)) + (MixedPoint((0.1,), (1.0,), (3,)),)
     dataset = Dataset(space, points, np.linspace(-1.0, 2.0, len(points)) ** 3)
 
     save_points(space, points, tmp_path / "p1.csv")
@@ -219,7 +237,7 @@ def test_saved_files_reload_and_resave_byte_identical(tmp_path, cat_int_cont):
     save_dataset(load_dataset(space, tmp_path / "d1.csv"), tmp_path / "d2.csv")
     assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
-    theta = HyperparameterSet(K.CR, [2.0], [0.5], (SymmetricHyperMatrix(K.CR, 3, [0.3, 1.0, 2.0]),))
+    theta = HyperparameterSet.from_flat(space, K.CR, [2.0, 0.5, 0.3, 1.0, 2.0])
     save_model(build_model(dataset, theta), tmp_path / "m1.json")
     save_model(load_model(tmp_path / "m1.json"), tmp_path / "m2.json")
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
@@ -234,8 +252,7 @@ def test_predictions_do_not_depend_on_how_the_points_arrive(tmp_path):
     space = DesignSpace((Categorical("c", ("a", "b", "c")), Continuous("x", 0.0, 1.0),
                          Integer("n", 1, 6), Continuous("y", -2.5, 3.5), Integer("m", 0, 3)))
     train = lhs(space, 20, seed=3)
-    theta = HyperparameterSet(K.CR, [1.5, 0.7], [0.3, 2.0],
-                              (SymmetricHyperMatrix(K.CR, 3, [0.5, 1.0, 2.0]),))
+    theta = HyperparameterSet.from_flat(space, K.CR, [1.5, 0.7, 0.3, 2.0, 0.5, 1.0, 2.0])
     model = build_model(Dataset(space, tuple(train), np.sin(np.arange(20.0))), theta)
     points = grid(space, (6, 6, 5, 4))
     save_points(space, points, tmp_path / "points.csv")

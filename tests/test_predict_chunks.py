@@ -28,7 +28,7 @@ SIZES = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1]
 def one_shot_predict(model, batch):
     """The whole-batch formula: one (n_new, n_train, d) difference array, one solve."""
     ws, theta = model._workspace, model.theta_star
-    flat = theta.flat()
+    flat = theta.flat
     X, Z, C = batch.normalized()
     XZ = np.hstack([X, Z])
     diffs = np.abs(XZ[:, None, :] - ws.numeric[None, :, :]) ** ws.p
