@@ -10,11 +10,21 @@ of the likelihood in closed form:
     log L     = -(n_t/2) log sigma2 - (1/2) log |R| - (n_t/2)(1 + log 2 pi)
 
 One evaluator, ``_Workspace.evaluate``, maps a natural-units
-hyperparameter vector to R and its likelihood; fitting, model building and
-:func:`concentrated_log_likelihood` all go through it.  All solves go
-through one Cholesky factor of R + jitter*I; the jitter
-escalates by factors of 10 (up to 1e-4) when factorization fails, which
-makes duplicate design points survivable.  Internally the GP always sees
+hyperparameter vector to R and its likelihood; fitting, model building,
+:func:`concentrated_log_likelihood` and :func:`correlation_matrix` all go
+through it.  R is the product of one factor per block of the vector,
+
+    R = exp(-sum_j theta_j D_j) o R_1[c_r, c_s] o R_2[c_r, c_s] o ...
+
+(the rates, then each categorical variable), and the workspace keeps each
+block's last factor with the slice of the vector it was built from.  A
+search step that moves one coordinate therefore rebuilds one factor; the
+product is taken in the same order either way, so every likelihood has
+the same bits as a rebuild from scratch.  The kept factors live for one
+fit: a model's workspace holds none.  All solves go through one Cholesky
+factor of R + jitter*I; the jitter escalates by factors of 10 (up to
+1e-4) when factorization fails, which makes duplicate design points
+survivable.  Internally the GP always sees
 continuous/integer coordinates normalized to [0, 1] and targets
 standardized to zero mean and unit variance; reported trend, variance and
 predictions are in original units.
@@ -100,7 +110,6 @@ class _Evaluation(NamedTuple):
     log_likelihood: float
     mu: float
     sigma2: float
-    R: np.ndarray
     chol: np.ndarray
     jitter: float
     r_ones: np.ndarray  # L^-1 1
@@ -112,7 +121,10 @@ class _Workspace:
     Holds |x_r - x_s|^p per continuous/integer dimension, the 0-based
     level index column and the flat level-pair indices per categorical
     variable, all on normalized coordinates, plus the targets
-    :meth:`evaluate` scores and their variance floor.
+    :meth:`evaluate` scores and their variance floor.  ``_memo`` keeps,
+    per factor block of R (-1 for the rates, i for categorical variable
+    i), the key it was last built at and the n x n factor; :meth:`forget`
+    empties it.
     """
 
     def __init__(self, points: PointBatch, p: int, targets: np.ndarray):
@@ -134,6 +146,7 @@ class _Workspace:
         self.ones = np.ones(self.n_points)
         var_y = float(np.var(targets))
         self.sigma2_floor = 1e-12 * var_y if var_y > 0 else 1e-12
+        self._memo: dict[int, tuple] = {}
 
     def flat(self, theta: kr.HyperparameterSet) -> np.ndarray:
         """theta's natural-units vector, once its layout is checked against the space."""
@@ -142,20 +155,54 @@ class _Workspace:
                                 f"space's {self.layout}")
         return theta.flat
 
-    def _categorical_factors(self, kind, flat, epsilon):
-        """(variable index, level matrix) per categorical variable."""
+    def _variables(self, kind, flat):
+        """(variable index, level count, packed values) per categorical variable."""
         pos = self.n_numeric
         for i, L in enumerate(self.level_counts):
             k = kr.categorical_param_count(kind, L)
-            yield i, kr.categorical_matrix(kind, L, flat[pos:pos + k], epsilon)
+            yield i, L, flat[pos:pos + k]
             pos += k
+
+    def _categorical_factors(self, kind, flat, epsilon):
+        """(variable index, level matrix) per categorical variable."""
+        for i, L, values in self._variables(kind, flat):
+            yield i, kr.categorical_matrix(kind, L, values, epsilon)
+
+    def _memoized(self, block: int, key, build) -> np.ndarray:
+        """Block ``block``'s factor at ``key``, built only when the key changed."""
+        entry = self._memo.get(block)
+        if entry is None or entry[0] != key:
+            factor = build()
+            factor.flags.writeable = False  # shared by every later evaluation
+            entry = self._memo[block] = (key, factor)
+        return entry[1]
+
+    def _factors(self, kind, flat, epsilon) -> list[np.ndarray]:
+        """R's n x n factors: exp(-theta . D), then R_i[c_r, c_s] per categorical variable.
+
+        A factor is keyed by the bytes of its slice of ``flat``, and a
+        categorical one also by ``kind`` and ``epsilon``.
+        """
+        rates = flat[:self.n_numeric]
+        factors = [self._memoized(-1, rates.tobytes(), lambda: np.exp(
+            -np.tensordot(rates, self.pair_powers, axes=1)))]
+        for i, L, values in self._variables(kind, flat):
+            factors.append(self._memoized(
+                i, (kind, epsilon, values.tobytes()),
+                lambda: kr.categorical_matrix(kind, L, values, epsilon).take(self.level_pairs[i])))
+        return factors
+
+    def forget(self) -> None:
+        """Drop the kept factors (see ``_memo``)."""
+        self._memo.clear()
 
     def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
         """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
-        R = np.exp(-np.tensordot(flat[:self.n_numeric], self.pair_powers, axes=1))
-        for i, Ri in self._categorical_factors(kind, flat, epsilon):
-            R *= Ri.take(self.level_pairs[i])
-        np.fill_diagonal(R, 1.0)
+        E, *G = self._factors(kind, flat, epsilon)
+        R = E * G[0] if G else E.copy()
+        for Gi in G[1:]:
+            R *= Gi
+        R.flat[::self.n_points + 1] = 1.0
         return R
 
     def cross_correlations(self, kind, flat: np.ndarray, epsilon: float, points):
@@ -198,18 +245,20 @@ class _Workspace:
         mu = float((b @ a) / (b @ b))
         resid = a - mu * b
         sigma2 = max(float(resid @ resid) / n, self.sigma2_floor)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        log_det = 2.0 * float(np.log(chol.diagonal()).sum())
         ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
-        return _Evaluation(ll, mu, sigma2, R, chol, jitter_used, b)
+        return _Evaluation(ll, mu, sigma2, chol, jitter_used, b)
 
 
 def _cholesky_with_escalation(R: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of R + j*I, escalating j by 10 up to JITTER_MAX."""
+    """Lower Cholesky factor of R + j*I, escalating j by 10 up to JITTER_MAX.
+
+    R itself is left as it is: each attempt factors a fresh F-order copy.
+    """
     j = float(jitter)
-    diagonal = np.diag_indices_from(R)
     while True:
         work = np.array(R, dtype=float, order="F")
-        work[diagonal] += j
+        work.reshape(-1, order="F")[::work.shape[0] + 1] += j  # a view: work is F-contiguous
         chol, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return chol, j
@@ -336,9 +385,12 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
 def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
            y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
     """The model at theta, on a workspace holding the standardized targets."""
-    ev = ws.evaluate(theta.kind, ws.flat(theta), theta.epsilon, jitter)
-    alpha = _refined_weights(ev.R, ev.chol, ws.y - ev.mu)
+    flat = ws.flat(theta)
+    ev = ws.evaluate(theta.kind, flat, theta.epsilon, jitter)
+    alpha = _refined_weights(ws.correlation(theta.kind, flat, theta.epsilon), ev.chol,
+                             ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
+    ws.forget()  # a model keeps no evaluation state
     return GpModel(
         dataset=dataset,
         kind=theta.kind,

@@ -131,22 +131,29 @@ def _identity_kappa(a, b, c):
     return a * b * c
 
 
+def _fill_diagonal(M, value) -> None:
+    """``np.fill_diagonal`` on a square matrix, without its per-call checks."""
+    M.flat[::M.shape[0] + 1] = value
+
+
 def _diagonal_phi(gram, diagonal, epsilon):
     """GD/CR: Theta's diagonal, zero off the diagonal."""
-    return np.diag(diagonal)
+    phi = np.zeros((diagonal.size, diagonal.size))
+    _fill_diagonal(phi, diagonal)
+    return phi
 
 
 def _exponential_sphere_phi(gram, diagonal, epsilon):
     """EHH/FE: (log eps)/2 (G - 1) off the diagonal, Theta's diagonal on it."""
     phi = 0.5 * math.log(epsilon) * (gram - 1.0)
-    np.fill_diagonal(phi, diagonal)
+    _fill_diagonal(phi, diagonal)
     return phi
 
 
 def _sphere_phi(gram, diagonal, epsilon):
     """HH: G/2 off the diagonal and 1 on it, so the diagonal kappa factors are 1."""
     phi = 0.5 * gram
-    np.fill_diagonal(phi, 1.0)
+    _fill_diagonal(phi, 1.0)
     return phi
 
 
@@ -202,7 +209,10 @@ class _Packing(NamedTuple):
     """Where a kind keeps Theta in its packed values (row-major lower triangle).
 
     Theta_jj is ``scale * values[diagonal[j]]`` (0 when ``diagonal`` is None);
-    the strict lower triangle, row by row, is ``values[angles]``.
+    the strict lower triangle, row by row, is ``values[angles]``, at the
+    row-major cells ``angle_cells`` of an L x L matrix.  ``strict`` and
+    ``lower`` mask the strict and the full lower triangle.  Every array is
+    read-only: one packing is shared by every caller.
     """
 
     size: int
@@ -210,6 +220,9 @@ class _Packing(NamedTuple):
     scale: float
     angles: np.ndarray
     log_mask: np.ndarray
+    angle_cells: np.ndarray
+    strict: np.ndarray
+    lower: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +241,14 @@ def _packing(kind: CategoricalKernelKind, L: int) -> _Packing:
     log_mask = np.zeros(size, dtype=bool)
     if diagonal is not None:
         log_mask[diagonal] = True
-    return _Packing(size, diagonal, scale, slot[~on_diag & kept], log_mask)
+    angle_kept = ~on_diag & kept
+    strict = np.tri(L, L, -1, dtype=bool)
+    pack = _Packing(size, diagonal, scale, slot[angle_kept], log_mask,
+                    (rows * L + cols)[angle_kept], strict, strict | np.eye(L, dtype=bool))
+    for array in pack:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return pack
 
 
 def categorical_param_count(kind: CategoricalKernelKind, n_levels: int) -> int:
@@ -236,22 +256,21 @@ def categorical_param_count(kind: CategoricalKernelKind, n_levels: int) -> int:
     return _packing(kind, int(n_levels)).size
 
 
-def _theta_diagonal(kind, L, values) -> np.ndarray:
-    pack = _packing(kind, L)
+def _theta_diagonal(pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
     if pack.diagonal is None:
         return np.zeros(L)
     return values[pack.diagonal] * pack.scale
 
 
-def _packed(kind, n_levels, values) -> tuple[int, np.ndarray]:
-    """(L, values as a float vector), once it holds as many values as ``kind`` packs."""
+def _packed(kind, n_levels, values) -> tuple[int, _Packing, np.ndarray]:
+    """(L, packing, values as a float vector), once it holds as many values as ``kind`` packs."""
     L = int(n_levels)
     values = np.asarray(values, dtype=float).reshape(-1)
-    size = _packing(kind, L).size
-    if values.size != size:
+    pack = _packing(kind, L)
+    if values.size != pack.size:
         raise ShapeMismatch(
-            f"{kind.value} with {L} levels expects {size} values, got {values.size}")
-    return L, values
+            f"{kind.value} with {L} levels expects {pack.size} values, got {values.size}")
+    return L, pack, values
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +399,20 @@ def hypersphere_lower_triangular(
     prod_j sin a_kj): the spherical coordinates of a unit vector, so C C^T
     has unit diagonal.
     """
-    L, values = _packed(kind, n_levels, values)
+    L, pack, values = _packed(kind, n_levels, values)
+    return _hypersphere(pack, L, values)
+
+
+def _hypersphere(pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
     angles = np.zeros((L, L))
-    angles[_tril_indices(L, with_diag=False)] = values[_packing(kind, L).angles]
-    strict = np.tri(L, L, -1, dtype=bool)
-    sines = np.where(strict, np.sin(angles), 1.0)
+    angles.flat[pack.angle_cells] = values[pack.angles]
+    sines = np.where(pack.strict, np.sin(angles), 1.0)
     # prefix[k, j] = prod of sin(angles[k, :j]); column j=0 is 1
-    prefix = np.ones((L, L))
+    prefix = np.empty((L, L))
+    prefix[:, 0] = 1.0
     np.cumprod(sines[:, :-1], axis=1, out=prefix[:, 1:])
-    C = np.zeros((L, L))
-    C[strict] = (np.cos(angles) * prefix)[strict]
-    np.fill_diagonal(C, np.diag(prefix))
-    return C
+    # the diagonal angles are 0, so cos * prefix is exactly prefix there
+    return np.where(pack.lower, np.cos(angles) * prefix, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +426,16 @@ def phi_transform(
     epsilon: float = EPSILON,
 ) -> np.ndarray:
     """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values."""
-    L, values = _packed(kind, n_levels, values)
+    L, pack, values = _packed(kind, n_levels, values)
+    return _phi(KINDS[kind], pack, L, values, epsilon)
+
+
+def _phi(rule: KindRule, pack: _Packing, L: int, values: np.ndarray, epsilon) -> np.ndarray:
     gram = None
-    if KINDS[kind].angle_upper > 0:
-        C = hypersphere_lower_triangular(kind, L, values)
+    if rule.angle_upper > 0:
+        C = _hypersphere(pack, L, values)
         gram = C @ C.T
-    return KINDS[kind].phi(gram, _theta_diagonal(kind, L, values), epsilon)
+    return rule.phi(gram, _theta_diagonal(pack, L, values), epsilon)
 
 
 def level_correlation(
@@ -440,13 +465,15 @@ def categorical_matrix(
 
     Symmetric with unit diagonal; SPD with entries in [0, 1] for the
     exponential kinds, entries in [-1, 1] for HH.  Only the count of
-    ``values`` is checked: the likelihood evaluator calls this once per
-    variable and evaluation.
+    ``values`` is checked: the likelihood evaluator calls this for each
+    variable whose values an evaluation changed.
     """
-    phi = phi_transform(kind, n_levels, values, epsilon)
-    d = np.diag(phi)
-    R = KINDS[kind].kappa(2.0 * phi, d[:, None], d[None, :])
-    np.fill_diagonal(R, 1.0)
+    L, pack, values = _packed(kind, n_levels, values)
+    rule = KINDS[kind]
+    phi = _phi(rule, pack, L, values, epsilon)
+    d = phi.flat[::L + 1]
+    R = rule.kappa(2.0 * phi, d[:, None], d[None, :])
+    _fill_diagonal(R, 1.0)
     return R
 
 
@@ -573,15 +600,24 @@ def embed_hyper_matrix(
     Kinds that pack Theta's diagonal take the source's diagonal with zero
     angles, which reproduces it exactly; the others aim their angles at the
     source's correlation matrix.  Raises NotRepresentable where that matrix
-    lies outside the kind's range.
+    lies outside the kind's range, where the source has angles the diagonal
+    would drop, or where GD's one shared theta meets a non-constant
+    diagonal.
     """
-    L, values = _packed(source_kind, n_levels, values)
+    L, source_pack, values = _packed(source_kind, n_levels, values)
     inverse = KINDS[kind].angles_from_correlation
     if inverse is not None:
         return inverse(categorical_matrix(source_kind, L, values, epsilon), epsilon)
+    if KINDS[source_kind].angle_upper > 0:
+        raise NotRepresentable(f"{kind.value} takes only the source's diagonal; the angles "
+                               f"of a {source_kind.value} source would be lost")
+    diagonal = _theta_diagonal(source_pack, L, values)
+    if KINDS[kind].diagonal == "shared" and np.any(diagonal != diagonal[0]):
+        raise NotRepresentable(f"{kind.value} shares one theta across the levels; the "
+                               f"source diagonal {diagonal} is not constant")
     pack = _packing(kind, L)
     embedded = np.zeros(pack.size)
-    embedded[pack.diagonal] = _theta_diagonal(source_kind, L, values) / pack.scale
+    embedded[pack.diagonal] = diagonal / pack.scale
     return embedded
 
 

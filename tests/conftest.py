@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mixedgp.kernels import CategoricalKernelKind, categorical_param_count
+from mixedgp.space import Categorical, Continuous, DesignSpace, Integer
 
 K = CategoricalKernelKind
 
@@ -26,3 +28,15 @@ def random_hyper(kind, L, rng):
             values[pos + row] = rng.uniform(0.0, 10.0)
             pos += row + 1
     return values
+
+
+@st.composite
+def spaces(draw):
+    """0-3 numeric variables and 0-2 categorical ones of 2-13 levels, in any order."""
+    numeric = draw(st.lists(st.booleans(), max_size=3))
+    variables = [Continuous(f"x{i}", -1.0, 2.0) if continuous else Integer(f"z{i}", 0, 5)
+                 for i, continuous in enumerate(numeric)]
+    for i in range(draw(st.integers(0 if numeric else 1, 2))):
+        L = draw(st.integers(2, 13))
+        variables.append(Categorical(f"c{i}", tuple(f"l{j}" for j in range(L))))
+    return DesignSpace(tuple(draw(st.permutations(variables))))

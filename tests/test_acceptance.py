@@ -190,6 +190,7 @@ def test_criterion_5_noiseless_interpolation():
     assert report(5, ok, f"30-point mixed DoE interpolation: {detail}"), worst
 
 
+@pytest.mark.slow
 def test_criterion_6_cosine_benchmark_ordering():
     # GD nests in CR, so CR's optimum likelihood is at least GD's; its
     # validation RMSE is not ordered against GD's (on seed 0 the converged
@@ -224,6 +225,7 @@ def test_criterion_6_cosine_benchmark_ordering():
     assert report(6, ok, detail), (med, lls)
 
 
+@pytest.mark.slow
 def test_criterion_7_beam_benchmark_ordering():
     t0 = time.perf_counter()
     results, _, errors = run_cantilever_benchmark(

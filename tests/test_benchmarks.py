@@ -207,6 +207,7 @@ def test_benchmark_results_keep_input_order():
     assert [r.kind for r in results] == [K.EHH, K.GD]
 
 
+@pytest.mark.slow
 def test_fit_order_does_not_follow_the_hash_seed():
     # EHH and FE share a nesting rank; with string hashing seeded 0 and 1,
     # a set of the two iterates in opposite orders

@@ -24,21 +24,11 @@ from mixedgp.kernels import (
     search_from_natural,
     set_from_search_vector,
 )
-from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer
+from mixedgp.space import Dataset
+
+from conftest import spaces
 
 K = CategoricalKernelKind
-
-
-@st.composite
-def spaces(draw):
-    """0-3 numeric variables and 0-2 categorical ones of 2-13 levels, in any order."""
-    numeric = draw(st.lists(st.booleans(), max_size=3))
-    variables = [Continuous(f"x{i}", -1.0, 2.0) if continuous else Integer(f"z{i}", 0, 5)
-                 for i, continuous in enumerate(numeric)]
-    for i in range(draw(st.integers(0 if numeric else 1, 2))):
-        L = draw(st.integers(2, 13))
-        variables.append(Categorical(f"c{i}", tuple(f"l{j}" for j in range(L))))
-    return DesignSpace(tuple(draw(st.permutations(variables))))
 
 
 @st.composite

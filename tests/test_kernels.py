@@ -11,6 +11,7 @@ from mixedgp.kernels import (
     categorical_matrix,
     categorical_param_count,
     continuous_kernel,
+    embed_hyper_matrix,
     gram_to_angles,
     hamming_score,
     hyperparameter_count,
@@ -90,6 +91,13 @@ def test_hypersphere_right_angles_identity():
 def test_hypersphere_zero_angles_all_ones():
     C = hypersphere_lower_triangular(K.EHH, 4, [0.0] * 6)
     assert np.allclose(C @ C.T, np.ones((4, 4)))
+
+
+def test_hypersphere_without_angles_has_zero_angles():
+    # kinds without angles have an all-zero strict lower triangle
+    for kind, L in ((K.GD, 3), (K.CR, 4)):
+        C = hypersphere_lower_triangular(kind, L, np.ones(categorical_param_count(kind, L)))
+        assert np.array_equal(C, hypersphere_lower_triangular(K.EHH, L, np.zeros(L * (L - 1) // 2)))
 
 
 def test_hypersphere_rows_unit_norm():
@@ -250,6 +258,22 @@ def test_recover_rejects_out_of_range():
         recover_angles_from_correlation(T)  # zeros below epsilon
     with pytest.raises(NotRepresentable):
         recover_angles_from_correlation(np.array([[1.0, 0.5], [0.5, 0.9]]))
+
+
+def test_embed_into_gd_needs_a_constant_diagonal():
+    # GD packs one theta shared by every level (Theta_jj = theta/2)
+    assert np.array_equal(embed_hyper_matrix(K.GD, K.CR, 3, [2.0, 2.0, 2.0]), [4.0])
+    assert np.array_equal(categorical_matrix(K.GD, 3, [4.0]),
+                          categorical_matrix(K.CR, 3, [2.0, 2.0, 2.0]))
+    with pytest.raises(NotRepresentable, match="not constant"):
+        embed_hyper_matrix(K.GD, K.CR, 3, [1.0, 2.0, 3.0])
+
+
+def test_embed_into_a_diagonal_kind_rejects_angles():
+    # GD, CR and FE take only the source's diagonal; EHH carries its correlations in angles
+    for kind in (K.GD, K.CR, K.FE):
+        with pytest.raises(NotRepresentable, match="angles"):
+            embed_hyper_matrix(kind, K.EHH, 3, [0.3, 0.9, 1.2])
 
 
 def test_gram_to_angles_roundtrip():
