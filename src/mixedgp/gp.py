@@ -21,10 +21,15 @@ block's last factor with the slice of the vector it was built from.  A
 search step that moves one coordinate therefore rebuilds one factor; the
 product is taken in the same order either way, so every likelihood has
 the same bits as a rebuild from scratch.  The kept factors live for one
-fit: a model's workspace holds none.  All solves go through one Cholesky
-factor of R + jitter*I; the jitter escalates by factors of 10 (up to
-1e-4) when factorization fails, which makes duplicate design points
-survivable.  Internally the GP always sees
+fit: a model's workspace holds none.  ``_Workspace.evaluate_block``
+scores many vectors at once with the same builder and scorer; a fit
+passes it each search stencil, whose rows share the centre's factors and
+whose level matrices are built as one stack, so every row keeps the bits
+of a one-vector evaluation.  All solves go through one Cholesky factor of
+R + jitter*I, read from its lower triangle (the search leaves the upper
+one uncleared; a model stores the clean lower factor); the jitter
+escalates by factors of 10 (up to 1e-4) when factorization fails, which
+makes duplicate design points survivable.  Internally the GP always sees
 continuous/integer coordinates normalized to [0, 1] and targets
 standardized to zero mean and unit variance; reported trend, variance and
 predictions are in original units.
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -105,7 +111,12 @@ class FitConfig:
 # ---------------------------------------------------------------------------
 
 class _Evaluation(NamedTuple):
-    """One likelihood evaluation and the factors a model keeps from it."""
+    """One likelihood evaluation and the factors a model keeps from it.
+
+    ``chol`` is the lower Cholesky factor of R + jitter*I in its lower
+    triangle; its upper triangle is unspecified (the factorization does
+    not clear it, and every solve reads the lower triangle only).
+    """
 
     log_likelihood: float
     mu: float
@@ -121,10 +132,10 @@ class _Workspace:
     Holds |x_r - x_s|^p per continuous/integer dimension, the 0-based
     level index column and the flat level-pair indices per categorical
     variable, all on normalized coordinates, plus the targets
-    :meth:`evaluate` scores and their variance floor.  ``_memo`` keeps,
-    per factor block of R (-1 for the rates, i for categorical variable
-    i), the key it was last built at and the n x n factor; :meth:`forget`
-    empties it.
+    :meth:`evaluate` and :meth:`evaluate_block` score and their variance
+    floor.  ``_memo`` keeps, per factor block of R (-1 for the rates, i for
+    categorical variable i), the key it was last built at and the n x n
+    factor; :meth:`forget` empties it.
     """
 
     def __init__(self, points: PointBatch, p: int, targets: np.ndarray):
@@ -156,11 +167,15 @@ class _Workspace:
         return theta.flat
 
     def _variables(self, kind, flat):
-        """(variable index, level count, packed values) per categorical variable."""
+        """(variable index, level count, packed values) per categorical variable.
+
+        ``flat`` is one vector or an (m, size) array of them; the values are
+        sliced along its last axis.
+        """
         pos = self.n_numeric
         for i, L in enumerate(self.level_counts):
             k = kr.categorical_param_count(kind, L)
-            yield i, L, flat[pos:pos + k]
+            yield i, L, flat[..., pos:pos + k]
             pos += k
 
     def _categorical_factors(self, kind, flat, epsilon):
@@ -168,42 +183,56 @@ class _Workspace:
         for i, L, values in self._variables(kind, flat):
             yield i, kr.categorical_matrix(kind, L, values, epsilon)
 
-    def _memoized(self, block: int, key, build) -> np.ndarray:
-        """Block ``block``'s factor at ``key``, built only when the key changed."""
-        entry = self._memo.get(block)
-        if entry is None or entry[0] != key:
-            factor = build()
-            factor.flags.writeable = False  # shared by every later evaluation
-            entry = self._memo[block] = (key, factor)
-        return entry[1]
+    def _memoized(self, block: int, key, once, build) -> np.ndarray:
+        """Block ``block``'s factor at ``key``, built only when the key changed.
 
-    def _factors(self, kind, flat, epsilon) -> list[np.ndarray]:
+        A factor whose ``(block, key)`` is in ``once`` is built without
+        entering the memo: no other row of the caller's block needs it.
+        """
+        entry = self._memo.get(block)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        factor = build()
+        if (block, key) not in once:
+            factor.flags.writeable = False  # shared by every later evaluation
+            self._memo[block] = (key, factor)
+        return factor
+
+    def _factors(self, kind, flat, epsilon, levels=None, once=()) -> list[np.ndarray]:
         """R's n x n factors: exp(-theta . D), then R_i[c_r, c_s] per categorical variable.
 
         A factor is keyed by the bytes of its slice of ``flat``, and a
-        categorical one also by ``kind`` and ``epsilon``.
+        categorical one also by ``kind`` and ``epsilon``.  ``levels`` and
+        ``once`` come from :meth:`evaluate_block`: the level matrices it
+        built, by (variable, key), and the factors only one of its rows
+        needs (see :meth:`_memoized`).
         """
         rates = flat[:self.n_numeric]
-        factors = [self._memoized(-1, rates.tobytes(), lambda: np.exp(
+        factors = [self._memoized(-1, rates.tobytes(), once, lambda: np.exp(
             -np.tensordot(rates, self.pair_powers, axes=1)))]
         for i, L, values in self._variables(kind, flat):
-            factors.append(self._memoized(
-                i, (kind, epsilon, values.tobytes()),
-                lambda: kr.categorical_matrix(kind, L, values, epsilon).take(self.level_pairs[i])))
+            key = (kind, epsilon, values.tobytes())
+            factors.append(self._memoized(i, key, once, lambda: (
+                levels[i, key] if levels is not None
+                else kr.categorical_matrix(kind, L, values, epsilon)).take(self.level_pairs[i])))
         return factors
 
     def forget(self) -> None:
         """Drop the kept factors (see ``_memo``)."""
         self._memo.clear()
 
-    def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
-        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
-        E, *G = self._factors(kind, flat, epsilon)
+    def _product(self, factors: list[np.ndarray]) -> np.ndarray:
+        """((E o G_1) o G_2) ... with an exact unit diagonal: R, no jitter."""
+        E, *G = factors
         R = E * G[0] if G else E.copy()
         for Gi in G[1:]:
             R *= Gi
         R.flat[::self.n_points + 1] = 1.0
         return R
+
+    def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
+        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
+        return self._product(self._factors(kind, flat, epsilon))
 
     def cross_correlations(self, kind, flat: np.ndarray, epsilon: float, points):
         """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
@@ -231,13 +260,8 @@ class _Workspace:
                 K *= table.take(C[rows, i] - 1, axis=0)
             yield rows, K
 
-    def evaluate(self, kind, flat: np.ndarray, epsilon: float, jitter: float) -> _Evaluation:
-        """Profiled likelihood of the workspace targets at ``flat``.
-
-        Raises NumericalFailure when R + jitter*I cannot be factored even
-        after jitter escalation.
-        """
-        R = self.correlation(kind, flat, epsilon)
+    def _score(self, R: np.ndarray, jitter: float) -> _Evaluation:
+        """Profiled likelihood of the workspace targets under R: one factorization, two solves."""
         chol, jitter_used = _cholesky_with_escalation(R, jitter)
         n = self.n_points
         a = _solve(chol, self.y)
@@ -249,17 +273,60 @@ class _Workspace:
         ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
         return _Evaluation(ll, mu, sigma2, chol, jitter_used, b)
 
+    def evaluate(self, kind, flat: np.ndarray, epsilon: float, jitter: float) -> _Evaluation:
+        """Profiled likelihood of the workspace targets at ``flat``.
+
+        Raises NumericalFailure when R + jitter*I cannot be factored even
+        after jitter escalation.
+        """
+        return self._score(self.correlation(kind, flat, epsilon), jitter)
+
+    def evaluate_block(self, kind, flats: np.ndarray, epsilon: float,
+                       jitter: float) -> np.ndarray:
+        """Log-likelihoods at the rows of ``flats`` (m, size), -inf where R cannot be factored.
+
+        Row by row, the value has the bits of :meth:`evaluate` at that row:
+        the rows go through the same factors, product and scorer.  Each
+        categorical variable builds the level matrices of the block's
+        distinct slices as one stack, and each block of R builds one n x n
+        factor per distinct slice: one the memo holds is reused, and a
+        factor only one row needs stays out of the memo, so the factors the
+        rows share (a search stencil's centre) stay in it.  The n x n work
+        is done row by row; no (m, n, n) stack is held.
+        """
+        keys = {-1: [rates.tobytes() for rates in flats[:, :self.n_numeric]]}
+        levels = {}
+        for i, L, values in self._variables(kind, flats):
+            keys[i] = [(kind, epsilon, row.tobytes()) for row in values]
+            first = {}
+            for row, key in enumerate(keys[i]):
+                first.setdefault(key, row)
+            stack = kr.categorical_matrix(kind, L, values[list(first.values())], epsilon)
+            levels.update(((i, key), level) for key, level in zip(first, stack))
+        once = {(block, key) for block, column in keys.items()
+                for key, count in Counter(column).items() if count == 1}
+        lls = np.empty(len(flats))
+        for row, flat in enumerate(flats):
+            try:
+                R = self._product(self._factors(kind, flat, epsilon, levels, once))
+                lls[row] = self._score(R, jitter).log_likelihood
+            except NumericalFailure:
+                lls[row] = -math.inf
+        return lls
+
 
 def _cholesky_with_escalation(R: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of R + j*I, escalating j by 10 up to JITTER_MAX.
+    """Cholesky factor of R + j*I in the lower triangle, escalating j by 10 up to JITTER_MAX.
 
-    R itself is left as it is: each attempt factors a fresh F-order copy.
+    The upper triangle of the returned array is not cleared (it keeps R's
+    entries); solves read the lower triangle only.  R itself is left as it
+    is: each attempt factors a fresh F-order copy.
     """
     j = float(jitter)
     while True:
         work = np.array(R, dtype=float, order="F")
         work.reshape(-1, order="F")[::work.shape[0] + 1] += j  # a view: work is F-contiguous
-        chol, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
+        chol, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             return chol, j
         if j >= JITTER_MAX:
@@ -319,7 +386,8 @@ class GpModel:
 
     ``mu_hat`` and ``sigma2_hat`` are in original target units;
     ``log_likelihood`` is the profiled value on standardized targets, i.e.
-    exactly what :func:`fit` maximized.
+    exactly what :func:`fit` maximized.  ``chol`` is the lower Cholesky
+    factor of R + jitter*I, with a zero upper triangle.
     """
 
     dataset: Dataset
@@ -396,7 +464,7 @@ def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter
         kind=theta.kind,
         p=ws.p,
         theta_star=theta,
-        chol=ev.chol,
+        chol=np.asfortranarray(np.tril(ev.chol)),  # a clean lower factor, in LAPACK's order
         mu_hat=y_mean + y_scale * ev.mu,
         sigma2_hat=y_scale ** 2 * ev.sigma2,
         jitter=ev.jitter,
@@ -451,6 +519,10 @@ def fit(
             return -math.inf
         return ev.log_likelihood
 
+    def batch_objective(V: np.ndarray) -> np.ndarray:
+        return ws.evaluate_block(kind, kr.natural_from_search(V, log_mask), epsilon,
+                                 config.jitter)
+
     extra = []
     for hp in config.extra_starts:
         if hp.kind is not kind:
@@ -461,7 +533,8 @@ def fit(
 
     search_cfg = SearchConfig(max_evals=config.max_evals, seed=config.seed)
     result: MultistartResult = multistart(
-        objective, bounds, config.n_starts, search_cfg, extra_starts=tuple(extra)
+        objective, bounds, config.n_starts, search_cfg, extra_starts=tuple(extra),
+        batch_objective=batch_objective,
     )
     theta_star = kr.set_from_search_vector(space, kind, result.point, epsilon)
     model = _model(ws, dataset, theta_star, config.jitter, y_mean, y_scale,

@@ -132,13 +132,18 @@ def _identity_kappa(a, b, c):
 
 
 def _fill_diagonal(M, value) -> None:
-    """``np.fill_diagonal`` on a square matrix, without its per-call checks."""
-    M.flat[::M.shape[0] + 1] = value
+    """Set the diagonal of each L x L matrix of the C-contiguous stack ``M`` (..., L, L).
+
+    ``value`` is a scalar or one (..., L) row per matrix; like
+    ``np.fill_diagonal``, without its per-call checks.
+    """
+    L = M.shape[-1]
+    M.reshape(M.shape[:-2] + (L * L,))[..., ::L + 1] = value
 
 
 def _diagonal_phi(gram, diagonal, epsilon):
     """GD/CR: Theta's diagonal, zero off the diagonal."""
-    phi = np.zeros((diagonal.size, diagonal.size))
+    phi = np.zeros(diagonal.shape + diagonal.shape[-1:])
     _fill_diagonal(phi, diagonal)
     return phi
 
@@ -257,19 +262,26 @@ def categorical_param_count(kind: CategoricalKernelKind, n_levels: int) -> int:
 
 
 def _theta_diagonal(pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
+    """Theta's diagonal (..., L) from packed values (..., count)."""
     if pack.diagonal is None:
-        return np.zeros(L)
-    return values[pack.diagonal] * pack.scale
+        return np.zeros(values.shape[:-1] + (L,))
+    return values[..., pack.diagonal] * pack.scale
 
 
-def _packed(kind, n_levels, values) -> tuple[int, _Packing, np.ndarray]:
-    """(L, packing, values as a float vector), once it holds as many values as ``kind`` packs."""
+def _packed(kind, n_levels, values, stack=False) -> tuple[int, _Packing, np.ndarray]:
+    """(L, packing, values as floats), once each vector holds as many values as ``kind`` packs.
+
+    ``values`` becomes one vector; with ``stack``, a 2-D input stays an
+    (m, count) array of m vectors.
+    """
     L = int(n_levels)
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = np.asarray(values, dtype=float)
+    if not (stack and values.ndim == 2):
+        values = values.reshape(-1)
     pack = _packing(kind, L)
-    if values.size != pack.size:
+    if values.shape[-1] != pack.size:
         raise ShapeMismatch(
-            f"{kind.value} with {L} levels expects {pack.size} values, got {values.size}")
+            f"{kind.value} with {L} levels expects {pack.size} values, got {values.shape[-1]}")
     return L, pack, values
 
 
@@ -404,13 +416,15 @@ def hypersphere_lower_triangular(
 
 
 def _hypersphere(pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
-    angles = np.zeros((L, L))
-    angles.flat[pack.angle_cells] = values[pack.angles]
+    """C (..., L, L) from packed values (..., count); each L x L matrix has the bits of its own call."""
+    stack = values.shape[:-1]
+    angles = np.zeros(stack + (L, L))
+    angles.reshape(stack + (L * L,))[..., pack.angle_cells] = values[..., pack.angles]
     sines = np.where(pack.strict, np.sin(angles), 1.0)
-    # prefix[k, j] = prod of sin(angles[k, :j]); column j=0 is 1
-    prefix = np.empty((L, L))
-    prefix[:, 0] = 1.0
-    np.cumprod(sines[:, :-1], axis=1, out=prefix[:, 1:])
+    # prefix[..., k, j] = prod of sin(angles[..., k, :j]); column j=0 is 1
+    prefix = np.empty(stack + (L, L))
+    prefix[..., 0] = 1.0
+    np.cumprod(sines[..., :-1], axis=-1, out=prefix[..., 1:])
     # the diagonal angles are 0, so cos * prefix is exactly prefix there
     return np.where(pack.lower, np.cos(angles) * prefix, 0.0)
 
@@ -434,7 +448,7 @@ def _phi(rule: KindRule, pack: _Packing, L: int, values: np.ndarray, epsilon) ->
     gram = None
     if rule.angle_upper > 0:
         C = _hypersphere(pack, L, values)
-        gram = C @ C.T
+        gram = C @ np.swapaxes(C, -1, -2)
     return rule.phi(gram, _theta_diagonal(pack, L, values), epsilon)
 
 
@@ -464,15 +478,17 @@ def categorical_matrix(
     """Full L x L level correlation matrix R_i(Theta_i) from packed values.
 
     Symmetric with unit diagonal; SPD with entries in [0, 1] for the
-    exponential kinds, entries in [-1, 1] for HH.  Only the count of
-    ``values`` is checked: the likelihood evaluator calls this for each
-    variable whose values an evaluation changed.
+    exponential kinds, entries in [-1, 1] for HH.  An (m, count) array of
+    packed values gives the (m, L, L) stack of their matrices, each with the
+    bits of its own call: the likelihood evaluator builds the level
+    matrices of every row of a block it scores in one call.  Only the
+    count of ``values`` is checked.
     """
-    L, pack, values = _packed(kind, n_levels, values)
+    L, pack, values = _packed(kind, n_levels, values, stack=True)
     rule = KINDS[kind]
     phi = _phi(rule, pack, L, values, epsilon)
-    d = phi.flat[::L + 1]
-    R = rule.kappa(2.0 * phi, d[:, None], d[None, :])
+    d = np.diagonal(phi, axis1=-2, axis2=-1)
+    R = rule.kappa(2.0 * phi, d[..., :, None], d[..., None, :])
     _fill_diagonal(R, 1.0)
     return R
 

@@ -9,6 +9,12 @@ once the radius drops below ``final_step`` or the evaluation budget is
 exhausted.  All candidate points are clipped to the box, so returned points
 satisfy the bounds exactly.
 
+The stencil's points differ from its centre in one coordinate each, and
+they are known before any is scored.  An optional ``batch_objective``
+scores them as one block (the likelihood evaluator shares their factors);
+it must return, row by row, what ``objective`` returns, so the search, its
+evaluation count and its result do not depend on whether it is given.
+
 Everything here is deterministic: identical inputs give bit-identical
 results, independent of the seed (which is carried for provenance only).
 """
@@ -116,12 +122,22 @@ def local_search(
     bounds: BoxBounds,
     start,
     config: SearchConfig = SearchConfig(),
+    *,
+    batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SearchResult:
     """Maximize ``objective`` over the box from ``start``.
 
     Returns (best_point, best_value, n_evals) with best_point inside the
     bounds exactly and best_value >= objective(start).  Exceptions from the
     objective are re-raised as ObjectiveFailure with the point attached.
+
+    ``batch_objective(points)``, given, scores each stencil as one block:
+    it takes an (m, dim) array of points and returns their m values, each
+    exactly what ``objective`` returns at that row.  Without it the rows
+    go through ``objective`` one by one; the search is the same either
+    way.  A block is cut to the remaining budget, and a cut stencil ends
+    the search unused.  When the block raises, the ObjectiveFailure
+    carries the block's first row.
     """
     start = np.asarray(start, dtype=float).reshape(-1)
     if start.size != bounds.dim:
@@ -139,17 +155,34 @@ def local_search(
         # final min/max guards against 1-ulp overshoot of the affine map
         return np.minimum(np.maximum(lo + u * width, lo), hi)
 
+    def call(x: np.ndarray) -> float:
+        try:
+            return float(objective(x))
+        except Exception as exc:
+            raise ObjectiveFailure(x) from exc
+
     def evaluate(u: np.ndarray) -> float:
         nonlocal n_evals
         if n_evals >= budget:
             raise _BudgetExhausted
-        x = to_x(u)
         n_evals += 1
-        try:
-            value = float(objective(x))
-        except Exception as exc:
-            raise ObjectiveFailure(x) from exc
-        return _finite(value)
+        return _finite(call(to_x(u)))
+
+    def evaluate_rows(U: np.ndarray) -> list[float]:
+        """Values at the rows of U, in order; raises _BudgetExhausted once a cut block is scored."""
+        nonlocal n_evals
+        X = to_x(U[:budget - n_evals])
+        n_evals += len(X)
+        if batch_objective is None or not len(X):
+            values = [call(x) for x in X]
+        else:
+            try:
+                values = [float(v) for v in batch_objective(X)]
+            except Exception as exc:
+                raise ObjectiveFailure(X[0]) from exc
+        if len(X) < len(U):
+            raise _BudgetExhausted
+        return [_finite(v) for v in values]
 
     u = np.clip((start - lo) / width, 0.0, 1.0)
     best_u, best_f = u.copy(), evaluate(u)
@@ -160,14 +193,17 @@ def local_search(
             grad = np.zeros(dim)
             stencil_u, stencil_f = None, best_f
             # one-sided coordinate stencil, stepping away from the near bound
+            moved = []  # (coordinate, its value) per stencil point
             for i in range(dim):
                 step = delta if best_u[i] + delta <= 1.0 else -delta
-                trial = best_u.copy()
-                trial[i] = np.clip(best_u[i] + step, 0.0, 1.0)
-                h = trial[i] - best_u[i]
-                if h == 0.0:
-                    continue
-                f_i = evaluate(trial)
+                coord = min(max(best_u[i] + step, 0.0), 1.0)
+                if coord != best_u[i]:
+                    moved.append((i, coord))
+            stencil = np.repeat(best_u[None, :], len(moved), axis=0)
+            for trial, (i, coord) in zip(stencil, moved):
+                trial[i] = coord
+            for (i, coord), trial, f_i in zip(moved, stencil, evaluate_rows(stencil)):
+                h = coord - best_u[i]
                 if math.isfinite(f_i) and math.isfinite(best_f):
                     grad[i] = (f_i - best_f) / h
                 elif math.isfinite(f_i):
@@ -219,13 +255,15 @@ def multistart(
     config: SearchConfig = SearchConfig(),
     *,
     extra_starts: tuple = (),
+    batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MultistartResult:
     """Best of ``n_starts`` local searches from evenly spaced diagonal points.
 
     Start i sits at fraction (i + 1/2) / n_starts along the box diagonal.
     ``extra_starts`` appends caller-supplied warm starts (clipped to the
-    box) after the diagonal ones.  Per-start failures are tolerated; the
-    call fails only if every start fails.
+    box) after the diagonal ones.  ``batch_objective`` is passed to every
+    :func:`local_search`.  Per-start failures are tolerated; the call
+    fails only if every start fails.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -242,7 +280,8 @@ def multistart(
     failures: list[ObjectiveFailure] = []
     for index, start in enumerate(starts):
         try:
-            result = local_search(objective, bounds, start, config)
+            result = local_search(objective, bounds, start, config,
+                                  batch_objective=batch_objective)
         except ObjectiveFailure as exc:
             failures.append(exc)
             continue

@@ -261,7 +261,8 @@ class PointBatch:
 
     ``X`` is (n, n_continuous) float, ``Z`` (n, n_integer) float and ``C``
     (n, n_categorical) int with 1-based levels.  An integer index and
-    iteration yield :class:`MixedPoint` rows; a slice yields a batch.
+    iteration yield :class:`MixedPoint` rows; a slice, an index array or a
+    boolean mask yields a batch of those rows, in that order.
     """
 
     space: DesignSpace
@@ -301,9 +302,9 @@ class PointBatch:
         return self.X.shape[0]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PointBatch(self.space, self.X[index], self.Z[index], self.C[index])
-        return MixedPoint(self.X[index], self.Z[index], self.C[index])
+        if isinstance(index, (int, np.integer)):
+            return MixedPoint(self.X[index], self.Z[index], self.C[index])
+        return PointBatch(self.space, self.X[index], self.Z[index], self.C[index])
 
     def __iter__(self):
         for x, z, c in zip(self.X.tolist(), self.Z.tolist(), self.C.tolist()):

@@ -1,12 +1,18 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from mixedgp.kernels import CategoricalKernelKind, categorical_param_count
 from mixedgp.space import Categorical, Continuous, DesignSpace, Integer
 
 K = CategoricalKernelKind
+
+# Property tests draw the same examples on every run and on every checkout:
+# a failure reproduces, and two commits are compared on one set of inputs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_hyper(kind, L, rng):

@@ -173,7 +173,8 @@ def test_cholesky_escalation_reports_jitter_used():
     R = np.ones((2, 2))
     chol, used = _cholesky_with_escalation(R, 1e-10)
     assert used >= 1e-10
-    assert np.allclose(chol @ chol.T, R + used * np.eye(2))
+    lower = np.tril(chol)  # the factor is the lower triangle; the upper one is not cleared
+    assert np.allclose(lower @ lower.T, R + used * np.eye(2))
 
 
 def test_log_det_identity_on_random_matrices():

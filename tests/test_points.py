@@ -200,6 +200,21 @@ def test_batch_row_view(cat_int_cont):
         batch.X[0, 0] = 0.0
 
 
+def test_batch_rows_by_index_array_and_mask(cat_int_cont):
+    batch = lhs(cat_int_cont, 6, seed=1)
+    rows = tuple(batch)
+    picked = batch[np.array([4, 0, 4, 2])]
+    assert isinstance(picked, PointBatch) and picked.space == batch.space
+    assert tuple(picked) == (rows[4], rows[0], rows[4], rows[2])
+    assert tuple(batch[[5, 1]]) == (rows[5], rows[1])
+    mask = np.array([True, False, False, True, True, False])
+    assert tuple(batch[mask]) == (rows[0], rows[3], rows[4])
+    empty = batch[np.array([], dtype=int)]
+    assert isinstance(empty, PointBatch) and len(empty) == 0
+    assert empty.X.shape == (0, 1) and empty.C.shape == (0, 1)
+    assert batch[np.int64(3)] == rows[3]  # a numpy integer is still one row
+
+
 # ---------------------------------------------------------------------------
 # pinned designs and file formats
 # ---------------------------------------------------------------------------
