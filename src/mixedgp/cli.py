@@ -29,6 +29,7 @@ from .errors import (
 from .optimize import write_trace
 from .space import (
     Categorical,
+    _write_csv,
     load_dataset,
     load_points,
     load_space,
@@ -127,11 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_matrix(matrix: np.ndarray, level_names, path) -> None:
-    lines = [",".join(level_names)]
-    for row in matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, level_names, [[repr(v) for v in column] for column in matrix.T.tolist()],
+               lineterminator="\n")
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,6 @@ class FitConfig:
     jitter: float = JITTER_DEFAULT
     seed: int = 0
     extra_starts: tuple = ()
-    theta_log_bounds: tuple[float, float] = kr.THETA_LOG_BOUNDS
 
     def __post_init__(self):
         if self.n_starts < 1:
@@ -453,10 +452,9 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
 def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
            y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
     """The model at theta, on a workspace holding the standardized targets."""
-    flat = ws.flat(theta)
-    ev = ws.evaluate(theta.kind, flat, theta.epsilon, jitter)
-    alpha = _refined_weights(ws.correlation(theta.kind, flat, theta.epsilon), ev.chol,
-                             ws.y - ev.mu)
+    R = ws.correlation(theta.kind, ws.flat(theta), theta.epsilon)
+    ev = ws._score(R, jitter)  # factors a copy: R stays intact for the refinement
+    alpha = _refined_weights(R, ev.chol, ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
     ws.forget()  # a model keeps no evaluation state
     return GpModel(
@@ -509,7 +507,7 @@ def fit(
     ds_std, y_mean, y_scale = standardize_targets(dataset)
     ws = _Workspace(dataset.points, p, ds_std.targets)
 
-    lower, upper, log_mask = kr.search_bounds(space, kind, config.theta_log_bounds)
+    lower, upper, log_mask = kr.search_bounds(space, kind)
     bounds = BoxBounds(lower, upper)
 
     def objective(v: np.ndarray) -> float:

@@ -646,17 +646,15 @@ def embed_hyper_matrix(
 # searched directly, in [0, angle_upper].
 
 def search_bounds(
-    space: DesignSpace,
-    kind: CategoricalKernelKind,
-    theta_log_bounds: tuple[float, float] = THETA_LOG_BOUNDS,
+    space: DesignSpace, kind: CategoricalKernelKind
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Box bounds and log mask for the flat search vector.
 
     Returns (lower, upper, log_mask); log-masked coordinates hold
-    log(theta), the rest hold angles, in [0, pi/2] for EHH/FE and [0, pi]
-    for HH.
+    log(theta) in ``THETA_LOG_BOUNDS``, the rest hold angles, in
+    [0, pi/2] for EHH/FE and [0, pi] for HH.
     """
-    lo_t, hi_t = theta_log_bounds
+    lo_t, hi_t = THETA_LOG_BOUNDS
     mask = _log_mask(kind, _layout(space))
     lower = np.where(mask, lo_t, 0.0)
     upper = np.where(mask, hi_t, KINDS[kind].angle_upper)

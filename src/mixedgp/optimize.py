@@ -6,8 +6,9 @@ surrogate (a finite-difference gradient), and line-searches along the
 projected gradient with expansion and backtracking.  When neither the
 stencil nor the line search improves, the radius shrinks; the search stops
 once the radius drops below ``final_step`` or the evaluation budget is
-exhausted.  All candidate points are clipped to the box, so returned points
-satisfy the bounds exactly.
+exhausted.  A stencil is scored whole or not at all: one the remaining
+budget cannot cover ends the search unscored.  All candidate points are
+clipped to the box, so returned points satisfy the bounds exactly.
 
 The stencil's points differ from its centre in one coordinate each, and
 they are known before any is scored.  An optional ``batch_objective``
@@ -135,8 +136,8 @@ def local_search(
     it takes an (m, dim) array of points and returns their m values, each
     exactly what ``objective`` returns at that row.  Without it the rows
     go through ``objective`` one by one; the search is the same either
-    way.  A block is cut to the remaining budget, and a cut stencil ends
-    the search unused.  When the block raises, the ObjectiveFailure
+    way.  A stencil the remaining budget cannot cover ends the search
+    without being scored.  When the block raises, the ObjectiveFailure
     carries the block's first row.
     """
     start = np.asarray(start, dtype=float).reshape(-1)
@@ -155,65 +156,52 @@ def local_search(
         # final min/max guards against 1-ulp overshoot of the affine map
         return np.minimum(np.maximum(lo + u * width, lo), hi)
 
-    def call(x: np.ndarray) -> float:
+    def score(U: np.ndarray) -> list[float]:
+        """Values at the rows of the stencil U, or at the one point U.
+
+        Raises _BudgetExhausted, and scores nothing, when the remaining
+        budget cannot cover every point.
+        """
+        nonlocal n_evals
+        X = to_x(U)
+        rows = X.reshape(-1, dim)
+        if len(rows) > budget - n_evals:
+            raise _BudgetExhausted
+        n_evals += len(rows)
+        values = []
         try:
-            return float(objective(x))
+            if X.ndim == 2 and len(X) and batch_objective is not None:
+                x = X[0]  # a failing block is charged to its first row
+                values = [float(v) for v in batch_objective(X)]
+            else:
+                for x in rows:
+                    values.append(float(objective(x)))
         except Exception as exc:
             raise ObjectiveFailure(x) from exc
-
-    def evaluate(u: np.ndarray) -> float:
-        nonlocal n_evals
-        if n_evals >= budget:
-            raise _BudgetExhausted
-        n_evals += 1
-        return _finite(call(to_x(u)))
-
-    def evaluate_rows(U: np.ndarray) -> list[float]:
-        """Values at the rows of U, in order; raises _BudgetExhausted once a cut block is scored."""
-        nonlocal n_evals
-        X = to_x(U[:budget - n_evals])
-        n_evals += len(X)
-        if batch_objective is None or not len(X):
-            values = [call(x) for x in X]
-        else:
-            try:
-                values = [float(v) for v in batch_objective(X)]
-            except Exception as exc:
-                raise ObjectiveFailure(X[0]) from exc
-        if len(X) < len(U):
-            raise _BudgetExhausted
         return [_finite(v) for v in values]
 
-    u = np.clip((start - lo) / width, 0.0, 1.0)
-    best_u, best_f = u.copy(), evaluate(u)
+    best_u = np.clip((start - lo) / width, 0.0, 1.0)
+    [best_f] = score(best_u)
 
     delta = config.initial_step
     try:
         while delta >= config.final_step and n_evals < budget:
-            grad = np.zeros(dim)
-            stencil_u, stencil_f = None, best_f
             # one-sided coordinate stencil, stepping away from the near bound
-            moved = []  # (coordinate, its value) per stencil point
-            for i in range(dim):
-                step = delta if best_u[i] + delta <= 1.0 else -delta
-                coord = min(max(best_u[i] + step, 0.0), 1.0)
-                if coord != best_u[i]:
-                    moved.append((i, coord))
+            coords = np.clip(best_u + np.where(best_u + delta <= 1.0, delta, -delta), 0.0, 1.0)
+            moved = np.flatnonzero(coords != best_u)
             stencil = np.repeat(best_u[None, :], len(moved), axis=0)
-            for trial, (i, coord) in zip(stencil, moved):
-                trial[i] = coord
-            for (i, coord), trial, f_i in zip(moved, stencil, evaluate_rows(stencil)):
-                h = coord - best_u[i]
-                if math.isfinite(f_i) and math.isfinite(best_f):
-                    grad[i] = (f_i - best_f) / h
-                elif math.isfinite(f_i):
-                    grad[i] = math.copysign(1.0, h)
-                if f_i > stencil_f:
-                    stencil_u, stencil_f = trial, f_i
+            stencil[np.arange(len(moved)), moved] = coords[moved]
+            values = score(stencil)
+            f = np.array(values)
+            h = coords[moved] - best_u[moved]
+            slope = np.copysign(1.0, h) if best_f == -math.inf else (f - best_f) / h
+            grad = np.zeros(dim)
+            grad[moved] = np.where(np.isfinite(f), slope, 0.0)
 
             candidates = []
-            if stencil_u is not None:
-                candidates.append((stencil_f, stencil_u))
+            if len(f) and f.max() > best_f:
+                k = int(np.argmax(f))  # the first best row
+                candidates.append((values[k], stencil[k]))
             gnorm = float(np.linalg.norm(grad))
             if gnorm > 0.0:
                 direction = grad / gnorm
@@ -224,7 +212,7 @@ def local_search(
                     trial = np.clip(best_u + t * direction, 0.0, 1.0)
                     if np.array_equal(trial, best_u):
                         break
-                    f_t = evaluate(trial)
+                    [f_t] = score(trial)
                     if f_t > line_f:
                         line_u, line_f = trial, f_t
                         improving_run = True

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -256,3 +257,22 @@ def test_model_file_with_extra_point_row_exits_2(tmp_path, cosine_files, gd_mode
     code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "points.continuous holds 41 rows for 40 targets" in capsys.readouterr().err
+
+
+def test_export_corr_round_trips_level_names_with_commas_and_quotes(tmp_path):
+    space_file = tmp_path / "quoted.space"
+    space_file.write_text('continuous x 0 1\ncategorical c a,b "q" plain\n')
+    space = DesignSpace((Continuous("x", 0.0, 1.0), Categorical("c", ("a,b", '"q"', "plain"))))
+    points = lhs(space, 12, seed=0)
+    data_file = tmp_path / "train.csv"
+    save_dataset(Dataset(space, points, np.sin(6.0 * points.X[:, 0]) + points.C[:, 0]), data_file)
+    model_file = tmp_path / "model.json"
+    assert main(["fit", str(space_file), str(data_file), "--kernel", "cr", "--starts", "1",
+                 "--budget", "40", "--out-model", str(model_file)]) == 0
+    out = tmp_path / "corr.csv"
+    assert main(["export-corr", str(model_file), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a,b", '"q"', "plain"]
+    matrix = np.array([[float(v) for v in row] for row in rows[1:]])
+    assert matrix.shape == (3, 3) and np.all(np.diag(matrix) == 1.0)

@@ -297,7 +297,7 @@ def test_search_with_a_block_objective_equals_one_by_one(kind):
         assert plain.n_evals == blocked.n_evals == min(max_evals, plain.n_evals)
 
 
-def test_block_objective_sees_only_whole_or_cut_stencils():
+def test_block_objective_sees_only_whole_stencils():
     seen, rows = [], []
 
     def objective(x):
@@ -323,9 +323,45 @@ def test_block_objective_sees_only_whole_or_cut_stencils():
                                SearchConfig(max_evals=max_evals), batch_objective=batch_objective)
         assert [x.tobytes() for x in seen] == [x.tobytes() for x in one_by_one]
         assert plain.point.tobytes() == blocked.point.tobytes()
-        assert plain.value == blocked.value and plain.n_evals == blocked.n_evals == len(seen)
-        # every block is a stencil of 5 rows, or the last one, cut to the budget
-        assert all(r == 5 for r in rows[:-1]) and (not rows or 1 <= rows[-1] <= 5)
+        assert plain.value == blocked.value
+        assert plain.n_evals == blocked.n_evals == len(seen) <= max_evals
+        assert all(r == 5 for r in rows)  # every block is a whole stencil
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_a_stencil_the_budget_cannot_cover_is_never_scored(blocked):
+    seen, starts = [], []  # every point scored; where each block began in seen
+
+    def value(x):
+        return -float(np.sum((x - 0.3) ** 2))
+
+    def objective(x):
+        seen.append(x.copy())
+        return value(x)
+
+    def batch_objective(X):
+        starts.append(len(seen))
+        return [objective(x) for x in X]
+
+    def search(max_evals, blocked=blocked):
+        seen.clear()
+        starts.clear()
+        return local_search(objective, bounds, np.full(5, 0.75), SearchConfig(max_evals=max_evals),
+                            batch_objective=batch_objective if blocked else None)
+
+    bounds = BoxBounds(np.zeros(5), np.ones(5))
+    search(200, blocked=True)
+    stencils = [(before, np.array(seen[before:before + 5])) for before in starts[:3]]
+    assert len(stencils) == 3
+    for before, stencil in stencils:
+        # each row moves one coordinate of the point the search holds
+        held = np.array([stencil[(j + 1) % 5][j] for j in range(5)])
+        for max_evals in range(before, before + 5):
+            result = search(max_evals)
+            assert result.n_evals == len(seen) == before, max_evals
+            assert not any(np.array_equal(x, row) for x in seen for row in stencil)
+            assert result.point.tobytes() == held.tobytes()
+            assert result.value == value(held)
 
 
 def test_failing_block_raises_objective_failure_with_a_point():

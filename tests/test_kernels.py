@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedgp.errors import DimensionMismatch, NotRepresentable, ShapeMismatch
 from mixedgp.kernels import (
@@ -206,43 +208,48 @@ def test_hh_entries_can_be_negative():
 # reductions between kinds
 # ---------------------------------------------------------------------------
 
-def test_gd_reduces_to_cr():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        L = int(rng.integers(2, 14))
-        theta = float(rng.uniform(0.0, 10.0))
-        R_gd = categorical_matrix(K.GD, L, [theta])
-        R_cr = categorical_matrix(K.CR, L, np.full(L, theta / 2))
-        assert np.max(np.abs(R_gd - R_cr)) < 1e-12
+@st.composite
+def packed(draw, kind, high=10.0):
+    """(L, values): L from 2 to 13 and the kind's packed values for L levels, each in [0, high].
+
+    The default ``high`` bounds rates and diagonals as ``random_hyper`` does.
+    """
+    L = draw(st.integers(2, 13))
+    count = categorical_param_count(kind, L)
+    return L, np.array(draw(st.lists(st.floats(0.0, high), min_size=count, max_size=count)))
 
 
-def test_cr_reduces_to_fe():
-    rng = np.random.default_rng(22)
-    for _ in range(100):
-        L = int(rng.integers(2, 14))
-        diag = rng.uniform(0.0, 10.0, L)
-        values = np.zeros(L * (L + 1) // 2)
-        pos = 0
-        for row in range(L):
-            pos += row
-            values[pos] = diag[row]
-            pos += 1
-        R_fe = categorical_matrix(K.FE, L, values)
-        R_cr = categorical_matrix(K.CR, L, diag)
-        assert np.max(np.abs(R_fe - R_cr)) < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(packed(K.GD))
+def test_gd_reduces_to_cr(case):
+    L, (theta,) = case
+    R_gd = categorical_matrix(K.GD, L, [theta])
+    R_cr = categorical_matrix(K.CR, L, np.full(L, theta / 2))
+    assert np.max(np.abs(R_gd - R_cr)) < 1e-12
 
 
-def test_ehh_roundtrip_through_correlation():
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        L = int(rng.integers(2, 14))
-        source = random_hyper(K.EHH, L, rng)
-        T = categorical_matrix(K.EHH, L, source)
-        if np.any(T <= EPSILON):
-            continue
-        recovered = recover_angles_from_correlation(T)
-        T2 = categorical_matrix(K.EHH, L, recovered)
-        assert np.max(np.abs(T2 - T)) < 1e-10
+@settings(max_examples=100, deadline=None)
+@given(packed(K.CR))
+def test_cr_reduces_to_fe(case):
+    L, diag = case
+    values = np.zeros(L * (L + 1) // 2)  # every angle 0: FE's Gram part is all ones
+    values[np.cumsum(np.arange(1, L + 1)) - 1] = diag  # each row's angles, then its diagonal
+    R_fe = categorical_matrix(K.FE, L, values)
+    R_cr = categorical_matrix(K.CR, L, diag)
+    assert np.max(np.abs(R_fe - R_cr)) < 1e-12
+
+
+# angles at most 1.5 < pi/2 keep every Gram entry >= cos(1.5)^2 > 0, so
+# every level correlation stays above epsilon, where the map inverts
+@settings(max_examples=100, deadline=None)
+@given(packed(K.EHH, high=1.5))
+def test_ehh_roundtrip_through_correlation(case):
+    L, source = case
+    T = categorical_matrix(K.EHH, L, source)
+    assert np.all(T > EPSILON)
+    recovered = recover_angles_from_correlation(T)
+    T2 = categorical_matrix(K.EHH, L, recovered)
+    assert np.max(np.abs(T2 - T)) < 1e-10
 
 
 def test_recover_angles_near_epsilon():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,102 @@ def test_twenty_dim_quadratic_against_grid_oracle():
     for j in range(20):
         oracle = grid[np.argmin(np.abs(grid - target[j]))]
         assert abs(result.point[j] - oracle) < 1e-3
+
+
+class _Spent(Exception):
+    pass
+
+
+def loop_search(objective, bounds, start, config):
+    """local_search with its stencil built and read one coordinate at a time: the reference."""
+    lo, hi = bounds.lower, bounds.upper
+    budget = config.budget(bounds.dim)
+    n_evals = 0
+
+    def f(u):
+        nonlocal n_evals
+        n_evals += 1
+        v = float(objective(np.minimum(np.maximum(lo + u * (hi - lo), lo), hi)))
+        return v if math.isfinite(v) else -math.inf
+
+    best_u = np.clip((start - lo) / (hi - lo), 0.0, 1.0)
+    best_f = f(best_u)
+    delta = config.initial_step
+    try:
+        while delta >= config.final_step and n_evals < budget:
+            moved = []
+            for i in range(bounds.dim):
+                coord = min(max(best_u[i] + (delta if best_u[i] + delta <= 1.0 else -delta), 0.0), 1.0)
+                if coord != best_u[i]:
+                    moved.append((i, coord))
+            if len(moved) > budget - n_evals:
+                raise _Spent  # a stencil is scored whole or not at all
+            grad = np.zeros(bounds.dim)
+            candidates = []
+            stencil_f = best_f
+            for i, coord in moved:
+                trial = best_u.copy()
+                trial[i] = coord
+                f_i, h = f(trial), coord - best_u[i]
+                if math.isfinite(f_i) and math.isfinite(best_f):
+                    grad[i] = (f_i - best_f) / h
+                elif math.isfinite(f_i):
+                    grad[i] = math.copysign(1.0, h)
+                if f_i > stencil_f:
+                    candidates[:] = [(f_i, trial)]
+                    stencil_f = f_i
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm > 0.0:
+                line_u, line_f, t, improving = None, best_f, delta, False
+                for _ in range(12):
+                    trial = np.clip(best_u + t * (grad / gnorm), 0.0, 1.0)
+                    if np.array_equal(trial, best_u):
+                        break
+                    if n_evals >= budget:
+                        raise _Spent
+                    f_t = f(trial)
+                    if f_t > line_f:
+                        line_u, line_f, improving, t = trial, f_t, True, 2.0 * t
+                    elif improving:
+                        break
+                    else:
+                        t *= 0.5
+                        if t < 0.25 * config.final_step:
+                            break
+                if line_u is not None:
+                    candidates.append((line_f, line_u))
+            if candidates:
+                best_f, best_u = max(candidates, key=lambda pair: pair[0])
+            else:
+                delta *= 0.5
+    except _Spent:
+        pass
+    return np.minimum(np.maximum(lo + best_u * (hi - lo), lo), hi), best_f, n_evals
+
+
+def awkward(x):
+    """-inf and NaN regions, +inf scored as -inf, and plateaus that tie stencil rows."""
+    if x[0] > 0.8:
+        return math.nan
+    if x[-1] < -0.9:
+        return math.inf
+    return -round(float(np.sum((x - 0.3) ** 2)), 2) + (0.0 if x[0] < 0.5 else math.sin(7 * x[0]))
+
+
+@pytest.mark.parametrize("objective", [
+    awkward,
+    lambda x: float(-np.sum((x - 0.42) ** 2) + np.sin(5 * x[0])),
+    lambda x: -round(float(np.sum(np.abs(x - 0.3))), 1),  # ties on a symmetric box
+])
+@pytest.mark.parametrize("dim", [1, 3, 5])
+@pytest.mark.parametrize("upper", [1.0, 3.0])
+def test_search_equals_the_coordinate_loop_reference(objective, dim, upper):
+    bounds = BoxBounds(np.full(dim, -1.0), np.linspace(1.0, upper, dim))
+    for start in (bounds.lower, bounds.upper, 0.3 * bounds.lower + 0.7 * bounds.upper):
+        for max_evals in (1, dim, dim + 1, 37, None):
+            config = SearchConfig(max_evals=max_evals)
+            point, value, n_evals = loop_search(objective, bounds, start, config)
+            result = local_search(objective, bounds, start, config)
+            assert result.point.tobytes() == point.tobytes(), (start, max_evals)
+            assert type(result.value) is float and repr(result.value) == repr(value)
+            assert result.n_evals == n_evals
