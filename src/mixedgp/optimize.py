@@ -16,6 +16,20 @@ scores them as one block (the likelihood evaluator shares their factors);
 it must return, row by row, what ``objective`` returns, so the search, its
 evaluation count and its result do not depend on whether it is given.
 
+Within one :func:`multistart` call, starts that meet share their path.
+One iteration of the search is fixed by its state, the centre and the
+radius (the value at the centre is the objective there), so multistart
+keeps, per state, the values that iteration scored, in call order; a
+start's first point is a state of its own.  A later start that reaches a
+recorded state replays those values instead of scoring them again, and
+calls the objective only where the record ends (an earlier start ran out
+of budget or failed there), extending it.  Replayed values pass the same
+budget check and count in ``n_evals`` as scored ones, so every result and
+count equals that of independent searches; ``StartRecord.replayed`` says
+how many were replayed.  This relies on the objective being a
+deterministic function of the point.  The record lives for one
+multistart call; :func:`local_search` alone keeps none.
+
 Everything here is deterministic: identical inputs give bit-identical
 results, independent of the seed (which is carried for provenance only).
 """
@@ -99,9 +113,12 @@ class SearchResult(NamedTuple):
 
 
 class StartRecord(NamedTuple):
+    """One start of a multistart: ``n_evals - replayed`` of its values reached the objective."""
+
     start_index: int
     n_evals: int
     best_value: float
+    replayed: int = 0
 
 
 class MultistartResult(NamedTuple):
@@ -140,6 +157,18 @@ def local_search(
     without being scored.  When the block raises, the ObjectiveFailure
     carries the block's first row.
     """
+    return _search(objective, bounds, start, config, batch_objective, None)[0]
+
+
+def _search(objective, bounds, start, config, batch_objective,
+            record: dict | None) -> tuple[SearchResult, int]:
+    """:func:`local_search`, and how many of its values came from ``record``.
+
+    ``record`` maps a search state ``(centre bytes, radius)`` (radius None
+    for the start's own point) to the values its iteration scored, one
+    list per scoring call.  The search replays the calls a state holds and
+    appends the ones it has to score; None keeps no record.
+    """
     start = np.asarray(start, dtype=float).reshape(-1)
     if start.size != bounds.dim:
         raise ValueError(f"start has length {start.size}, bounds expect {bounds.dim}")
@@ -150,7 +179,13 @@ def local_search(
     width = hi - lo
     dim = bounds.dim
     budget = config.budget(dim)
-    n_evals = 0
+    n_evals = replayed = 0
+    calls, cursor = [], 0  # the current state's scoring calls, and how many were made
+
+    def enter(state) -> None:
+        nonlocal calls, cursor
+        calls = record.setdefault(state, []) if record is not None else []
+        cursor = 0
 
     def to_x(u: np.ndarray) -> np.ndarray:
         # final min/max guards against 1-ulp overshoot of the affine map
@@ -162,12 +197,16 @@ def local_search(
         Raises _BudgetExhausted, and scores nothing, when the remaining
         budget cannot cover every point.
         """
-        nonlocal n_evals
+        nonlocal n_evals, replayed, cursor
         X = to_x(U)
         rows = X.reshape(-1, dim)
         if len(rows) > budget - n_evals:
             raise _BudgetExhausted
         n_evals += len(rows)
+        cursor += 1
+        if cursor <= len(calls):
+            replayed += len(rows)
+            return calls[cursor - 1]
         values = []
         try:
             if X.ndim == 2 and len(X) and batch_objective is not None:
@@ -178,14 +217,17 @@ def local_search(
                     values.append(float(objective(x)))
         except Exception as exc:
             raise ObjectiveFailure(x) from exc
-        return [_finite(v) for v in values]
+        calls.append([_finite(v) for v in values])
+        return calls[-1]
 
     best_u = np.clip((start - lo) / width, 0.0, 1.0)
+    enter((best_u.tobytes(), None))
     [best_f] = score(best_u)
 
     delta = config.initial_step
     try:
         while delta >= config.final_step and n_evals < budget:
+            enter((best_u.tobytes(), delta))
             # one-sided coordinate stencil, stepping away from the near bound
             coords = np.clip(best_u + np.where(best_u + delta <= 1.0, delta, -delta), 0.0, 1.0)
             moved = np.flatnonzero(coords != best_u)
@@ -233,7 +275,7 @@ def local_search(
     except _BudgetExhausted:
         pass
 
-    return SearchResult(to_x(best_u), best_f, n_evals)
+    return SearchResult(to_x(best_u), best_f, n_evals), replayed
 
 
 def multistart(
@@ -252,6 +294,13 @@ def multistart(
     box) after the diagonal ones.  ``batch_objective`` is passed to every
     :func:`local_search`.  Per-start failures are tolerated; the call
     fails only if every start fails.
+
+    The objective must be a deterministic function of the point: the
+    starts share one record of the values scored per search state (see
+    the module docstring), and a start that reaches a recorded state
+    replays them instead of calling the objective.  The result and every
+    ``StartRecord`` but its ``replayed`` count equal those of independent
+    :func:`local_search` calls.  The record is dropped on return.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -264,16 +313,17 @@ def multistart(
         starts.append(np.minimum(np.maximum(extra, bounds.lower), bounds.upper))
 
     best: SearchResult | None = None
+    shared: dict = {}  # search state -> the values its iteration scored
     records: list[StartRecord] = []
     failures: list[ObjectiveFailure] = []
     for index, start in enumerate(starts):
         try:
-            result = local_search(objective, bounds, start, config,
-                                  batch_objective=batch_objective)
+            result, replayed = _search(objective, bounds, start, config, batch_objective,
+                                       shared)
         except ObjectiveFailure as exc:
             failures.append(exc)
             continue
-        records.append(StartRecord(index, result.n_evals, result.value))
+        records.append(StartRecord(index, result.n_evals, result.value, replayed))
         if best is None or result.value > best.value:
             best = result
     if best is None:

@@ -48,6 +48,12 @@ __all__ = [
 # variable specifications
 # ---------------------------------------------------------------------------
 
+def _check_name(name: str, what: str) -> None:
+    """A name must be one whitespace-free token: the space file splits its lines on whitespace."""
+    if not isinstance(name, str) or name.split() != [name]:
+        raise ValueError(f"{what} {name!r} must be a non-empty name without whitespace")
+
+
 @dataclass(frozen=True)
 class Continuous:
     """Bounded continuous variable."""
@@ -57,6 +63,7 @@ class Continuous:
     upper: float
 
     def __post_init__(self):
+        _check_name(self.name, "variable name")
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower must be < upper")
 
@@ -70,19 +77,27 @@ class Integer:
     upper: int
 
     def __post_init__(self):
+        _check_name(self.name, "variable name")
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower must be < upper")
 
 
 @dataclass(frozen=True)
 class Categorical:
-    """Categorical variable with at least two uniquely named levels."""
+    """Categorical variable with at least two uniquely named levels.
+
+    Variable and level names are non-empty and hold no whitespace, as for
+    every variable kind.
+    """
 
     name: str
     levels: tuple[str, ...]
 
     def __post_init__(self):
+        _check_name(self.name, "variable name")
         object.__setattr__(self, "levels", tuple(str(v) for v in self.levels))
+        for level in self.levels:
+            _check_name(level, f"{self.name}: level")
         if len(self.levels) < 2:
             raise ValueError(f"{self.name}: needs at least 2 levels")
         if len(set(self.levels)) != len(self.levels):

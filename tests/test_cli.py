@@ -276,3 +276,14 @@ def test_export_corr_round_trips_level_names_with_commas_and_quotes(tmp_path):
     assert rows[0] == ["a,b", '"q"', "plain"]
     matrix = np.array([[float(v) for v in row] for row in rows[1:]])
     assert matrix.shape == (3, 3) and np.all(np.diag(matrix) == 1.0)
+
+
+def test_model_file_with_a_spaced_level_name_exits_2(tmp_path, cosine_files, gd_model_file,
+                                                     capsys):
+    _, _, data_file = cosine_files
+    doc = json.loads(gd_model_file.read_text())
+    doc["space"][1]["levels"][0] = "1 a"
+    gd_model_file.write_text(json.dumps(doc))
+    code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "without whitespace" in capsys.readouterr().err

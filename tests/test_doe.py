@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedgp.doe import grid, lhs
 from mixedgp.errors import SizeOverflow
@@ -108,3 +110,45 @@ def test_grid_counts_must_match():
         grid(space, (10, 10))
     with pytest.raises(ValueError):
         grid(space, (0,))
+
+
+# ---------------------------------------------------------------------------
+# LHS properties over random spaces, sizes and seeds
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lhs_spaces(draw):
+    """1-5 variables of every kind, with random bounds and 2-13 levels."""
+    variables = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("cik"), min_size=1, max_size=5))):
+        if kind == "c":
+            lower = draw(st.floats(-1e3, 1e3))
+            variables.append(Continuous(f"v{i}", lower, lower + draw(st.floats(1e-3, 1e3))))
+        elif kind == "i":
+            lower = draw(st.integers(-50, 50))
+            variables.append(Integer(f"v{i}", lower, lower + draw(st.integers(1, 100))))
+        else:
+            variables.append(Categorical(f"v{i}", tuple(
+                f"l{j}" for j in range(draw(st.integers(2, 13))))))
+    return DesignSpace(tuple(variables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lhs_spaces(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_lhs_stratifies_every_numeric_dimension_and_balances_levels(space, n, seed):
+    points = lhs(space, n, seed)
+    assert len(points) == n
+    numeric = list(zip(space.continuous, points.X.T)) + list(zip(space.integer, points.Z.T))
+    for var, column in numeric:
+        # bin k is [lower + k/n * width, lower + (k+1)/n * width]: with one sample per
+        # bin, the k-th smallest sample lies in bin k (rounding is monotone, so
+        # an integer's k-th smallest value lies between its bin's rounded edges)
+        edges = var.lower + (np.arange(n + 1) / n) * (var.upper - var.lower)
+        if isinstance(var, Integer):
+            edges = np.rint(edges)
+        ordered = np.sort(column)
+        assert np.all(edges[:-1] <= ordered) and np.all(ordered <= edges[1:])
+    for var, column in zip(space.categorical, points.C.T):
+        counts = np.bincount(column - 1, minlength=var.n_levels)
+        assert len(counts) == var.n_levels and counts.sum() == n
+        assert counts.max() - counts.min() <= 1

@@ -258,3 +258,142 @@ def test_search_equals_the_coordinate_loop_reference(objective, dim, upper):
             assert result.point.tobytes() == point.tobytes(), (start, max_evals)
             assert type(result.value) is float and repr(result.value) == repr(value)
             assert result.n_evals == n_evals
+
+
+# ---------------------------------------------------------------------------
+# path sharing: multistart against independent searches
+# ---------------------------------------------------------------------------
+
+class Counting:
+    """An objective that counts the rows it scores, one by one or as a block."""
+
+    def __init__(self, f):
+        self.f, self.rows = f, 0
+
+    def __call__(self, x):
+        self.rows += 1
+        return self.f(x)
+
+    def block(self, X):
+        return np.array([self(x) for x in X])
+
+
+def independent_starts(objective, bounds, n_starts, config, extra_starts=(), batched=False):
+    """multistart's reference: one local_search per start, no state shared between them."""
+    batch = (lambda X: np.array([objective(x) for x in X])) if batched else None
+    starts = [bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)
+              for i in range(n_starts)]
+    starts += [np.minimum(np.maximum(np.asarray(e, dtype=float), bounds.lower), bounds.upper)
+               for e in extra_starts]
+    best, records, failures = None, [], []
+    for index, start in enumerate(starts):
+        try:
+            result = local_search(objective, bounds, start, config, batch_objective=batch)
+        except ObjectiveFailure as exc:
+            failures.append(exc)
+            continue
+        records.append((index, result.n_evals, repr(result.value)))
+        if best is None or result.value > best.value:
+            best = result
+    return best, records, failures
+
+
+def corner(x):
+    """Maximum outside the box: every start's line search clips to the corner (1, ..., 1)."""
+    return -float(np.sum((x - 1.2) ** 2))
+
+
+def floor(x):
+    """A slope onto a nearly flat floor at x <= 0.3, tilted toward the corner 0 where starts meet."""
+    return -float(np.sum(np.maximum(x - 0.3, 0.0)) + 1e-3 * np.sum(x))
+
+
+def fails_at_the_corner(x):
+    """corner, raising in the stencil of the shared state (corner, radius 1/8)."""
+    if x[0] == 1.0 and x[-1] == 0.875:
+        raise RuntimeError("boom")
+    return corner(x)
+
+
+def assert_multistart_is_independent(objective, bounds, n_starts, config, batched,
+                                     extra_starts=()):
+    """multistart equals independent searches; returns its records."""
+    best, expected, failures = independent_starts(objective, bounds, n_starts, config,
+                                                  extra_starts, batched)
+    counting = Counting(objective)
+    kwargs = dict(extra_starts=extra_starts,
+                  batch_objective=counting.block if batched else None)
+    if best is None:
+        with pytest.raises(ObjectiveFailure) as info:
+            multistart(counting, bounds, n_starts, config, **kwargs)
+        assert info.value.point.tobytes() == failures[-1].point.tobytes()
+        return ()
+    result = multistart(counting, bounds, n_starts, config, **kwargs)
+    assert result.point.tobytes() == best.point.tobytes()
+    assert repr(result.value) == repr(best.value)
+    assert [(r.start_index, r.n_evals, repr(r.best_value)) for r in result.starts] == expected
+    assert all(0 <= r.replayed <= r.n_evals for r in result.starts)
+    if not failures:  # failed starts scored rows that no record counts
+        assert counting.rows == sum(r.n_evals - r.replayed for r in result.starts)
+    return result.starts
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("objective", [corner, floor, fails_at_the_corner, awkward])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_multistart_equals_independent_searches(objective, dim, batched):
+    bounds = unit_box(dim)
+    replayed = 0
+    for max_evals in (*range(1, 25), 40, None):
+        for n_starts in (1, 3, 6):
+            # a copy of the first diagonal start, the farthest from the corners, replays
+            # states that nearer starts extended: its budget must still stop it
+            for extra_starts in ((), (np.full(dim, 0.5 / n_starts),)):
+                config = SearchConfig(final_step=1e-3, max_evals=max_evals)
+                starts = assert_multistart_is_independent(
+                    objective, bounds, n_starts, config, batched, extra_starts)
+                replayed += sum(r.replayed for r in starts)
+    if objective is not awkward:
+        assert replayed > 0  # the starts meet, and the test sees them share their path
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_an_extra_start_on_a_diagonal_start_replays_its_whole_path(batched):
+    bounds = BoxBounds(np.full(3, -1.0), np.array([1.0, 2.0, 3.0]))
+    diagonal = bounds.lower + 0.5 / 3 * (bounds.upper - bounds.lower)
+    for objective in (corner, floor, awkward):
+        for max_evals in (1, 5, 40, None):
+            starts = assert_multistart_is_independent(
+                objective, bounds, 3, SearchConfig(max_evals=max_evals), batched,
+                extra_starts=(diagonal,))
+            assert starts[-1].start_index == 3
+            assert starts[-1].replayed == starts[-1].n_evals == starts[0].n_evals
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_start_extends_a_record_the_budget_cut(batched):
+    # Both starts clip to the corner in their first line search, then halve
+    # their radius there, 2 evaluations per state.  The diagonal start
+    # (index 0, at 0.5) reaches the corner after 1 + 2 + 4 evaluations (its
+    # line search scores the clipped corner twice) and scores 7 corner
+    # states; the 8th's stencil does not fit its budget.  The warm start
+    # (index 1, at 0.9) reaches it after 1 + 2 + 2, replays those 7 states
+    # and scores the 8th.
+    bounds = unit_box(2)
+    config = SearchConfig(max_evals=22)
+    near = (np.full(2, 0.9),)
+    best, expected, _ = independent_starts(corner, bounds, 1, config, near, batched)
+    counting = Counting(corner)
+    result = multistart(counting, bounds, 1, config, extra_starts=near,
+                        batch_objective=counting.block if batched else None)
+    assert [(r.start_index, r.n_evals, repr(r.best_value)) for r in result.starts] == expected
+    cut, extended = result.starts
+    assert (cut.n_evals, cut.replayed) == (21, 0)
+    assert (extended.n_evals, extended.replayed) == (21, 14)
+    assert counting.rows == 21 + 7
+
+
+def test_local_search_alone_replays_nothing():
+    counting = Counting(corner)
+    result = local_search(counting, unit_box(2), np.full(2, 0.3))
+    assert counting.rows == result.n_evals

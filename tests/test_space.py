@@ -200,3 +200,32 @@ def test_dataset_rejects_non_finite_targets(mixed_space, bad):
               MixedPoint((0.9,), (3,), (3,)))
     with pytest.raises(ValueError, match="row 1"):
         Dataset(mixed_space, points, np.array([0.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Continuous("my x", 0.0, 1.0),
+    lambda: Continuous("", 0.0, 1.0),
+    lambda: Integer("n\tm", 0, 3),
+    lambda: Categorical("c c", ("a", "d")),
+    lambda: Categorical("c", ("a b", "d")),
+    lambda: Categorical("c", ("", "d")),
+    lambda: Categorical("c", ("a", "d\n")),
+])
+def test_names_with_whitespace_or_empty_are_refused(make):
+    # the space file splits its lines on whitespace: such a name cannot reload
+    with pytest.raises(ValueError, match="without whitespace"):
+        make()
+
+
+def test_plain_names_round_trip_byte_identically(tmp_path):
+    space = DesignSpace((
+        Continuous("x_1", -1.5, 2.0),
+        Integer("n-2", 0, 4),
+        Categorical("kind.c", ("a,b", '"q"', "#x", "A")),
+    ))
+    first, second = tmp_path / "first.space", tmp_path / "second.space"
+    save_space(space, first)
+    reloaded = load_space(first)
+    save_space(reloaded, second)
+    assert reloaded == space
+    assert second.read_bytes() == first.read_bytes()
