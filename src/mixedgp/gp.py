@@ -27,11 +27,9 @@ passes it each search stencil, whose rows share the centre's factors and
 whose level matrices are built as one stack, so every row keeps the bits
 of a one-vector evaluation.  All solves go through one Cholesky factor of
 R + jitter*I, read from its lower triangle (the search leaves the upper
-one uncleared; a model stores the clean lower factor).  The factors are
-kept in F order, so each evaluation's R is a fresh F-order product that
-is factored in place; the jitter escalates by factors of 10 (up to 1e-4)
-when factorization fails, each retry on R rebuilt from the factors,
-which makes duplicate design points survivable.  Internally the GP always sees
+one uncleared; a model stores the clean lower factor); the jitter
+escalates by factors of 10 (up to 1e-4) when factorization fails, which
+makes duplicate design points survivable.  Internally the GP always sees
 continuous/integer coordinates normalized to [0, 1] and targets
 standardized to zero mean and unit variance; reported trend, variance and
 predictions are in original units.
@@ -151,9 +149,8 @@ class _Workspace:
         self.levels = C - 1
         self.level_counts = points.space.level_counts
         self.layout = (self.n_numeric, self.level_counts)
-        # flat index of level pair (c_r, c_s) in the row-major L x L level matrix,
-        # held in F order (as its transpose's C-order array) like the factors it gathers
-        self.level_pairs = [(idx[None, :] * L + idx[:, None]).astype(np.intp).T
+        # flat index of level pair (c_r, c_s) in the row-major L x L level matrix
+        self.level_pairs = [(idx[:, None] * L + idx[None, :]).astype(np.intp)
                             for idx, L in zip(self.levels.T, self.level_counts)]
         self.y = targets
         self.ones = np.ones(self.n_points)
@@ -203,21 +200,20 @@ class _Workspace:
     def _factors(self, kind, flat, epsilon, levels=None, once=()) -> list[np.ndarray]:
         """R's n x n factors: exp(-theta . D), then R_i[c_r, c_s] per categorical variable.
 
-        Every factor is in F order, so their product is an R that LAPACK
-        factors in place.  A factor is keyed by the bytes of its slice of
-        ``flat``, and a categorical one also by ``kind`` and ``epsilon``.
-        ``levels`` and ``once`` come from :meth:`evaluate_block`: the level
-        matrices it built, by (variable, key), and the factors only one of
-        its rows needs (see :meth:`_memoized`).
+        A factor is keyed by the bytes of its slice of ``flat``, and a
+        categorical one also by ``kind`` and ``epsilon``.  ``levels`` and
+        ``once`` come from :meth:`evaluate_block`: the level matrices it
+        built, by (variable, key), and the factors only one of its rows
+        needs (see :meth:`_memoized`).
         """
         rates = flat[:self.n_numeric]
-        factors = [self._memoized(-1, rates.tobytes(), once, lambda: np.asfortranarray(np.exp(
-            -np.tensordot(rates, self.pair_powers, axes=1))))]
+        factors = [self._memoized(-1, rates.tobytes(), once, lambda: np.exp(
+            -np.tensordot(rates, self.pair_powers, axes=1)))]
         for i, L, values in self._variables(kind, flat):
             key = (kind, epsilon, values.tobytes())
             factors.append(self._memoized(i, key, once, lambda: (
                 levels[i, key] if levels is not None
-                else kr.categorical_matrix(kind, L, values, epsilon)).take(self.level_pairs[i].T).T))
+                else kr.categorical_matrix(kind, L, values, epsilon)).take(self.level_pairs[i])))
         return factors
 
     def forget(self) -> None:
@@ -225,21 +221,17 @@ class _Workspace:
         self._memo.clear()
 
     def _product(self, factors: list[np.ndarray]) -> np.ndarray:
-        """((E o G_1) o G_2) ... with an exact unit diagonal: R, no jitter.
-
-        R is a fresh F-order array (never a kept factor), so the scorer
-        may factor it in place.
-        """
+        """((E o G_1) o G_2) ... with an exact unit diagonal: R, no jitter."""
         E, *G = factors
-        R = np.multiply(E, G[0], order="F") if G else np.array(E, order="F")
+        R = E * G[0] if G else E.copy()
         for Gi in G[1:]:
             R *= Gi
-        R.reshape(-1, order="F")[::self.n_points + 1] = 1.0  # a view: R is F-contiguous
+        R.flat[::self.n_points + 1] = 1.0
         return R
 
     def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
-        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter, in C order."""
-        return np.ascontiguousarray(self._product(self._factors(kind, flat, epsilon)))
+        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
+        return self._product(self._factors(kind, flat, epsilon))
 
     def cross_correlations(self, kind, flat: np.ndarray, epsilon: float, points):
         """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
@@ -267,13 +259,9 @@ class _Workspace:
                 K *= table.take(C[rows, i] - 1, axis=0)
             yield rows, K
 
-    def _score(self, factors: list[np.ndarray], jitter: float) -> _Evaluation:
-        """Profiled likelihood of the workspace targets under the R of ``factors``.
-
-        One factorization, in place on a fresh R, and two solves.
-        """
-        build = lambda: self._product(factors)
-        chol, jitter_used = _cholesky_with_escalation(build(), jitter, build)
+    def _score(self, R: np.ndarray, jitter: float) -> _Evaluation:
+        """Profiled likelihood of the workspace targets under R: one factorization, two solves."""
+        chol, jitter_used = _cholesky_with_escalation(R, jitter)
         n = self.n_points
         a = _solve(chol, self.y)
         b = _solve(chol, self.ones)
@@ -290,7 +278,7 @@ class _Workspace:
         Raises NumericalFailure when R + jitter*I cannot be factored even
         after jitter escalation.
         """
-        return self._score(self._factors(kind, flat, epsilon), jitter)
+        return self._score(self.correlation(kind, flat, epsilon), jitter)
 
     def evaluate_block(self, kind, flats: np.ndarray, epsilon: float,
                        jitter: float) -> np.ndarray:
@@ -319,36 +307,30 @@ class _Workspace:
         lls = np.empty(len(flats))
         for row, flat in enumerate(flats):
             try:
-                factors = self._factors(kind, flat, epsilon, levels, once)
-                lls[row] = self._score(factors, jitter).log_likelihood
+                R = self._product(self._factors(kind, flat, epsilon, levels, once))
+                lls[row] = self._score(R, jitter).log_likelihood
             except NumericalFailure:
                 lls[row] = -math.inf
         return lls
 
 
-def _cholesky_with_escalation(R: np.ndarray, jitter: float,
-                              rebuild=None) -> tuple[np.ndarray, float]:
+def _cholesky_with_escalation(R: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
     """Cholesky factor of R + j*I in the lower triangle, escalating j by 10 up to JITTER_MAX.
 
     The upper triangle of the returned array is not cleared (it keeps R's
-    entries); solves read the lower triangle only.  Given ``rebuild``, R
-    must be a fresh F-order array: the first attempt factors it in place,
-    and only an escalation factors a new one from ``rebuild()``.  Without
-    it R is left as it is: each attempt factors an F-order copy.
+    entries); solves read the lower triangle only.  R itself is left as it
+    is: each attempt factors a fresh F-order copy.
     """
-    if rebuild is None:
-        rebuild = lambda: np.array(R, dtype=float, order="F")
-        R = rebuild()
     j = float(jitter)
     while True:
-        R.reshape(-1, order="F")[::R.shape[0] + 1] += j  # a view: R is F-contiguous
-        chol, info = dpotrf(R, lower=1, clean=0, overwrite_a=1)
+        work = np.array(R, dtype=float, order="F")
+        work.reshape(-1, order="F")[::work.shape[0] + 1] += j  # a view: work is F-contiguous
+        chol, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             return chol, j
         if j >= JITTER_MAX:
             raise NumericalFailure(f"Cholesky failed even with jitter {j:g}")
         j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
-        R = rebuild()
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +452,8 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
 def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
            y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
     """The model at theta, on a workspace holding the standardized targets."""
-    flat = ws.flat(theta)
-    R = ws.correlation(theta.kind, flat, theta.epsilon)  # a copy, intact for the refinement
-    ev = ws._score(ws._factors(theta.kind, flat, theta.epsilon), jitter)
+    R = ws.correlation(theta.kind, ws.flat(theta), theta.epsilon)
+    ev = ws._score(R, jitter)  # factors a copy: R stays intact for the refinement
     alpha = _refined_weights(R, ev.chol, ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
     ws.forget()  # a model keeps no evaluation state
