@@ -9,6 +9,7 @@ the built-in defaults of --seed and --jitter.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -29,6 +30,7 @@ from .errors import (
 from .optimize import write_trace
 from .space import (
     Categorical,
+    _reprs,
     _write_csv,
     load_dataset,
     load_points,
@@ -60,7 +62,9 @@ def _default_jitter() -> float:
     return float(os.environ.get("MIXEDGP_JITTER", repr(gp.JITTER_DEFAULT)))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; the handlers read the environment defaults."""
     parser = argparse.ArgumentParser(
         prog="mixedgp",
         description="Gaussian-process surrogates over mixed continuous/integer/categorical inputs.",
@@ -128,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_matrix(matrix: np.ndarray, level_names, path) -> None:
-    _write_csv(path, level_names, [[repr(v) for v in column] for column in matrix.T.tolist()],
+    _write_csv(path, level_names, [_reprs(column) for column in matrix.T], len(matrix),
                lineterminator="\n")
 
 

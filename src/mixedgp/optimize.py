@@ -113,12 +113,19 @@ class SearchResult(NamedTuple):
 
 
 class StartRecord(NamedTuple):
-    """One start of a multistart: ``n_evals - replayed`` of its values reached the objective."""
+    """One start of a multistart: ``n_evals - replayed`` of its values reached the objective.
+
+    ``stop`` says why the search ended: ``"converged"`` when its radius fell
+    below ``final_step``, ``"budget"`` when the next scoring step would
+    have exceeded the evaluation budget.  A start whose objective raised
+    leaves no record.
+    """
 
     start_index: int
     n_evals: int
     best_value: float
     replayed: int = 0
+    stop: str = "converged"
 
 
 class MultistartResult(NamedTuple):
@@ -161,8 +168,8 @@ def local_search(
 
 
 def _search(objective, bounds, start, config, batch_objective,
-            record: dict | None) -> tuple[SearchResult, int]:
-    """:func:`local_search`, and how many of its values came from ``record``.
+            record: dict | None) -> tuple[SearchResult, int, str]:
+    """:func:`local_search`, how many of its values came from ``record``, and why it stopped.
 
     ``record`` maps a search state ``(centre bytes, radius)`` (radius None
     for the start's own point) to the values its iteration scored, one
@@ -275,7 +282,8 @@ def _search(objective, bounds, start, config, batch_objective,
     except _BudgetExhausted:
         pass
 
-    return SearchResult(to_x(best_u), best_f, n_evals), replayed
+    stop = "converged" if delta < config.final_step else "budget"
+    return SearchResult(to_x(best_u), best_f, n_evals), replayed, stop
 
 
 def multistart(
@@ -318,12 +326,12 @@ def multistart(
     failures: list[ObjectiveFailure] = []
     for index, start in enumerate(starts):
         try:
-            result, replayed = _search(objective, bounds, start, config, batch_objective,
-                                       shared)
+            result, replayed, stop = _search(objective, bounds, start, config,
+                                             batch_objective, shared)
         except ObjectiveFailure as exc:
             failures.append(exc)
             continue
-        records.append(StartRecord(index, result.n_evals, result.value, replayed))
+        records.append(StartRecord(index, result.n_evals, result.value, replayed, stop))
         if best is None or result.value > best.value:
             best = result
     if best is None:

@@ -15,6 +15,7 @@ same container.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -451,46 +452,87 @@ def load_space(path) -> DesignSpace:
     return DesignSpace(tuple(variables))
 
 
-def _text_columns(points: PointBatch) -> list[list[str]]:
-    """Each variable's cells as a CSV file holds them, in space order."""
-    columns = {Continuous: iter(points.X.T.tolist()), Integer: iter(points.Z.T.tolist()),
-               Categorical: iter(points.C.T.tolist())}
+# A CSV column is a function from a slice of rows to their cells, quoted as
+# csv.writer quotes them.  A column of few distinct values formats each once
+# and gathers the texts; a column of distinct values formats row by row.
+
+_CHUNK_ROWS = 65536  # rows joined per write: a large file never holds all its text twice
+
+
+def _gathered(texts, index: np.ndarray):
+    """Cells ``texts[index[row]]``."""
+    table = np.array(texts, dtype=object)
+    return lambda rows: table[index[rows]].tolist()
+
+
+def _distinct(values, fmt):
+    """Cells ``fmt(value)``, formatted once per distinct value.
+
+    Values are told apart by their bits, not by ``==``: ``-0.0`` keeps its
+    own text.
+    """
+    bits, index = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    return _gathered([fmt(v) for v in bits.view(float).tolist()], index)
+
+
+def _reprs(values):
+    """Cells ``repr(value)``, formatted row by row."""
+    values = np.asarray(values, dtype=float)
+    return lambda rows: map(float.__repr__, values[rows].tolist())
+
+
+def _levels(names, C: np.ndarray):
+    """Cells of a categorical column: its level names, quoted once by csv.writer."""
+    # names hold no whitespace: one per line, and quoted as in any row
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([name] for name in names)
+    return _gathered(buf.getvalue().split("\n")[:-1], C - 1)
+
+
+def _text_columns(points: PointBatch) -> list:
+    """Each variable's CSV column, in space order."""
+    columns = {Continuous: iter(points.X.T), Integer: iter(points.Z.T),
+               Categorical: iter(points.C.T)}
     cells = []
     for v in points.space.variables:
         values = next(columns[type(v)])
         if isinstance(v, Continuous):
-            cells.append([repr(x) for x in values])
+            cells.append(_distinct(values, float.__repr__))
         elif isinstance(v, Integer):
-            cells.append([str(int(z)) for z in values])
+            cells.append(_distinct(values, lambda z: str(int(z))))
         else:
-            cells.append([v.levels[c - 1] for c in values])
+            cells.append(_levels(v.levels, values))
     return cells
 
 
-def _write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
+def _write_csv(path, header, columns, n_rows: int, lineterminator: str = "\r\n") -> None:
+    """The header row, then ``n_rows`` rows of ``columns``: the bytes csv.writer writes."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator=lineterminator)
-        w.writerow(header)
-        w.writerows(zip(*columns))
+        csv.writer(fh, lineterminator=lineterminator).writerow(header)
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            lines = map(",".join, zip(*(column(rows) for column in columns)))
+            fh.write(lineterminator.join(lines) + lineterminator)
 
 
 def save_points(space: DesignSpace, points, path) -> None:
     """Write a points file (no target column)."""
-    _write_csv(path, space.names(), _text_columns(PointBatch.of(space, points)))
+    points = PointBatch.of(space, points)
+    _write_csv(path, space.names(), _text_columns(points), len(points))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset file (points plus final ``target`` column)."""
     _write_csv(path, list(dataset.space.names()) + ["target"],
-               _text_columns(dataset.points) + [[repr(y) for y in dataset.targets.tolist()]])
+               _text_columns(dataset.points) + [_reprs(dataset.targets)], len(dataset))
 
 
 def save_predictions(points: PointBatch, means, variances, path) -> None:
     """Write the points plus ``mean`` and ``stddev`` columns, lines ending in a bare newline."""
     _write_csv(path, list(points.space.names()) + ["mean", "stddev"],
-               _text_columns(points) + [[repr(m) for m in np.asarray(means).tolist()],
-                                        [repr(s) for s in np.sqrt(variances).tolist()]],
-               lineterminator="\n")
+               _text_columns(points) + [_reprs(means), _reprs(np.sqrt(variances))],
+               len(points), lineterminator="\n")
 
 
 def _read_csv(space: DesignSpace, path, expect_target: bool | None):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,40 @@ def test_seed_env_override(tmp_path, cosine_files, monkeypatch):
     monkeypatch.delenv("MIXEDGP_SEED")
     assert main(["doe", str(space_file), "--n", "9", "--seed", "11", "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_main_called_twice_gives_what_two_fresh_processes_give(tmp_path, cosine_files,
+                                                               monkeypatch, capsys):
+    # the parser is built once per process; MIXEDGP_SEED is still read on every call
+    _, space_file, _ = cosine_files
+    calls = [("3", ["doe", str(space_file), "--n", "12", "--out", "{out}/doe.csv"]),
+             ("5", ["benchmark", "--problem", "cosine", "--kernels", "gd", "--doe-size", "8",
+                    "--starts", "1", "--budget", "30", "--out", "{out}/report.csv",
+                    "--export-corr-dir", "{out}/corr"])]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir(), here.mkdir()
+    for seed, argv in calls:
+        env = dict(os.environ, MIXEDGP_SEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-m", "mixedgp.cli"]
+                                + [a.format(out=fresh) for a in argv],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+    for seed, argv in calls:
+        monkeypatch.setenv("MIXEDGP_SEED", seed)
+        assert main([a.format(out=here) for a in argv]) == 0
+        with pytest.raises(SystemExit) as info:  # a usage error leaves the parser usable
+            main(["doe", str(space_file), "--method", "sobol", "--out", "x.csv"])
+        assert info.value.code == 2
+    capsys.readouterr()
+
+    def without_fit_seconds(path):
+        return [line.split(",")[:6] + line.split(",")[7:] for line in path.read_text().splitlines()]
+
+    for name in ("doe.csv", "corr/corr_gd.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    assert without_fit_seconds(here / "report.csv") == without_fit_seconds(fresh / "report.csv")
 
 
 def test_fit_rejects_nan_target(tmp_path, cosine_files, capsys):

@@ -220,6 +220,57 @@ def test_fit_multistart_monotone_on_nested_starts():
     assert richer.log_likelihood >= base.log_likelihood
 
 
+def test_every_start_says_why_it_stopped(monkeypatch):
+    """Small cosine fits of every kind: each start's stop reason matches how it ended.
+
+    A budget start stopped within one stencil of its budget.  A converged
+    start halved its radius after its last stencil, scored at a radius of at
+    least ``final_step``; rerun alone, that stencil is the objective's last
+    block, and its rows step away from the centre by that radius.
+    """
+    from mixedgp import gp
+    from mixedgp.benchmarks import cosine_function, cosine_space
+    from mixedgp.optimize import local_search
+
+    calls = []
+
+    def recording(objective, bounds, n_starts, config, **kwargs):
+        calls.append((objective, bounds, n_starts, config, kwargs))
+        return multistart(objective, bounds, n_starts, config, **kwargs)
+
+    multistart = gp.multistart
+    monkeypatch.setattr(gp, "multistart", recording)
+    space = cosine_space()
+    points = lhs(space, 20, seed=1)
+    ds = Dataset(space, points, [cosine_function(w.continuous[0], w.categorical[0])
+                                 for w in points])
+    seen = set()
+    for kind in K:
+        model = fit(ds, kind, 2, FitConfig(n_starts=3, max_evals=300))
+        objective, bounds, n_starts, config, kwargs = calls.pop()
+        budget, width = config.budget(bounds.dim), bounds.upper - bounds.lower
+        starts = [bounds.lower + (i + 0.5) / n_starts * width for i in range(n_starts)]
+        for record in model.start_log:
+            seen.add(record.stop)
+            if record.stop == "budget":
+                assert record.n_evals > budget - bounds.dim
+                continue
+            assert record.stop == "converged"
+            blocks = []
+
+            def block(V):
+                blocks.append(np.array(V))
+                return kwargs["batch_objective"](V)
+
+            again = local_search(objective, bounds, starts[record.start_index], config,
+                                 batch_objective=block)
+            assert again.n_evals == record.n_evals
+            stencil = blocks[-1]
+            radius = np.max(np.abs(stencil[0] - stencil[1]) / width)
+            assert config.final_step <= radius * (1 + 1e-6) and radius / 2 < config.final_step
+    assert seen == {"budget", "converged"}
+
+
 def test_fit_chol_reproduces_correlation():
     ds = mixed_dataset(15)
     model = fit(ds, K.EHH, 2, FitConfig(n_starts=1, max_evals=500))

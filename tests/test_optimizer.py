@@ -7,6 +7,7 @@ from mixedgp.errors import ObjectiveFailure
 from mixedgp.optimize import (
     BoxBounds,
     SearchConfig,
+    _search,
     local_search,
     multistart,
     write_trace,
@@ -279,7 +280,7 @@ class Counting:
 
 
 def independent_starts(objective, bounds, n_starts, config, extra_starts=(), batched=False):
-    """multistart's reference: one local_search per start, no state shared between them."""
+    """multistart's reference: one search per start, no state shared between them."""
     batch = (lambda X: np.array([objective(x) for x in X])) if batched else None
     starts = [bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)
               for i in range(n_starts)]
@@ -288,11 +289,11 @@ def independent_starts(objective, bounds, n_starts, config, extra_starts=(), bat
     best, records, failures = None, [], []
     for index, start in enumerate(starts):
         try:
-            result = local_search(objective, bounds, start, config, batch_objective=batch)
+            result, _, stop = _search(objective, bounds, start, config, batch, None)
         except ObjectiveFailure as exc:
             failures.append(exc)
             continue
-        records.append((index, result.n_evals, repr(result.value)))
+        records.append((index, result.n_evals, repr(result.value), stop))
         if best is None or result.value > best.value:
             best = result
     return best, records, failures
@@ -331,7 +332,8 @@ def assert_multistart_is_independent(objective, bounds, n_starts, config, batche
     result = multistart(counting, bounds, n_starts, config, **kwargs)
     assert result.point.tobytes() == best.point.tobytes()
     assert repr(result.value) == repr(best.value)
-    assert [(r.start_index, r.n_evals, repr(r.best_value)) for r in result.starts] == expected
+    assert [(r.start_index, r.n_evals, repr(r.best_value), r.stop)
+            for r in result.starts] == expected
     assert all(0 <= r.replayed <= r.n_evals for r in result.starts)
     if not failures:  # failed starts scored rows that no record counts
         assert counting.rows == sum(r.n_evals - r.replayed for r in result.starts)
@@ -386,8 +388,10 @@ def test_a_start_extends_a_record_the_budget_cut(batched):
     counting = Counting(corner)
     result = multistart(counting, bounds, 1, config, extra_starts=near,
                         batch_objective=counting.block if batched else None)
-    assert [(r.start_index, r.n_evals, repr(r.best_value)) for r in result.starts] == expected
+    assert [(r.start_index, r.n_evals, repr(r.best_value), r.stop)
+            for r in result.starts] == expected
     cut, extended = result.starts
+    assert cut.stop == extended.stop == "budget"
     assert (cut.n_evals, cut.replayed) == (21, 0)
     assert (extended.n_evals, extended.replayed) == (21, 14)
     assert counting.rows == 21 + 7
