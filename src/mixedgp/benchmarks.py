@@ -240,7 +240,7 @@ class BenchmarkResult:
             raise ValueError("rmse must be non-negative")
 
 
-def _warm_starts(kind, previous: dict, epsilon: float) -> tuple:
+def _warm_starts(kind, previous: dict) -> tuple:
     """Embed already-fitted kinds without angles (CR, then GD) into ``kind``.
 
     Only sources of lower nesting rank are used; a source that ``kind``
@@ -253,12 +253,12 @@ def _warm_starts(kind, previous: dict, epsilon: float) -> tuple:
     for src_kind in sources:
         theta = previous[src_kind].theta_star
         try:
-            embedded = [kr.embed_hyper_matrix(kind, src_kind, L, theta.variable(i), epsilon)
+            embedded = [kr.embed_hyper_matrix(kind, src_kind, L, theta.variable(i))
                         for i, L in enumerate(theta.layout[1])]
         except MixedGpError:
             continue
         flat = np.concatenate([theta.rates, *embedded])
-        starts.append(kr.HyperparameterSet(kind, theta.layout, flat, epsilon))
+        starts.append(kr.HyperparameterSet(kind, theta.layout, flat))
     return tuple(starts)
 
 
@@ -271,7 +271,6 @@ def _run_problem(
     seed: int,
     p: int,
     fit_config: gp.FitConfig,
-    epsilon: float,
 ):
     """Sample, fit every kind and score on the validation grid; ``truth`` maps a batch to values."""
     kinds = [kr.CategoricalKernelKind.parse(k) if isinstance(k, str) else k for k in kinds]
@@ -287,10 +286,10 @@ def _run_problem(
     for kind in sorted(dict.fromkeys(kinds), key=lambda k: kr.KINDS[k].nesting_rank):
         config = replace(
             fit_config,
-            extra_starts=fit_config.extra_starts + _warm_starts(kind, fitted, epsilon),
+            extra_starts=fit_config.extra_starts + _warm_starts(kind, fitted),
         )
         try:
-            model = gp.fit(dataset, kind, p, config, epsilon)
+            model = gp.fit(dataset, kind, p, config)
             means, variances = gp.predict(model, validation_points)
         except MixedGpError as exc:
             errors[kind] = exc
@@ -308,7 +307,7 @@ def _run_problem(
         )
         if space.n_categorical:
             corr[kind] = kr.categorical_matrix(
-                kind, space.level_counts[0], model.theta_star.variable(0), epsilon
+                kind, space.level_counts[0], model.theta_star.variable(0)
             )
     ordered = [results[k] for k in kinds if k in results]
     return ordered, corr, errors
@@ -321,7 +320,6 @@ def run_cosine_benchmark(
     p: int = 2,
     fit_config: gp.FitConfig | None = None,
     grid_points: int = 1000,
-    epsilon: float = kr.EPSILON,
 ):
     """Cosine problem: LHS training set, 13 x grid_points validation grid.
 
@@ -333,7 +331,7 @@ def run_cosine_benchmark(
     truth = lambda points: cosine_function(points.X[:, 0], points.C[:, 0])
     return _run_problem(
         space, truth, validation, kinds, doe_size, seed, p,
-        fit_config or gp.FitConfig(seed=seed), epsilon,
+        fit_config or gp.FitConfig(seed=seed),
     )
 
 
@@ -345,7 +343,6 @@ def run_cantilever_benchmark(
     cfg: CantileverConfig = CantileverConfig(),
     fit_config: gp.FitConfig | None = None,
     grid_points: tuple[int, int] = (30, 30),
-    epsilon: float = kr.EPSILON,
 ):
     """Cantilever beam: LHS training set, 12 x 30 x 30 validation grid.
 
@@ -358,7 +355,7 @@ def run_cantilever_benchmark(
     )
     return _run_problem(
         space, truth, validation, kinds, doe_size, seed, p,
-        fit_config or gp.FitConfig(seed=seed), epsilon,
+        fit_config or gp.FitConfig(seed=seed),
     )
 
 

@@ -271,8 +271,7 @@ def _cmd_export_corr(args) -> int:
         print(f"error: variable {args.variable} is not categorical", file=sys.stderr)
         return EXIT_VALIDATION
     i = cat_positions.index(position)
-    matrix = kr.categorical_matrix(model.kind, space.level_counts[i],
-                                   model.theta_star.variable(i), model.epsilon)
+    matrix = kr.categorical_matrix(model.kind, space.level_counts[i], model.theta_star.variable(i))
     _write_matrix(matrix, space.variables[position].levels, args.out)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} correlation matrix to {args.out}")
     return 0

@@ -52,17 +52,14 @@ def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> PointBatch:
     return PointBatch.from_columns(space, columns)
 
 
-def grid(
-    space: DesignSpace,
-    points_per_dim,
-    size_cap: int = GRID_SIZE_CAP,
-) -> PointBatch:
+def grid(space: DesignSpace, points_per_dim) -> PointBatch:
     """Full-factorial grid, row-major in variable order.
 
     ``points_per_dim`` lists one count per continuous/integer variable (in
     space order); categorical variables always contribute all their levels.
     Continuous axes are linspace(lower, upper, count); integer axes use the
-    rounded linspace.
+    rounded linspace.  A grid of more than GRID_SIZE_CAP points raises
+    SizeOverflow before any is built.
     """
     counts = [int(c) for c in points_per_dim]
     n_numeric = space.n_continuous + space.n_integer
@@ -86,8 +83,8 @@ def grid(
                 values = np.rint(values)
         axes.append(values)
         total *= values.size
-        if total > size_cap:
-            raise SizeOverflow(f"grid would hold {total} > {size_cap} points")
+        if total > GRID_SIZE_CAP:
+            raise SizeOverflow(f"grid would hold {total} > {GRID_SIZE_CAP} points")
     return PointBatch.from_columns(
         space, [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij", copy=False)]
     )

@@ -89,7 +89,9 @@ class FitConfig:
 
     ``max_evals`` is the optimizer budget per start (500 * dim when None).
     ``extra_starts`` may carry :class:`~mixedgp.kernels.HyperparameterSet`
-    warm starts appended after the evenly spaced diagonal starts.
+    warm starts appended after the evenly spaced diagonal starts.  The
+    search draws nothing at random: ``seed`` is carried for provenance only,
+    the seed of the design a fit was run on (``mixedgp fit --seed``).
     """
 
     n_starts: int = 10
@@ -177,10 +179,10 @@ class _Workspace:
             yield i, L, flat[..., pos:pos + k]
             pos += k
 
-    def _categorical_factors(self, kind, flat, epsilon):
+    def _categorical_factors(self, kind, flat):
         """(variable index, level matrix) per categorical variable."""
         for i, L, values in self._variables(kind, flat):
-            yield i, kr.categorical_matrix(kind, L, values, epsilon)
+            yield i, kr.categorical_matrix(kind, L, values)
 
     def _memoized(self, block: int, key, once, build) -> np.ndarray:
         """Block ``block``'s factor at ``key``, built only when the key changed.
@@ -197,11 +199,11 @@ class _Workspace:
             self._memo[block] = (key, factor)
         return factor
 
-    def _factors(self, kind, flat, epsilon, levels=None, once=()) -> list[np.ndarray]:
+    def _factors(self, kind, flat, levels=None, once=()) -> list[np.ndarray]:
         """R's n x n factors: exp(-theta . D), then R_i[c_r, c_s] per categorical variable.
 
         A factor is keyed by the bytes of its slice of ``flat``, and a
-        categorical one also by ``kind`` and ``epsilon``.  ``levels`` and
+        categorical one also by ``kind``.  ``levels`` and
         ``once`` come from :meth:`evaluate_block`: the level matrices it
         built, by (variable, key), and the factors only one of its rows
         needs (see :meth:`_memoized`).
@@ -210,10 +212,10 @@ class _Workspace:
         factors = [self._memoized(-1, rates.tobytes(), once, lambda: np.exp(
             -np.tensordot(rates, self.pair_powers, axes=1)))]
         for i, L, values in self._variables(kind, flat):
-            key = (kind, epsilon, values.tobytes())
+            key = (kind, values.tobytes())
             factors.append(self._memoized(i, key, once, lambda: (
                 levels[i, key] if levels is not None
-                else kr.categorical_matrix(kind, L, values, epsilon)).take(self.level_pairs[i])))
+                else kr.categorical_matrix(kind, L, values)).take(self.level_pairs[i])))
         return factors
 
     def forget(self) -> None:
@@ -229,11 +231,11 @@ class _Workspace:
         R.flat[::self.n_points + 1] = 1.0
         return R
 
-    def correlation(self, kind, flat: np.ndarray, epsilon: float) -> np.ndarray:
+    def correlation(self, kind, flat: np.ndarray) -> np.ndarray:
         """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
-        return self._product(self._factors(kind, flat, epsilon))
+        return self._product(self._factors(kind, flat))
 
-    def cross_correlations(self, kind, flat: np.ndarray, epsilon: float, points):
+    def cross_correlations(self, kind, flat: np.ndarray, points):
         """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
 
         Each block has shape (len(rows), n_train); the |x_new - x_train|^p
@@ -243,7 +245,7 @@ class _Workspace:
         XZ = np.hstack([X, Z])
         theta = flat[:self.n_numeric]
         tables = [(i, Ri[:, self.levels[:, i]])
-                  for i, Ri in self._categorical_factors(kind, flat, epsilon)]
+                  for i, Ri in self._categorical_factors(kind, flat)]
         work = np.empty((min(len(points), _PREDICT_CHUNK + 1), self.n_points, self.n_numeric))
         for rows in _row_chunks(len(points)):
             diffs = work[:rows.stop - rows.start]
@@ -272,16 +274,15 @@ class _Workspace:
         ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
         return _Evaluation(ll, mu, sigma2, chol, jitter_used, b)
 
-    def evaluate(self, kind, flat: np.ndarray, epsilon: float, jitter: float) -> _Evaluation:
+    def evaluate(self, kind, flat: np.ndarray, jitter: float) -> _Evaluation:
         """Profiled likelihood of the workspace targets at ``flat``.
 
         Raises NumericalFailure when R + jitter*I cannot be factored even
         after jitter escalation.
         """
-        return self._score(self.correlation(kind, flat, epsilon), jitter)
+        return self._score(self.correlation(kind, flat), jitter)
 
-    def evaluate_block(self, kind, flats: np.ndarray, epsilon: float,
-                       jitter: float) -> np.ndarray:
+    def evaluate_block(self, kind, flats: np.ndarray, jitter: float) -> np.ndarray:
         """Log-likelihoods at the rows of ``flats`` (m, size), -inf where R cannot be factored.
 
         Row by row, the value has the bits of :meth:`evaluate` at that row:
@@ -296,18 +297,18 @@ class _Workspace:
         keys = {-1: [rates.tobytes() for rates in flats[:, :self.n_numeric]]}
         levels = {}
         for i, L, values in self._variables(kind, flats):
-            keys[i] = [(kind, epsilon, row.tobytes()) for row in values]
+            keys[i] = [(kind, row.tobytes()) for row in values]
             first = {}
             for row, key in enumerate(keys[i]):
                 first.setdefault(key, row)
-            stack = kr.categorical_matrix(kind, L, values[list(first.values())], epsilon)
+            stack = kr.categorical_matrix(kind, L, values[list(first.values())])
             levels.update(((i, key), level) for key, level in zip(first, stack))
         once = {(block, key) for block, column in keys.items()
                 for key, count in Counter(column).items() if count == 1}
         lls = np.empty(len(flats))
         for row, flat in enumerate(flats):
             try:
-                R = self._product(self._factors(kind, flat, epsilon, levels, once))
+                R = self._product(self._factors(kind, flat, levels, once))
                 lls[row] = self._score(R, jitter).log_likelihood
             except NumericalFailure:
                 lls[row] = -math.inf
@@ -343,7 +344,7 @@ def correlation_matrix(dataset: Dataset, theta: kr.HyperparameterSet, p: int = 2
     Symmetric with exact unit diagonal; no jitter is added here.
     """
     ws = _Workspace(dataset.points, p, dataset.targets)
-    return ws.correlation(theta.kind, ws.flat(theta), theta.epsilon)
+    return ws.correlation(theta.kind, ws.flat(theta))
 
 
 def concentrated_log_likelihood(
@@ -362,7 +363,7 @@ def concentrated_log_likelihood(
     jitter escalation.
     """
     ws = _Workspace(dataset.points, p, dataset.targets)
-    return ws.evaluate(theta.kind, ws.flat(theta), theta.epsilon, jitter).log_likelihood
+    return ws.evaluate(theta.kind, ws.flat(theta), jitter).log_likelihood
 
 
 def standardize_targets(dataset: Dataset) -> tuple[Dataset, float, float]:
@@ -407,10 +408,6 @@ class GpModel:
     _r_inv_ones: np.ndarray = field(repr=False, default=None)
 
     @property
-    def epsilon(self) -> float:
-        return self.theta_star.epsilon
-
-    @property
     def mu_std(self) -> float:
         return (self.mu_hat - self.y_mean) / self.y_scale
 
@@ -452,7 +449,7 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
 def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
            y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
     """The model at theta, on a workspace holding the standardized targets."""
-    R = ws.correlation(theta.kind, ws.flat(theta), theta.epsilon)
+    R = ws.correlation(theta.kind, ws.flat(theta))
     ev = ws._score(R, jitter)  # factors a copy: R stays intact for the refinement
     alpha = _refined_weights(R, ev.chol, ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
@@ -494,7 +491,6 @@ def fit(
     kind: kr.CategoricalKernelKind,
     p: int = 2,
     config: FitConfig = FitConfig(),
-    epsilon: float = kr.EPSILON,
 ) -> GpModel:
     """Maximum-likelihood fit via deterministic multistart derivative-free search.
 
@@ -512,14 +508,13 @@ def fit(
 
     def objective(v: np.ndarray) -> float:
         try:
-            ev = ws.evaluate(kind, kr.natural_from_search(v, log_mask), epsilon, config.jitter)
+            ev = ws.evaluate(kind, kr.natural_from_search(v, log_mask), config.jitter)
         except NumericalFailure:
             return -math.inf
         return ev.log_likelihood
 
     def batch_objective(V: np.ndarray) -> np.ndarray:
-        return ws.evaluate_block(kind, kr.natural_from_search(V, log_mask), epsilon,
-                                 config.jitter)
+        return ws.evaluate_block(kind, kr.natural_from_search(V, log_mask), config.jitter)
 
     extra = []
     for hp in config.extra_starts:
@@ -529,12 +524,12 @@ def fit(
             )
         extra.append(kr.search_from_natural(ws.flat(hp), log_mask))
 
-    search_cfg = SearchConfig(max_evals=config.max_evals, seed=config.seed)
+    search_cfg = SearchConfig(max_evals=config.max_evals)
     result: MultistartResult = multistart(
         objective, bounds, config.n_starts, search_cfg, extra_starts=tuple(extra),
         batch_objective=batch_objective,
     )
-    theta_star = kr.set_from_search_vector(space, kind, result.point, epsilon)
+    theta_star = kr.set_from_search_vector(space, kind, result.point)
     model = _model(ws, dataset, theta_star, config.jitter, y_mean, y_scale,
                    fit_seconds=time.perf_counter() - t0)
     # sanity: the model stores exactly the value the optimizer maximized
@@ -578,8 +573,7 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     theta = model.theta_star
     means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
-    for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat, theta.epsilon,
-                                                       batch):
+    for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat, batch):
         mean_std = model.mu_std + K @ model._alpha
         means[rows] = model.y_mean + model.y_scale * mean_std
         v = _solve(model.chol, K.T)
@@ -615,7 +609,7 @@ def save_model(model: GpModel, path) -> None:
         "version": 1,
         "kernel": model.kind.value,
         "p": model.p,
-        "epsilon": model.epsilon,
+        "epsilon": kr.EPSILON,
         "jitter": model.jitter,
         "theta_flat": model.theta_star.flat.tolist(),
         "mu_hat": model.mu_hat,
@@ -644,8 +638,9 @@ def load_model(path) -> GpModel:
     """Rebuild a model saved by :func:`save_model` (bit-identical predictions).
 
     Raises ParseError when the file is not a model file, misses a key, holds
-    a value of the wrong type, or its hyperparameters are not finite or
-    violate their domain (negative rates, say).
+    a value of the wrong type, its ``epsilon`` is not :data:`~mixedgp.kernels.EPSILON`,
+    or its hyperparameters are not finite or violate their domain (negative
+    rates, say).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -670,10 +665,10 @@ def load_model(path) -> GpModel:
         p = kr.check_exponent(doc["p"])
         if not (math.isfinite(doc["jitter"]) and doc["jitter"] > 0):
             raise ValueError(f"jitter must be positive, got {doc['jitter']!r}")
-        theta_flat = np.array(doc["theta_flat"], dtype=float)
-        if not np.all(np.isfinite(theta_flat)):
-            raise ValueError("theta_flat holds a non-finite value")
-        theta = kr.HyperparameterSet.from_flat(space, kind, theta_flat, doc["epsilon"])
+        if doc["epsilon"] != kr.EPSILON:
+            raise ValueError(f"epsilon must be {kr.EPSILON!r}, the kernel's constant; "
+                             f"got {doc['epsilon']!r}")
+        theta = kr.HyperparameterSet.from_flat(space, kind, doc["theta_flat"])
     except (KeyError, TypeError, ValueError, MixedGpError) as exc:
         raise ParseError(f"{path}: invalid model file: {exc}") from exc
     return build_model(dataset, theta, p, float(doc["jitter"]),

@@ -30,7 +30,7 @@ where ``G = C C^T`` and ``C`` is the lower-triangular hypersphere
 decomposition built from the angle entries of the hyperparameter matrix.
 GD, CR, EHH and FE produce symmetric positive definite matrices with unit
 diagonal and entries in [0, 1]; EHH entries are additionally bounded below
-by ``eps``.  HH correlations may be negative.
+by ``eps``, the constant :data:`EPSILON`.  HH correlations may be negative.
 
 The exponent ``p`` never reaches the categorical part, so categorical
 correlation matrices are identical for p = 1 and p = 2.
@@ -82,7 +82,9 @@ __all__ = [
     "set_from_search_vector",
 ]
 
-# Correlation floor of the exponential hypersphere map; exp(-20) ~ 2.06e-9.
+# Correlation floor of the exponential hypersphere map, a constant of the
+# kernel: exp(-20) ~ 2.06e-9, the correlation the lower bound of
+# THETA_LOG_BOUNDS gives a rate over a unit normalized distance.
 EPSILON = float(np.exp(-20.0))
 
 # Default search box for exponential-scale hyperparameters, in log space.
@@ -141,32 +143,32 @@ def _fill_diagonal(M, value) -> None:
     M.reshape(M.shape[:-2] + (L * L,))[..., ::L + 1] = value
 
 
-def _diagonal_phi(gram, diagonal, epsilon):
+def _diagonal_phi(gram, diagonal):
     """GD/CR: Theta's diagonal, zero off the diagonal."""
     phi = np.zeros(diagonal.shape + diagonal.shape[-1:])
     _fill_diagonal(phi, diagonal)
     return phi
 
 
-def _exponential_sphere_phi(gram, diagonal, epsilon):
+def _exponential_sphere_phi(gram, diagonal):
     """EHH/FE: (log eps)/2 (G - 1) off the diagonal, Theta's diagonal on it."""
-    phi = 0.5 * math.log(epsilon) * (gram - 1.0)
+    phi = 0.5 * math.log(EPSILON) * (gram - 1.0)
     _fill_diagonal(phi, diagonal)
     return phi
 
 
-def _sphere_phi(gram, diagonal, epsilon):
+def _sphere_phi(gram, diagonal):
     """HH: G/2 off the diagonal and 1 on it, so the diagonal kappa factors are 1."""
     phi = 0.5 * gram
     _fill_diagonal(phi, 1.0)
     return phi
 
 
-def _ehh_angles(R, epsilon):
+def _ehh_angles(R):
     """EHH angles reproducing R once its entries are clipped into (eps, 1]."""
-    R = np.clip(R, epsilon * (1.0 + 1e-9), 1.0)
+    R = np.clip(R, EPSILON * (1.0 + 1e-9), 1.0)
     np.fill_diagonal(R, 1.0)
-    return recover_angles_from_correlation(R, epsilon)
+    return recover_angles_from_correlation(R)
 
 
 @dataclass(frozen=True)
@@ -178,10 +180,10 @@ class KindRule:
     "per-level" (one theta_jj per level) or "zero"; packed diagonal values
     are searched in log space.  The angles, Theta's strict lower triangle,
     are searched in [0, angle_upper]; 0 means the kind has none.  ``phi``
-    builds Phi from the hypersphere Gram matrix (None without angles),
-    Theta's diagonal and epsilon.  ``angles_from_correlation`` gives packed
-    angles reproducing a level correlation matrix; kinds without it take a
-    warm start's diagonal instead.  ``nesting_rank`` orders warm starts.
+    builds Phi from the hypersphere Gram matrix (None without angles) and
+    Theta's diagonal.  ``angles_from_correlation`` gives packed angles
+    reproducing a level correlation matrix; kinds without it take a warm
+    start's diagonal instead.  ``nesting_rank`` orders warm starts.
     """
 
     kappa: Callable
@@ -200,8 +202,7 @@ KINDS: dict[CategoricalKernelKind, KindRule] = {
     _K.EHH: KindRule(_exp_kappa, "zero", math.pi / 2.0, _exponential_sphere_phi, 2, _ehh_angles),
     _K.FE: KindRule(_exp_kappa, "per-level", math.pi / 2.0, _exponential_sphere_phi, 2),
     # HH's angles take R itself as their Gram matrix
-    _K.HH: KindRule(_identity_kappa, "zero", math.pi, _sphere_phi, 3,
-                    lambda R, epsilon: gram_to_angles(R)),
+    _K.HH: KindRule(_identity_kappa, "zero", math.pi, _sphere_phi, 3, lambda R: gram_to_angles(R)),
 }
 
 
@@ -313,13 +314,13 @@ class HyperparameterSet:
     followed by each categorical variable's packed values (see
     :class:`KindRule`).  ``rates`` and ``variable(i)`` are views of it.
     Build a set with :meth:`from_flat`; the fields' constructor runs the
-    same checks: the length, and that every exponential-scale slot is >= 0.
+    same checks: the length, that every entry is finite and that every
+    exponential-scale slot is >= 0.
     """
 
     kind: CategoricalKernelKind
     layout: tuple[int, tuple[int, ...]]
     flat: np.ndarray
-    epsilon: float = EPSILON
 
     def __post_init__(self):
         n_rates, level_counts = self.layout
@@ -328,20 +329,19 @@ class HyperparameterSet:
         flat.flags.writeable = False
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "flat", flat)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
         mask = _log_mask(self.kind, layout)
         if flat.size != mask.size:
             raise ShapeMismatch(f"flat vector of length {flat.size}, {self.kind.value} "
                                 f"on layout {layout} needs {mask.size}")
-        if not np.all(flat[mask] >= 0):
-            raise ValueError(f"{self.kind.value}: exponential-scale entries must be >= 0")
+        if not (np.all(np.isfinite(flat)) and np.all(flat[mask] >= 0)):
+            raise ValueError(f"{self.kind.value}: entries must be finite, and "
+                             "exponential-scale entries must be >= 0")
 
     @classmethod
-    def from_flat(cls, space: DesignSpace, kind: CategoricalKernelKind, flat,
-                  epsilon: float = EPSILON) -> "HyperparameterSet":
+    def from_flat(cls, space: DesignSpace, kind: CategoricalKernelKind,
+                  flat) -> "HyperparameterSet":
         """``kind``'s hyperparameters on ``space``, from their natural-units vector."""
-        return cls(kind, _layout(space), flat, epsilon)
+        return cls(kind, _layout(space), flat)
 
     @property
     def rates(self) -> np.ndarray:
@@ -357,8 +357,7 @@ class HyperparameterSet:
 
     def __eq__(self, other):
         return (isinstance(other, HyperparameterSet) and self.kind is other.kind
-                and self.layout == other.layout and self.epsilon == other.epsilon
-                and np.array_equal(self.flat, other.flat))
+                and self.layout == other.layout and np.array_equal(self.flat, other.flat))
 
 
 def hyperparameter_count(space: DesignSpace, kind: CategoricalKernelKind) -> int:
@@ -437,19 +436,18 @@ def phi_transform(
     kind: CategoricalKernelKind,
     n_levels: int,
     values,
-    epsilon: float = EPSILON,
 ) -> np.ndarray:
     """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values."""
     L, pack, values = _packed(kind, n_levels, values)
-    return _phi(KINDS[kind], pack, L, values, epsilon)
+    return _phi(KINDS[kind], pack, L, values)
 
 
-def _phi(rule: KindRule, pack: _Packing, L: int, values: np.ndarray, epsilon) -> np.ndarray:
+def _phi(rule: KindRule, pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
     gram = None
     if rule.angle_upper > 0:
         C = _hypersphere(pack, L, values)
         gram = C @ np.swapaxes(C, -1, -2)
-    return rule.phi(gram, _theta_diagonal(pack, L, values), epsilon)
+    return rule.phi(gram, _theta_diagonal(pack, L, values))
 
 
 def level_correlation(
@@ -473,7 +471,6 @@ def categorical_matrix(
     kind: CategoricalKernelKind,
     n_levels: int,
     values,
-    epsilon: float = EPSILON,
 ) -> np.ndarray:
     """Full L x L level correlation matrix R_i(Theta_i) from packed values.
 
@@ -486,7 +483,7 @@ def categorical_matrix(
     """
     L, pack, values = _packed(kind, n_levels, values, stack=True)
     rule = KINDS[kind]
-    phi = _phi(rule, pack, L, values, epsilon)
+    phi = _phi(rule, pack, L, values)
     d = np.diagonal(phi, axis1=-2, axis2=-1)
     R = rule.kappa(2.0 * phi, d[..., :, None], d[..., None, :])
     _fill_diagonal(R, 1.0)
@@ -523,7 +520,7 @@ def mixed_kernel(
         value *= integer_kernel(w_r.integer, w_s.integer, theta.rates[n_cont:], p)
     for i, (L, lr, ls) in enumerate(zip(level_counts, w_r.categorical, w_s.categorical)):
         if lr != ls:
-            phi = phi_transform(theta.kind, L, theta.variable(i), theta.epsilon)
+            phi = phi_transform(theta.kind, L, theta.variable(i))
             value *= level_correlation(theta.kind, phi, lr, ls)
     return float(value)
 
@@ -532,12 +529,12 @@ def mixed_kernel(
 # inverse maps: Gram matrix -> angles, correlation matrix -> EHH angles
 # ---------------------------------------------------------------------------
 
-def gram_to_angles(gram: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def gram_to_angles(gram: np.ndarray) -> np.ndarray:
     """Spherical angles whose hypersphere factor reproduces ``gram``.
 
     ``gram`` must be symmetric positive semidefinite with unit diagonal
-    (semidefiniteness is accepted up to ``tol`` so that matrices produced
-    by a forward pass survive rounding).  Returns the packed
+    (semidefiniteness is accepted up to an eigenvalue of -1e-8 so that
+    matrices produced by a forward pass survive rounding).  Returns the packed
     strict-lower-triangle angle vector (row-major), the inverse of
     ``C C^T`` composed with :func:`hypersphere_lower_triangular`.
     """
@@ -549,13 +546,13 @@ def gram_to_angles(gram: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise NotRepresentable("Gram matrix must have unit diagonal")
     # hypersphere Gram matrices are frequently singular to rounding (the
     # factor diagonal multiplies many sines), so semidefiniteness is
-    # accepted up to tol via a tiny eigenvalue shift before factorization
+    # accepted up to -1e-8 via a tiny eigenvalue shift before factorization
     gram = 0.5 * (gram + gram.T)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(gram).min())
-        if smallest < -tol:
+        if smallest < -1e-8:
             raise NotRepresentable("Gram matrix is not positive semidefinite") from None
         shift = max(-smallest, 0.0) + 1e-13
         shifted = (gram + shift * np.eye(L)) / (1.0 + shift)
@@ -576,10 +573,7 @@ def gram_to_angles(gram: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return angles[_tril_indices(L, with_diag=False)]
 
 
-def recover_angles_from_correlation(
-    T: np.ndarray,
-    epsilon: float = EPSILON,
-) -> np.ndarray:
+def recover_angles_from_correlation(T: np.ndarray) -> np.ndarray:
     """Packed EHH angles whose correlation matrix is ``T``.
 
     Inverts the elementwise map t = eps * exp(-log(eps) * g) to get the unit
@@ -597,9 +591,9 @@ def recover_angles_from_correlation(
         raise ShapeMismatch("correlation matrix must be symmetric")
     if not np.allclose(np.diag(T), 1.0):
         raise NotRepresentable("correlation matrix must have unit diagonal")
-    if np.any(T <= epsilon):
-        raise NotRepresentable(f"entries must exceed epsilon = {epsilon:g}")
-    gram = 1.0 + np.log(T) / (-math.log(epsilon))
+    if np.any(T <= EPSILON):
+        raise NotRepresentable(f"entries must exceed epsilon = {EPSILON:g}")
+    gram = 1.0 + np.log(T) / (-math.log(EPSILON))
     np.fill_diagonal(gram, 1.0)
     return gram_to_angles(gram)
 
@@ -609,7 +603,6 @@ def embed_hyper_matrix(
     source_kind: CategoricalKernelKind,
     n_levels: int,
     values,
-    epsilon: float = EPSILON,
 ) -> np.ndarray:
     """``kind``'s packed values reproducing the correlations of a GD or CR variable.
 
@@ -623,7 +616,7 @@ def embed_hyper_matrix(
     L, source_pack, values = _packed(source_kind, n_levels, values)
     inverse = KINDS[kind].angles_from_correlation
     if inverse is not None:
-        return inverse(categorical_matrix(source_kind, L, values, epsilon), epsilon)
+        return inverse(categorical_matrix(source_kind, L, values))
     if KINDS[source_kind].angle_upper > 0:
         raise NotRepresentable(f"{kind.value} takes only the source's diagonal; the angles "
                                f"of a {source_kind.value} source would be lost")
@@ -674,15 +667,17 @@ def search_from_natural(flat: np.ndarray, log_mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def set_from_search_vector(
-    space: DesignSpace,
-    kind: CategoricalKernelKind,
-    vector,
-    epsilon: float = EPSILON,
-) -> HyperparameterSet:
-    """Decode an optimizer vector (log thetas + angles) into a HyperparameterSet."""
+def set_from_search_vector(space: DesignSpace, kind: CategoricalKernelKind,
+                           vector) -> HyperparameterSet:
+    """Decode an optimizer vector (log thetas + angles) into a HyperparameterSet.
+
+    The length and finiteness are checked before the exponential map, which
+    would broadcast one value, send -inf to a zero rate and cap +inf.
+    """
     vector = np.asarray(vector, dtype=float).reshape(-1)
     mask = _log_mask(kind, _layout(space))
     if vector.size != mask.size:
         raise ShapeMismatch(f"search vector length {vector.size}, expected {mask.size}")
-    return HyperparameterSet.from_flat(space, kind, natural_from_search(vector, mask), epsilon)
+    if not np.all(np.isfinite(vector)):
+        raise ValueError("search vector entries must be finite")
+    return HyperparameterSet.from_flat(space, kind, natural_from_search(vector, mask))

@@ -31,7 +31,7 @@ deterministic function of the point.  The record lives for one
 multistart call; :func:`local_search` alone keeps none.
 
 Everything here is deterministic: identical inputs give bit-identical
-results, independent of the seed (which is carried for provenance only).
+results; nothing is drawn at random.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class SearchConfig:
     initial_step: float = 0.25
     final_step: float = 1e-6
     max_evals: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.final_step < self.initial_step <= 0.5:

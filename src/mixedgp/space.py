@@ -178,8 +178,10 @@ class DesignSpace:
 class MixedPoint:
     """One point of a mixed space, coordinates split by variable kind.
 
-    ``categorical`` holds 1-based level indices.  ``integer`` holds numbers
-    (floats are accepted so normalized points reuse the container).
+    ``categorical`` holds 1-based level indices, as ints; a value that is
+    not a whole number stays a float, for :func:`validate_point` to refuse.
+    ``integer`` holds numbers (floats are accepted so normalized points
+    reuse the container).
     """
 
     continuous: tuple[float, ...] = ()
@@ -189,14 +191,16 @@ class MixedPoint:
     def __post_init__(self):
         object.__setattr__(self, "continuous", tuple(map(float, self.continuous)))
         object.__setattr__(self, "integer", tuple(map(float, self.integer)))
-        object.__setattr__(self, "categorical", tuple(map(int, self.categorical)))
+        object.__setattr__(self, "categorical", tuple(
+            int(c) if float(c).is_integer() else float(c) for c in self.categorical))
 
 
 def validate_point(space: DesignSpace, point: MixedPoint) -> None:
     """Check every coordinate of ``point`` against its variable spec.
 
     Raises OutOfBounds (NotIntegral for an integer coordinate that is not a
-    whole number) or LevelOutOfRange on the first violation;
+    whole number) or LevelOutOfRange (for a level that is not a whole number
+    in 1..n_levels) on the first violation;
     DimensionMismatch if the coordinate counts disagree with the space.
     """
     if (
@@ -218,7 +222,7 @@ def validate_point(space: DesignSpace, point: MixedPoint) -> None:
         if not z.is_integer():
             raise NotIntegral(i, z, spec.lower, spec.upper)
     for i, (spec, c) in enumerate(zip(space.categorical, point.categorical)):
-        if not 1 <= c <= spec.n_levels:
+        if not (isinstance(c, int) and 1 <= c <= spec.n_levels):
             raise LevelOutOfRange(i, c, spec.n_levels)
 
 
@@ -306,8 +310,8 @@ class PointBatch:
         n, by_kind = len(columns[0]), {Continuous: [], Integer: [], Categorical: []}
         for var, column in zip(space.variables, columns):
             by_kind[type(var)].append(column)
-        return cls(space, *(np.array(cols, dtype=t).reshape(len(cols), n).T
-                            for cols, t in zip(by_kind.values(), (float, float, int))))
+        return cls(space, *(np.array(cols, dtype=float).reshape(len(cols), n).T
+                            for cols in by_kind.values()))
 
     def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(X, Z, C) with the continuous and integer columns mapped affinely onto [0, 1]."""
@@ -341,8 +345,9 @@ def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
     if any(len(r) != n for r in rows):
         raise DimensionMismatch(f"X, Z and C hold {[len(r) for r in rows]} rows")
     try:
-        # one memory layout for every batch: the sums in a prediction depend on it
-        arrays = [np.array(r, dtype=t, order="C") for r, t in zip(rows, (float, float, int))]
+        # one memory layout for every batch: the sums in a prediction depend on it;
+        # levels are read as floats, so a level that is not a whole number is seen
+        arrays = [np.array(r, dtype=float, order="C") for r in rows]
         arrays = [a.reshape(n, w) if n == 0 else a for a, w in zip(arrays, widths)]
         shaped = all(a.shape == (n, w) for a, w in zip(arrays, widths))
     except (TypeError, ValueError, OverflowError):
@@ -350,15 +355,15 @@ def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
     bad = np.ones(n, dtype=bool)
     if shaped:
         X, Z, C = arrays
-        bad = ~np.all((C >= 1) & (C <= np.array(space.level_counts, dtype=int)), axis=1)
-        for A, (lower, upper) in ((X, _bounds(space.continuous)), (Z, _bounds(space.integer))):
+        bad = ~np.all(np.floor(Z) == Z, axis=1) | ~np.all(np.floor(C) == C, axis=1)
+        for A, (lower, upper) in ((X, _bounds(space.continuous)), (Z, _bounds(space.integer)),
+                                  (C, (1.0, np.array(space.level_counts, dtype=float)))):
             bad |= ~np.all((A >= lower) & (A <= upper) & np.isfinite(A), axis=1)
-        bad |= ~np.all(np.floor(Z) == Z, axis=1)
     for i in np.flatnonzero(bad):  # validate_point raises on the first bad point
         validate_point(space, MixedPoint(*(r[i] for r in rows)))
     if not shaped:
         raise DimensionMismatch(f"point rows do not have the space's widths {widths}")
-    return arrays
+    return arrays[:2] + [arrays[2].astype(int)]
 
 
 def _checked_targets(n_points: int, targets) -> np.ndarray:

@@ -281,7 +281,7 @@ def test_warm_starts_reproduce_source_correlations(source):
         theta = HyperparameterSet(source, (1, (L,)), np.concatenate([[0.7], values]))
         R_source = categorical_matrix(source, L, values)
         for kind, tol in tolerance.items():
-            for start in _warm_starts(kind, {source: SimpleNamespace(theta_star=theta)}, EPSILON):
+            for start in _warm_starts(kind, {source: SimpleNamespace(theta_star=theta)}):
                 assert start.kind is kind and np.array_equal(start.rates, [0.7])
                 R = categorical_matrix(kind, L, start.variable(0))
                 if tol == 0.0:

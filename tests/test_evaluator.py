@@ -72,43 +72,38 @@ def dataset(space, n=14, seed=3):
     return Dataset(space, points, np.sin(1.7 * np.arange(n)) + 0.1 * np.arange(n))
 
 
-def outcome(ws, kind, flat, epsilon):
+def outcome(ws, kind, flat):
     """Everything one evaluation returns, as comparable values."""
     try:
-        ev = ws.evaluate(kind, flat, epsilon, JITTER_DEFAULT)
+        ev = ws.evaluate(kind, flat, JITTER_DEFAULT)
     except NumericalFailure:
         return "NumericalFailure"
     return (repr(ev.log_likelihood), repr(ev.mu), repr(ev.sigma2), repr(ev.jitter),
             ev.chol.tobytes(), ev.r_ones.tobytes(),
-            ws.correlation(kind, flat, epsilon).tobytes())
+            ws.correlation(kind, flat).tobytes())
 
 
-def indefinite(space, kind, flat, excess):
-    """(flat, epsilon) at which R is indefinite, or None where no such point exists.
+def indefinite(space, kind, excess):
+    """A flat vector at which R is indefinite, or None where no such point exists.
 
     With every angle at 0, rates and packed diagonals of -excess put
-    entries up to about exp(2 excess) off R's diagonal; an EHH epsilon of
-    exp(excess) does the same at ``flat``'s angles.  A small excess makes
-    the jitter escalate, a large one makes the factorization fail.  HH on
-    a categorical-only space has no such point: its R is a Schur product
-    of Gram matrices for every angle.
+    entries up to about exp(2 excess) off R's diagonal.  A small excess
+    makes the jitter escalate, a large one makes the factorization fail.
+    EHH and HH on a categorical-only space have no such point: their R is
+    a Schur product of positive semidefinite level matrices for every
+    angle.
     """
     mask = search_bounds(space, kind)[2]
-    if mask.any():
-        return np.where(mask, -excess, 0.0), EPSILON
-    if kind is K.EHH:
-        return flat, math.exp(excess)
-    return None
+    return np.where(mask, -excess, 0.0) if mask.any() else None
 
 
 def script(space, kind, seed):
-    """(kind, flat, epsilon) steps of one kind, in the order a search could take them.
+    """(kind, flat) steps of one kind, in the order a search could take them.
 
     Every coordinate is moved alone from a base point, so every block is
     stepped; then the base point again, a repeat, a walk that moves one
     coordinate per step, the low corner of the box, a point that needs a
-    larger jitter, a failing point, the base point, and the base point at
-    another epsilon.
+    larger jitter, a failing point and the base point.
     """
     rng = np.random.default_rng(seed)
     lower, upper, mask = search_bounds(space, kind)
@@ -125,13 +120,12 @@ def script(space, kind, seed):
         walk[i] -= 0.05 * width[i]
         steps.append(walk.copy())
     steps.append(lower)
-    out = [(kind, natural_from_search(v, mask), EPSILON) for v in steps]
+    out = [(kind, natural_from_search(v, mask)) for v in steps]
     for excess in (1e-9, 30.0):
-        point = indefinite(space, kind, out[0][1], excess)
+        point = indefinite(space, kind, excess)
         if point is not None:
-            out.append((kind, *point))
-    out += [out[0], (kind, out[0][1], 1e-3)]
-    return out
+            out.append((kind, point))
+    return out + [out[0]]
 
 
 def run_script(space_name, p):
@@ -142,13 +136,13 @@ def run_script(space_name, p):
     for seed, kind in enumerate(K):
         steps += script(space, kind, seed)
     # EHH and HH pack the same number of values: one flat, two kinds, in turn
-    ehh = [step for step in steps if step[0] is K.EHH][:4]
-    for _, flat, epsilon in ehh:
-        steps += [(K.EHH, flat, epsilon), (K.HH, flat, epsilon)]
+    ehh = [flat for kind, flat in steps if kind is K.EHH][:4]
+    for flat in ehh:
+        steps += [(K.EHH, flat), (K.HH, flat)]
     kept, fresh = [], []
-    for kind, flat, epsilon in steps:
-        kept.append(outcome(ws, kind, flat, epsilon))
-        fresh.append(outcome(gp._Workspace(data.points, p, data.targets), kind, flat, epsilon))
+    for kind, flat in steps:
+        kept.append(outcome(ws, kind, flat))
+        fresh.append(outcome(gp._Workspace(data.points, p, data.targets), kind, flat))
     return steps, kept, fresh
 
 
@@ -157,11 +151,11 @@ def run_script(space_name, p):
 def test_kept_factors_match_a_fresh_workspace(space_name, p):
     steps, kept, fresh = run_script(space_name, p)
     for index, (step, a, b) in enumerate(zip(steps, kept, fresh)):
-        assert a == b, (index, step[0], step[2])
+        assert a == b, (index, step[0])
     # the script reaches the branches it is meant to
-    expected = set(K) - ({K.HH} if space_name == "categorical-only" else set())
-    failed = {kind for (kind, _, _), out in zip(steps, kept) if out == "NumericalFailure"}
-    escalated = {kind for (kind, _, _), out in zip(steps, kept)
+    expected = set(K) - ({K.EHH, K.HH} if space_name == "categorical-only" else set())
+    failed = {kind for (kind, _), out in zip(steps, kept) if out == "NumericalFailure"}
+    escalated = {kind for (kind, _), out in zip(steps, kept)
                  if out != "NumericalFailure" and float(out[3]) > JITTER_DEFAULT}
     assert failed == escalated == expected
 
@@ -202,11 +196,11 @@ def test_built_model_keeps_no_factors():
 # ---------------------------------------------------------------------------
 
 def blocks(steps):
-    """The script's flats as blocks of one kind and epsilon, in script order."""
+    """The script's flats as blocks of one kind, in script order."""
     grouped = {}
-    for kind, flat, epsilon in steps:
-        grouped.setdefault((kind, epsilon), []).append(flat)
-    return [(kind, np.array(flats), epsilon) for (kind, epsilon), flats in grouped.items()]
+    for kind, flat in steps:
+        grouped.setdefault(kind, []).append(flat)
+    return [(kind, np.array(flats)) for kind, flats in grouped.items()]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -217,19 +211,19 @@ def test_block_scores_equal_one_evaluation_per_row(space_name, p):
     ws = gp._Workspace(data.points, p, data.targets)
     failed = set()
     for seed, kind in enumerate(K):
-        for _, flats, epsilon in blocks(script(space, kind, seed)):
+        for _, flats in blocks(script(space, kind, seed)):
             # the memo then holds the factors of the block's first row
-            outcome(ws, kind, flats[0], epsilon)
-            values = ws.evaluate_block(kind, flats, epsilon, JITTER_DEFAULT)
+            outcome(ws, kind, flats[0])
+            values = ws.evaluate_block(kind, flats, JITTER_DEFAULT)
             assert values.shape == (len(flats),)
             for row, flat in enumerate(flats):
-                fresh = outcome(gp._Workspace(data.points, p, data.targets), kind, flat, epsilon)
+                fresh = outcome(gp._Workspace(data.points, p, data.targets), kind, flat)
                 expected = "-inf" if fresh == "NumericalFailure" else fresh[0]
                 assert repr(float(values[row])) == expected, (kind, row)
                 # whatever the block left in the memo, one evaluation still matches
-                assert outcome(ws, kind, flat, epsilon) == fresh, (kind, row)
+                assert outcome(ws, kind, flat) == fresh, (kind, row)
             failed |= {kind} if -math.inf in values else set()
-    assert failed == set(K) - ({K.HH} if space_name == "categorical-only" else set())
+    assert failed == set(K) - ({K.EHH, K.HH} if space_name == "categorical-only" else set())
 
 
 def test_block_keeps_the_shared_factors_in_the_memo():
@@ -239,9 +233,9 @@ def test_block_keeps_the_shared_factors_in_the_memo():
     centre = lower + 0.5 * (upper - lower)
     stencil = np.repeat(centre[None, :], centre.size, axis=0)
     stencil[np.arange(centre.size), np.arange(centre.size)] += 0.1 * (upper - lower)
-    ws.evaluate_block(K.CR, natural_from_search(stencil, mask), EPSILON, JITTER_DEFAULT)
+    ws.evaluate_block(K.CR, natural_from_search(stencil, mask), JITTER_DEFAULT)
     fresh = gp._Workspace(data.points, 2, data.targets)
-    fresh.evaluate(K.CR, natural_from_search(centre, mask), EPSILON, JITTER_DEFAULT)
+    fresh.evaluate(K.CR, natural_from_search(centre, mask), JITTER_DEFAULT)
     assert ws._memo.keys() == fresh._memo.keys() == {-1, 0, 1}
     for block, (key, factor) in fresh._memo.items():
         assert ws._memo[block][0] == key
@@ -254,11 +248,10 @@ def test_stacked_level_matrices_equal_one_call_per_row(kind, L):
     rng = np.random.default_rng(L)
     values = np.array([random_hyper(kind, L, rng) for _ in range(6)])
     values[4] = values[1]  # a repeated row
-    for epsilon in (EPSILON, 1e-3):
-        stack = categorical_matrix(kind, L, values, epsilon)
-        assert stack.shape == (len(values), L, L)
-        for row, v in enumerate(values):
-            assert stack[row].tobytes() == categorical_matrix(kind, L, v, epsilon).tobytes()
+    stack = categorical_matrix(kind, L, values)
+    assert stack.shape == (len(values), L, L)
+    for row, v in enumerate(values):
+        assert stack[row].tobytes() == categorical_matrix(kind, L, v).tobytes()
     assert categorical_matrix(kind, L, values[:0]).shape == (0, L, L)
     with pytest.raises(Exception):
         categorical_matrix(kind, L, np.zeros((2, categorical_param_count(kind, L) + 1)))
@@ -273,13 +266,12 @@ def likelihood_search(kind, p=2):
 
     def objective(v):
         try:
-            return single.evaluate(kind, natural_from_search(v, mask), EPSILON,
-                                   JITTER_DEFAULT).log_likelihood
+            return single.evaluate(kind, natural_from_search(v, mask), JITTER_DEFAULT).log_likelihood
         except NumericalFailure:
             return -math.inf
 
     def batch_objective(V):
-        return block.evaluate_block(kind, natural_from_search(V, mask), EPSILON, JITTER_DEFAULT)
+        return block.evaluate_block(kind, natural_from_search(V, mask), JITTER_DEFAULT)
 
     return objective, batch_objective, BoxBounds(lower, upper), lower + 0.3 * (upper - lower)
 
@@ -433,8 +425,8 @@ def test_correlation_matrix_properties(case):
     assert np.all((R >= 0.0) & (R <= 1.0))
     if theta.kind is K.EHH:
         for i, L in enumerate(data.space.level_counts):
-            levels = categorical_matrix(K.EHH, L, theta.variable(i), theta.epsilon)
-            assert np.all(levels >= theta.epsilon * (1.0 - 1e-12))
+            levels = categorical_matrix(K.EHH, L, theta.variable(i))
+            assert np.all(levels >= EPSILON * (1.0 - 1e-12))
     # the exponential kinds' R is positive definite: no jitter escalation
     assert build_model(data, theta, p).jitter == JITTER_DEFAULT
 

@@ -18,6 +18,7 @@ from mixedgp.gp import (
     standardize_targets,
 )
 from mixedgp.kernels import (
+    EPSILON,
     CategoricalKernelKind,
     HyperparameterSet,
     mixed_kernel,
@@ -111,7 +112,7 @@ def test_correlation_matrix_ehh_single_level_difference():
                  np.array([0.0, 1.0]))
     theta = HyperparameterSet.from_flat(space, K.EHH, [math.pi / 2] * 3)
     R = correlation_matrix(ds, theta)
-    assert R[0, 1] == pytest.approx(theta.epsilon, rel=1e-9)
+    assert R[0, 1] == pytest.approx(EPSILON, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +429,14 @@ def _corrupted(doc, case):
         "negative continuous rate": {**doc, "theta_flat": [-1.0] + theta[1:]},
         "negative CR diagonal": {**doc, "theta_flat": theta[:-1] + [-0.1]},
         "non-positive jitter": {**doc, "jitter": 0.0},
+        "epsilon other than exp(-20)": {**doc, "epsilon": 1e-3},
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "missing theta_flat", "theta_flat not a list", "p not an int", "non-finite theta",
     "negative continuous rate", "negative CR diagonal", "non-positive jitter",
+    "epsilon other than exp(-20)",
 ])
 def test_load_model_validates_keys_types_and_domains(tmp_path, case):
     from mixedgp.errors import ParseError

@@ -1,19 +1,22 @@
 """The hyperparameter vector over random spaces and all five kinds.
 
 Its views cover it exactly, the search vector maps back onto it, a saved
-model reloads an equal set, and EHH is FE with its diagonal at the floor.
+model reloads an equal set, a non-finite entry is refused at every entry,
+and EHH is FE with its diagonal at the floor.
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedgp.doe import lhs
-from mixedgp.errors import NumericalFailure
+from mixedgp.errors import NumericalFailure, ParseError
 from mixedgp.gp import build_model, correlation_matrix, load_model, save_model
 from mixedgp.kernels import (
     CategoricalKernelKind,
@@ -59,7 +62,7 @@ def test_views_concatenate_back_to_flat(case):
 def test_search_vector_round_trip(case):
     space, theta = case
     vector = search_from_natural(theta.flat, search_bounds(space, theta.kind)[2])
-    again = set_from_search_vector(space, theta.kind, vector, theta.epsilon)
+    again = set_from_search_vector(space, theta.kind, vector)
     assert again.layout == theta.layout
     np.testing.assert_allclose(again.flat, theta.flat, rtol=1e-12)
 
@@ -81,6 +84,35 @@ def test_saved_model_reloads_an_equal_set(case, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(sets(), st.data())
+def test_a_non_finite_entry_is_refused_at_every_entry(case, data):
+    """NaN or +-inf in any slot: the set and the search-vector decoder raise, a model file does not load."""
+    space, theta = case
+    slot = data.draw(st.integers(0, theta.flat.size - 1))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    flat = theta.flat.copy()
+    flat[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        HyperparameterSet.from_flat(space, theta.kind, flat)
+    vector = search_from_natural(theta.flat, search_bounds(space, theta.kind)[2])
+    vector[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        set_from_search_vector(space, theta.kind, vector)
+    try:
+        model = build_model(Dataset(space, lhs(space, 6, slot), np.sin(np.arange(6.0))), theta)
+    except NumericalFailure:  # HH's R can be indefinite
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["theta_flat"][slot] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="finite"):
+            load_model(path)
+
+
+@settings(max_examples=60, deadline=None)
 @given(sets(kinds=(K.EHH,)))
 def test_fe_with_its_diagonal_at_the_floor_is_ehh(case):
     """FE's correlations are EHH's times exp(-(theta_rr + theta_ss)): 1 - 4e-9 at the floor."""
@@ -92,7 +124,7 @@ def test_fe_with_its_diagonal_at_the_floor_is_ehh(case):
         on_diagonal[[r * (r + 3) // 2 for r in range(L)]] = True
         values[~on_diagonal] = ehh.variable(i)
         parts.append(values)
-    fe = HyperparameterSet.from_flat(space, K.FE, np.concatenate(parts), ehh.epsilon)
+    fe = HyperparameterSet.from_flat(space, K.FE, np.concatenate(parts))
     for i, L in enumerate(space.level_counts):
         np.testing.assert_allclose(categorical_matrix(K.FE, L, fe.variable(i)),
                                    categorical_matrix(K.EHH, L, ehh.variable(i)), rtol=1e-8)

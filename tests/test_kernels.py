@@ -394,7 +394,6 @@ def test_hyperparameter_set_equality():
     assert a != b and a != "gd"
     assert a != HyperparameterSet.from_flat(one, K.GD, [2.0])
     assert a != HyperparameterSet.from_flat(one, K.CR, [1.0])
-    assert a != HyperparameterSet.from_flat(one, K.GD, [1.0], epsilon=1e-6)
 
 
 def test_hyperparameter_set_rejects_negative_rates():

@@ -71,8 +71,8 @@ def test_points_respect_bounds_exactly():
 
 def test_determinism():
     objective = lambda x: float(-np.sum((x - 0.42) ** 2) + np.sin(5 * x[0]))
-    a = local_search(objective, unit_box(4), np.full(4, 0.9), SearchConfig(seed=3))
-    b = local_search(objective, unit_box(4), np.full(4, 0.9), SearchConfig(seed=3))
+    a = local_search(objective, unit_box(4), np.full(4, 0.9), SearchConfig())
+    b = local_search(objective, unit_box(4), np.full(4, 0.9), SearchConfig())
     assert np.array_equal(a.point, b.point)
     assert a.value == b.value and a.n_evals == b.n_evals
 

@@ -80,10 +80,10 @@ def corrupt(draw, space, coords):
     """Spoil one cell of ``coords`` (or its width) in place."""
     specs = (space.continuous, space.integer, space.categorical)
     options = [("width", k) for k in range(3)]
-    options += [(defect, k) for k in (0, 1) if specs[k]
-                for defect in ("nan", "inf", "-inf", "below", "above")]
+    options += [(defect, k) for k in (0, 1, 2) if specs[k] for defect in ("nan", "inf", "-inf")]
+    options += [(defect, k) for k in (0, 1) if specs[k] for defect in ("below", "above")]
     options += [(defect, 2) for defect in ("level 0", "level L+1") if specs[2]]
-    options += [("non-integral", 1)] if specs[1] else []
+    options += [("non-integral", k) for k in (1, 2) if specs[k]]
     defect, k = draw(st.sampled_from(options))
     if defect == "width":
         if coords[k] and draw(st.booleans()):
@@ -97,8 +97,8 @@ def corrupt(draw, space, coords):
     v = specs[k][j]
     if defect.startswith("level"):
         coords[k][j] = 0 if defect == "level 0" else v.n_levels + 1
-    elif defect == "non-integral":
-        coords[k][j] = v.lower + draw(st.sampled_from([1e-9, 0.5]))
+    elif defect == "non-integral":  # inside the range: an integer's bounds, or the levels
+        coords[k][j] = (v.lower if k == 1 else 1) + draw(st.sampled_from([1e-9, 0.5]))
     elif defect in ("below", "above"):
         step = draw(st.sampled_from([1e-9, 0.5, 3.0]))
         coords[k][j] = v.lower - step if defect == "below" else v.upper + step
@@ -112,7 +112,7 @@ def spaces_and_points(draw):
     rows = [valid_point(draw, space) for _ in range(draw(st.integers(1, 6)))]
     for _ in range(draw(st.integers(0, 3))):
         corrupt(draw, space, rows[draw(st.integers(0, len(rows) - 1))])
-    return space, [MixedPoint(*coords) for coords in rows]
+    return space, rows
 
 
 def first_error(space, points):
@@ -137,8 +137,11 @@ def assert_raises_like(expected, call):
 @settings(max_examples=150, deadline=None)
 @given(spaces_and_points())
 def test_entry_checks_raise_what_validate_point_raises(case):
-    space, points = case
+    space, rows = case
+    points = [MixedPoint(*coords) for coords in rows]
     expected = first_error(space, points)
+    if not all(float(c).is_integer() for coords in rows for c in coords[2]):
+        assert expected is not None  # a level that is not a whole number is never read as one
     model = gd_model(space)
     targets = np.zeros(len(points))
     same_width = all(
@@ -148,7 +151,8 @@ def test_entry_checks_raise_what_validate_point_raises(case):
     arrays = (
         np.array([w.continuous for w in points]).reshape(len(points), space.n_continuous),
         np.array([w.integer for w in points]).reshape(len(points), space.n_integer),
-        np.array([w.categorical for w in points], dtype=int).reshape(len(points), space.n_categorical),
+        # whole levels give an int array, any other level a float one
+        np.array([w.categorical for w in points]).reshape(len(points), space.n_categorical),
     ) if same_width else None
     if expected is None:
         batch = PointBatch.of(space, points)

@@ -33,7 +33,7 @@ def one_shot_predict(model, batch):
     XZ = np.hstack([X, Z])
     diffs = np.abs(XZ[:, None, :] - ws.numeric[None, :, :]) ** ws.p
     k = np.exp(-(diffs @ flat[:ws.n_numeric]))
-    for i, Ri in ws._categorical_factors(theta.kind, flat, theta.epsilon):
+    for i, Ri in ws._categorical_factors(theta.kind, flat):
         k *= Ri[np.ix_(C[:, i] - 1, ws.levels[:, i])]
     means = model.y_mean + model.y_scale * (model.mu_std + k @ model._alpha)
     v = dtrtrs(model.chol, k.T, lower=1)[0]
