@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
+import math
 import os
 import sys
 
@@ -27,7 +29,6 @@ from .errors import (
     OutOfBounds,
     SizeOverflow,
 )
-from .optimize import write_trace
 from .space import (
     Categorical,
     _reprs,
@@ -96,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--budget", type=int, default=None, help="optimizer evaluations per start")
     p_fit.add_argument("--jitter", type=float, default=None)
-    p_fit.add_argument("--trace", default=None, help="write per-start search log here")
+    p_fit.add_argument("--trace", default=None,
+                       help="write one JSON line per start of the search here")
     p_fit.add_argument("--out-model", required=True)
 
     p_pred = sub.add_parser("predict", help="predict at points from a fitted model")
@@ -134,6 +136,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_matrix(matrix: np.ndarray, level_names, path) -> None:
     _write_csv(path, level_names, [_reprs(column) for column in matrix.T], len(matrix),
                lineterminator="\n")
+
+
+def _write_trace(records, path) -> None:
+    """One JSON object per start: its index, evaluations, replayed ones, stop reason, best value.
+
+    A best value that is not finite (no evaluation of the start was) is written as null.
+    """
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps({
+                "start_index": rec.start_index, "n_evals": rec.n_evals,
+                "replayed": rec.replayed, "stop": rec.stop,
+                "best_value": rec.best_value if math.isfinite(rec.best_value) else None,
+            }) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +190,7 @@ def _cmd_fit(args) -> int:
     model = gp.fit(dataset, kind, args.p, config)
     gp.save_model(model, args.out_model)
     if args.trace is not None:
-        write_trace(model.start_log, args.trace)
+        _write_trace(model.start_log, args.trace)
     n_hyper = kr.hyperparameter_count(space, kind)
     print(
         f"kernel={kind.value} n_hyper={n_hyper} "

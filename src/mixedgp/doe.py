@@ -17,9 +17,12 @@ import numpy as np
 from .errors import SizeOverflow
 from .space import Categorical, Continuous, DesignSpace, Integer, PointBatch
 
-__all__ = ["lhs", "grid", "GRID_SIZE_CAP"]
+__all__ = ["lhs", "grid", "GRID_SIZE_CAP", "GRID_BYTES_CAP"]
 
 GRID_SIZE_CAP = 10_000_000
+# Bytes of the returned (X, Z, C) arrays: 8 per coordinate, one per variable
+# and point.  A wide space reaches it below GRID_SIZE_CAP points.
+GRID_BYTES_CAP = 1 << 30
 
 
 def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> PointBatch:
@@ -58,8 +61,9 @@ def grid(space: DesignSpace, points_per_dim) -> PointBatch:
     ``points_per_dim`` lists one count per continuous/integer variable (in
     space order); categorical variables always contribute all their levels.
     Continuous axes are linspace(lower, upper, count); integer axes use the
-    rounded linspace.  A grid of more than GRID_SIZE_CAP points raises
-    SizeOverflow before any is built.
+    rounded linspace.  A grid of more than GRID_SIZE_CAP points, or whose
+    coordinate arrays would take more than GRID_BYTES_CAP bytes, raises
+    SizeOverflow before anything is allocated.
     """
     counts = [int(c) for c in points_per_dim]
     n_numeric = space.n_continuous + space.n_integer
@@ -71,20 +75,25 @@ def grid(space: DesignSpace, points_per_dim) -> PointBatch:
     if any(c < 1 for c in counts):
         raise ValueError("grid counts must be >= 1 per dimension")
 
-    total = 1
-    axes: list[np.ndarray] = []
     numeric_counts = iter(counts)
-    for var in space.variables:
+    sizes = [var.n_levels if isinstance(var, Categorical) else next(numeric_counts)
+             for var in space.variables]
+    total = math.prod(sizes)
+    if total > GRID_SIZE_CAP:
+        raise SizeOverflow(f"grid would hold {total} > {GRID_SIZE_CAP} points")
+    n_bytes = 8 * total * len(sizes)
+    if n_bytes > GRID_BYTES_CAP:
+        raise SizeOverflow(f"grid coordinates would take {n_bytes} > {GRID_BYTES_CAP} bytes "
+                           f"({total} points of {len(sizes)} variables)")
+    axes: list[np.ndarray] = []
+    for var, size in zip(space.variables, sizes):
         if isinstance(var, Categorical):
             values = np.arange(1, var.n_levels + 1)
         else:
-            values = np.linspace(var.lower, var.upper, next(numeric_counts))
+            values = np.linspace(var.lower, var.upper, size)
             if isinstance(var, Integer):
                 values = np.rint(values)
         axes.append(values)
-        total *= values.size
-        if total > GRID_SIZE_CAP:
-            raise SizeOverflow(f"grid would hold {total} > {GRID_SIZE_CAP} points")
     return PointBatch.from_columns(
         space, [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij", copy=False)]
     )

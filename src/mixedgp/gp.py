@@ -25,11 +25,12 @@ fit: a model's workspace holds none.  ``_Workspace.evaluate_block``
 scores many vectors at once with the same builder and scorer; a fit
 passes it each search stencil, whose rows share the centre's factors and
 whose level matrices are built as one stack, so every row keeps the bits
-of a one-vector evaluation.  All solves go through one Cholesky factor of
-R + jitter*I, read from its lower triangle (the search leaves the upper
-one uncleared; a model stores the clean lower factor); the jitter
-escalates by factors of 10 (up to 1e-4) when factorization fails, which
-makes duplicate design points survivable.  Internally the GP always sees
+of a one-vector evaluation.  All solves go through one Cholesky factor L
+of R + jitter*I, read from its lower triangle (the search leaves the
+upper one uncleared; a model stores the clean lower factor, and L^-1 for
+the predictive variance); the jitter escalates by factors of 10 (up to
+1e-4) when factorization fails, which makes duplicate design points
+survivable.  Internally the GP always sees
 continuous/integer coordinates normalized to [0, 1] and targets
 standardized to zero mean and unit variance; reported trend, variance and
 predictions are in original units.
@@ -46,7 +47,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from . import kernels as kr
 from .errors import MixedGpError, NumericalFailure, ParseError, ShapeMismatch
@@ -103,8 +105,10 @@ class FitConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if not self.jitter > 0:
-            raise ValueError("jitter must be positive")
+        if self.max_evals is not None and self.max_evals < 1:
+            raise ValueError("max_evals must be None or >= 1")
+        if not (math.isfinite(self.jitter) and self.jitter > 0):
+            raise ValueError(f"jitter must be positive and finite, got {self.jitter!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +391,10 @@ class GpModel:
     ``mu_hat`` and ``sigma2_hat`` are in original target units;
     ``log_likelihood`` is the profiled value on standardized targets, i.e.
     exactly what :func:`fit` maximized.  ``chol`` is the lower Cholesky
-    factor of R + jitter*I, with a zero upper triangle.
+    factor L of R + jitter*I, with a zero upper triangle.  The model also
+    keeps L^-1 (``_chol_inv``, n_train^2 floats), computed once from ``chol``
+    so that a reloaded model rebuilds it bit for bit; :func:`predict` takes
+    the variance from it by one triangular multiply.
     """
 
     dataset: Dataset
@@ -406,6 +413,7 @@ class GpModel:
     _workspace: _Workspace = field(repr=False, default=None)
     _alpha: np.ndarray = field(repr=False, default=None)
     _r_inv_ones: np.ndarray = field(repr=False, default=None)
+    _chol_inv: np.ndarray = field(repr=False, default=None)
 
     @property
     def mu_std(self) -> float:
@@ -453,13 +461,17 @@ def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter
     ev = ws._score(R, jitter)  # factors a copy: R stays intact for the refinement
     alpha = _refined_weights(R, ev.chol, ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
+    chol = np.asfortranarray(np.tril(ev.chol))  # a clean lower factor, in LAPACK's order
+    chol_inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise NumericalFailure(f"the Cholesky factor cannot be inverted (dtrtri info {info})")
     ws.forget()  # a model keeps no evaluation state
     return GpModel(
         dataset=dataset,
         kind=theta.kind,
         p=ws.p,
         theta_star=theta,
-        chol=np.asfortranarray(np.tril(ev.chol)),  # a clean lower factor, in LAPACK's order
+        chol=chol,
         mu_hat=y_mean + y_scale * ev.mu,
         sigma2_hat=y_scale ** 2 * ev.sigma2,
         jitter=ev.jitter,
@@ -470,6 +482,7 @@ def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter
         _workspace=ws,
         _alpha=alpha,
         _r_inv_ones=r_inv_ones,
+        _chol_inv=chol_inv,
     )
 
 
@@ -548,7 +561,7 @@ def _row_chunks(n: int) -> list[slice]:
     """Consecutive row slices of _PREDICT_CHUNK rows covering range(n).
 
     A final chunk of one row is folded into the one before it (which then
-    holds _PREDICT_CHUNK + 1 rows): a one-column ``dtrtrs`` rounds
+    holds _PREDICT_CHUNK + 1 rows): a one-row ``K @ alpha`` rounds
     differently from a wide one.
     """
     chunks = [slice(start, min(start + _PREDICT_CHUNK, n))
@@ -561,13 +574,17 @@ def _row_chunks(n: int) -> list[slice]:
 def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at a batch or MixedPoints (original units, variance >= 0).
 
-    The points are processed in chunks of rows, so memory beyond the two
-    output vectors stays O(chunk * n_train) whatever the batch size.  A
-    point's last digits depend on where it sits in the batch: BLAS rounds
-    the rows of a matrix-vector product in blocks of four, and a one-point
-    triangular solve differently from a wide one, so
-    ``predict(m, g[i:i+1])`` may differ from ``predict(m, g)[i]`` by
-    rounding.  The same batch always gives the same bits.
+    The points are processed in chunks of rows (:func:`_row_chunks`), so
+    memory beyond the two output vectors stays O(chunk * n_train) whatever
+    the batch size.  The quadratic term of the variance is |L^-1 k|^2, one
+    ``dtrmm`` with the model's kept L^-1 per chunk.  A mean has the bits of
+    the whole-batch formula, chunked or not.  A variance's last bits depend
+    on the chunk it falls in (a triangular multiply rounds a column by the
+    width of its right-hand side) and on the BLAS thread count; it agrees
+    with the triangular-solve formula to well within jitter * sigma2_hat.
+    A batch predicts exactly what its chunks predict one by one; with the
+    same BLAS thread count, the same batch gives the same bits on every run
+    and after a reload.
     """
     batch = PointBatch.of(model.dataset.space, points)
     theta = model.theta_star
@@ -576,7 +593,7 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat, batch):
         mean_std = model.mu_std + K @ model._alpha
         means[rows] = model.y_mean + model.y_scale * mean_std
-        v = _solve(model.chol, K.T)
+        v = dtrmm(1.0, model._chol_inv, K.T, lower=1)
         quad = np.sum(v * v, axis=0)
         shortfall = 1.0 - K @ model._r_inv_ones
         var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / ones_r_ones)

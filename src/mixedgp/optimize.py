@@ -52,7 +52,6 @@ __all__ = [
     "MultistartResult",
     "local_search",
     "multistart",
-    "write_trace",
 ]
 
 
@@ -336,12 +335,3 @@ def multistart(
     if best is None:
         raise failures[-1] if failures else RuntimeError("no starts were run")
     return MultistartResult(best.point, best.value, tuple(records))
-
-
-def write_trace(records, path) -> None:
-    """Dump per-start records as delimited text (start, evals, best value)."""
-    lines = ["start_index,n_evals,best_value"]
-    for rec in records:
-        lines.append(f"{rec.start_index},{rec.n_evals},{rec.best_value!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedgp.cli import main
+from mixedgp import gp
+from mixedgp.cli import _write_trace, main
+from mixedgp.kernels import CategoricalKernelKind as K
+from mixedgp.optimize import StartRecord
 from mixedgp.space import (
     Categorical,
     Continuous,
     DesignSpace,
     Integer,
+    load_dataset,
     load_points,
     save_dataset,
     save_points,
@@ -66,10 +71,20 @@ def test_doe_overflowing_grid(tmp_path):
     assert code == 3
 
 
+def test_doe_grid_over_the_byte_cap_exits_3(tmp_path, capsys):
+    space_file = tmp_path / "wide.space"
+    save_space(DesignSpace(tuple(Continuous(f"x{i}", 0, 1) for i in range(14))), space_file)
+    code = main(["doe", str(space_file), "--method", "grid", "--grid-counts",
+                 ",".join(["10"] * 7 + ["1"] * 7), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "bytes" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_fit_predict_roundtrip(tmp_path, cosine_files, capsys):
     space, space_file, data_file = cosine_files
     model_file = tmp_path / "model.json"
-    trace_file = tmp_path / "trace.csv"
+    trace_file = tmp_path / "trace.jsonl"
     code = main([
         "fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "2",
         "--budget", "400", "--seed", "0", "--trace", str(trace_file),
@@ -92,6 +107,29 @@ def test_fit_predict_roundtrip(tmp_path, cosine_files, capsys):
     for row, data_row in zip(rows, data_rows):
         assert abs(float(row[-2]) - float(data_row[-1])) <= 1e-6 * (1 + abs(float(data_row[-1])))
         assert float(row[-1]) >= 0.0
+
+
+def test_fit_trace_writes_one_json_object_per_start(tmp_path, cosine_files):
+    space, space_file, data_file = cosine_files
+    trace_file = tmp_path / "trace.jsonl"
+    assert main(["fit", str(space_file), str(data_file), "--kernel", "cr", "--starts", "3",
+                 "--budget", "60", "--trace", str(trace_file),
+                 "--out-model", str(tmp_path / "model.json")]) == 0
+    model = gp.fit(load_dataset(space, data_file), K.CR, 2, gp.FitConfig(n_starts=3, max_evals=60))
+    lines = [json.loads(line) for line in trace_file.read_text().splitlines()]
+    keys = ["start_index", "n_evals", "replayed", "stop", "best_value"]
+    assert [list(line) for line in lines] == [keys] * len(lines)
+    assert [StartRecord(**line) for line in lines] == list(model.start_log)
+    assert len(lines) == 3 and {line["stop"] for line in lines} == {"budget"}
+
+
+def test_trace_writes_a_start_without_a_finite_value_as_null(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    _write_trace([StartRecord(0, 5, -math.inf, 0, "budget"), StartRecord(1, 7, -2.5, 3)], path)
+    assert [json.loads(line) for line in path.read_text().splitlines()] == [
+        {"start_index": 0, "n_evals": 5, "best_value": None, "replayed": 0, "stop": "budget"},
+        {"start_index": 1, "n_evals": 7, "best_value": -2.5, "replayed": 3, "stop": "converged"},
+    ]
 
 
 def test_fit_multistart_monotone(tmp_path, cosine_files, capsys):
@@ -245,6 +283,18 @@ def test_fit_rejects_nan_target(tmp_path, cosine_files, capsys):
                  "--budget", "50", "--out-model", str(tmp_path / "m.json")])
     assert code == 2
     assert "row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--jitter", "inf"), ("--jitter", "nan"),
+                                           ("--jitter", "0"), ("--budget", "0")])
+def test_fit_with_a_budget_or_jitter_outside_its_domain_exits_2(tmp_path, cosine_files, option,
+                                                                  value, capsys):
+    _, space_file, data_file = cosine_files
+    code = main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 option, value, "--out-model", str(tmp_path / "m.json")])
+    assert code == 2
+    assert option.lstrip("-").replace("budget", "max_evals") in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_rejects_non_integral_integer_exits_5(tmp_path, capsys):

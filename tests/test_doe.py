@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedgp.doe import grid, lhs
+from mixedgp.doe import GRID_SIZE_CAP, grid, lhs
 from mixedgp.errors import SizeOverflow
 from mixedgp.space import (
     Categorical,
@@ -102,6 +104,22 @@ def test_grid_size_overflow():
     space = DesignSpace((Continuous("x", 0.0, 1.0), Continuous("y", 0.0, 1.0)))
     with pytest.raises(SizeOverflow):
         grid(space, (10000, 10000))
+
+
+@pytest.mark.parametrize("counts, match", [
+    ((10,) * 7 + (1,) * 7, "bytes"),  # 10**7 points pass the point cap; 8 x 14 x 10**7 bytes do not
+    ((GRID_SIZE_CAP + 1,) + (1,) * 13, "points"),
+], ids=["bytes", "points"])
+def test_an_overflowing_grid_is_refused_before_anything_is_allocated(counts, match):
+    space = DesignSpace(tuple(Continuous(f"x{i}", 0.0, 1.0) for i in range(14)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow, match=match):
+            grid(space, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_grid_counts_must_match():

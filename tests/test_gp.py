@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixedgp.benchmarks import beam_space, cosine_function, cosine_space
 from mixedgp.doe import lhs
 from mixedgp.errors import NumericalFailure
 from mixedgp.gp import (
@@ -33,7 +38,13 @@ from mixedgp.space import (
     normalize,
 )
 
-from conftest import random_hyper
+from conftest import (
+    VARIANCE_TOL,
+    categorical_only_space,
+    model_on,
+    one_shot_predict,
+    random_hyper,
+)
 
 K = CategoricalKernelKind
 
@@ -191,6 +202,15 @@ def test_log_det_identity_on_random_matrices():
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("values", [
+    {"n_starts": 0}, {"max_evals": 0}, {"max_evals": -5}, {"jitter": 0.0}, {"jitter": -1e-10},
+    {"jitter": math.inf}, {"jitter": math.nan},
+], ids=repr)
+def test_fit_config_refuses_values_outside_its_domain(values):
+    with pytest.raises(ValueError):
+        FitConfig(**values)
+
 
 def test_fit_interpolates_every_kind():
     ds = mixed_dataset(30)
@@ -374,6 +394,95 @@ def test_predict_empty_points():
     model = build_model(ds, random_theta(ds.space, K.GD, np.random.default_rng(2)))
     means, variances = predict(model, ())
     assert means.size == 0 and variances.size == 0
+
+
+# The kept inverse of the Cholesky factor against the triangular solve it
+# replaced: fixed hyperparameters for every kind, p and space, and fitted
+# cosine models as ill-conditioned as criterion 6's (cond(R) >= 1e10).
+FIXED_SPACES = {"cosine": (cosine_space, 60), "beam": (beam_space, 60),
+                "categorical-only": (categorical_only_space, 40)}
+FITTED = [(2, K.GD, 2), (1, K.CR, 2), (2, K.EHH, 2)]  # (design seed, kind, starts)
+
+
+def cosine_dataset(seed, n=98):
+    space = cosine_space()
+    points = lhs(space, n, seed)
+    return Dataset(space, points, [cosine_function(w.continuous[0], w.categorical[0])
+                                   for w in points])
+
+
+def fitted_cosine(seed, kind, n_starts):
+    return fit(cosine_dataset(seed), kind, 2, FitConfig(n_starts=n_starts, max_evals=1500))
+
+
+def check_variances(model):
+    points = lhs(model.dataset.space, 300, seed=7)  # more than one prediction chunk
+    _, variances = predict(model, points)
+    assert np.max(variances) >= 1e-3 * model.sigma2_hat  # a wrong quadratic term would show
+    worst = np.max(np.abs(variances - one_shot_predict(model, points)[1]))
+    assert worst <= VARIANCE_TOL * model.sigma2_hat, worst
+    _, at_training = predict(model, model.dataset.points)
+    assert np.max(at_training) <= 10.0 * model.jitter * model.sigma2_hat
+
+
+@pytest.mark.parametrize("space", FIXED_SPACES)
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", list(K), ids=lambda kind: kind.value)
+def test_variance_agrees_with_the_triangular_solve(space, p, kind):
+    make_space, n_train = FIXED_SPACES[space]
+    check_variances(model_on(make_space(), kind, p, n_train))
+
+
+@pytest.mark.parametrize("seed, kind, n_starts", FITTED,
+                         ids=[f"seed{s}-{k.value}" for s, k, _ in FITTED])
+def test_variance_agrees_with_the_triangular_solve_on_ill_conditioned_fits(seed, kind, n_starts):
+    model = fitted_cosine(seed, kind, n_starts)
+    assert np.linalg.cond(correlation_matrix(model.dataset, model.theta_star, 2)) >= 1e10
+    check_variances(model)
+
+
+_RERUN_SCRIPT = """
+import sys
+import numpy as np
+import test_gp as t
+from mixedgp import gp
+out = {}
+for name, make in [("fitted", lambda: t.fitted_cosine(1, t.K.CR, 2)),
+                   ("fixed", lambda: t.model_on(t.beam_space(), t.K.EHH, 1, 98))]:
+    model = make()
+    gp.save_model(model, sys.argv[1])
+    points = t.lhs(model.dataset.space, 300, seed=7)
+    runs = [gp.predict(m, points) for m in (model, make(), gp.load_model(sys.argv[1]))]
+    assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run)), name
+    out[name + "_means"], out[name + "_variances"] = runs[0]
+    out[name + "_sigma2"] = model.sigma2_hat
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_rerun_and_reload_predict_the_same_bits_with_one_and_two_blas_threads(tmp_path):
+    """Within a BLAS thread count every bit repeats; across counts the means do.
+
+    The variances may differ across thread counts in their last bits, within
+    the oracle's tolerance: OpenBLAS splits a triangular multiply's columns
+    between its threads.
+    """
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (path, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}.npz"
+        result = subprocess.run([sys.executable, "-c", _RERUN_SCRIPT, str(tmp_path / "model.json"),
+                                 str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        results.append(np.load(out))
+    one, two = results
+    for name in ("fitted", "fixed"):
+        assert np.array_equal(one[name + "_means"], two[name + "_means"])
+        worst = np.max(np.abs(one[name + "_variances"] - two[name + "_variances"]))
+        assert worst <= VARIANCE_TOL * one[name + "_sigma2"], (name, worst)
 
 
 def test_standardize_targets():

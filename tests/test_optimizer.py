@@ -10,7 +10,6 @@ from mixedgp.optimize import (
     _search,
     local_search,
     multistart,
-    write_trace,
 )
 
 
@@ -140,15 +139,6 @@ def test_extra_starts_clipped_and_used():
     result = multistart(objective, unit_box(2), 1, extra_starts=(np.array([5.0, 5.0]),))
     assert np.max(np.abs(result.point - 1.0)) < 1e-3
     assert len(result.starts) == 2
-
-
-def test_trace_file(tmp_path):
-    result = multistart(lambda x: -x[0] ** 2, unit_box(1), 3)
-    path = tmp_path / "trace.csv"
-    write_trace(result.starts, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "start_index,n_evals,best_value"
-    assert len(lines) == 4
 
 
 def test_twenty_dim_quadratic_against_grid_oracle():

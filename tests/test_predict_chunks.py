@@ -1,62 +1,33 @@
-"""Chunked prediction: the one-shot formula's bits, and memory that does not grow with n_new.
+"""Chunked prediction: the one-shot formula's means, and memory that does not grow with n_new.
 
 ``predict`` streams the new points in row chunks of ``gp._PREDICT_CHUNK``.
-Two BLAS effects make a point's bits depend on where it sits in a batch:
-``dgemv`` rounds the rows of ``K @ alpha`` in blocks of four, and a
-one-column ``dtrtrs`` rounds differently from a wide one.  The oracle
-below is the whole-batch formula, so chunk edges off a multiple of four, or
-a final chunk of one point, show up as differing bits.
+The means keep the bits of the whole-batch formula: ``dgemv`` rounds the
+rows of ``K @ alpha`` in blocks of four, and a one-row product differently
+from a wide one, so chunk edges off a multiple of four, or a final chunk
+of one point, would show up as differing bits.  The variances cannot keep
+them: the bits of a triangular multiply (and of a GEMM) depend on the
+width of its right-hand side.  They are held to the one-shot ``dtrtrs``
+formula within ``VARIANCE_TOL * sigma2_hat``, the default jitter, which is
+as finely as the model resolves the variance, and to the exact property
+that a batch predicts what its chunks predict one by one.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dtrtrs
 
 from mixedgp import gp
 from mixedgp import kernels as kr
 from mixedgp.benchmarks import beam_space, cosine_space
-from mixedgp.doe import grid, lhs
-from mixedgp.space import Categorical, Dataset, DesignSpace, PointBatch
+from mixedgp.doe import grid
+from mixedgp.space import PointBatch
+
+from conftest import VARIANCE_TOL, categorical_only_space, model_on, one_shot_predict
 
 K = kr.CategoricalKernelKind
 CHUNK = gp._PREDICT_CHUNK
 SIZES = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1]
-
-
-def one_shot_predict(model, batch):
-    """The whole-batch formula: one (n_new, n_train, d) difference array, one solve."""
-    ws, theta = model._workspace, model.theta_star
-    flat = theta.flat
-    X, Z, C = batch.normalized()
-    XZ = np.hstack([X, Z])
-    diffs = np.abs(XZ[:, None, :] - ws.numeric[None, :, :]) ** ws.p
-    k = np.exp(-(diffs @ flat[:ws.n_numeric]))
-    for i, Ri in ws._categorical_factors(theta.kind, flat):
-        k *= Ri[np.ix_(C[:, i] - 1, ws.levels[:, i])]
-    means = model.y_mean + model.y_scale * (model.mu_std + k @ model._alpha)
-    v = dtrtrs(model.chol, k.T, lower=1)[0]
-    quad = np.sum(v * v, axis=0)
-    shortfall = 1.0 - k @ model._r_inv_ones
-    var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / float(model._r_inv_ones.sum()))
-    return means, model.y_scale ** 2 * np.maximum(var_std, 0.0)
-
-
-def model_on(space, kind, p, n_train, seed=0):
-    """A model at fixed, well-conditioned hyperparameters (no optimization)."""
-    lower, upper, log_mask = kr.search_bounds(space, kind)
-    rng = np.random.default_rng(seed)
-    v = np.where(log_mask, rng.uniform(-1.0, 2.0, lower.size),
-                 lower + rng.uniform(0.2, 0.8, lower.size) * (upper - lower))
-    train = lhs(space, n_train, seed)
-    y = np.sin(3.0 * np.arange(n_train)) + 0.1 * np.arange(n_train)
-    return gp.build_model(Dataset(space, train, y), kr.set_from_search_vector(space, kind, v), p)
-
-
-def categorical_only_space():
-    return DesignSpace(tuple(Categorical(name, tuple(str(k) for k in range(L)))
-                             for name, L in (("a", 9), ("b", 8), ("c", 8))))
 
 
 CASES = {
@@ -77,7 +48,20 @@ def test_chunked_predict_matches_the_one_shot_formula(case):
             means, variances = gp.predict(model, batch)
             expected = one_shot_predict(model, batch)
             assert np.array_equal(means, expected[0]), (n_new, start)
-            assert np.array_equal(variances, expected[1]), (n_new, start)
+            worst = np.max(np.abs(variances - expected[1]))
+            assert worst <= VARIANCE_TOL * model.sigma2_hat, (n_new, start, worst)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_batch_predicts_what_its_chunks_predict(case):
+    model, points = CASES[case]()
+    for n_new in SIZES:
+        batch = points[3:3 + n_new]
+        whole = gp.predict(model, batch)
+        parts = [gp.predict(model, batch[rows]) for rows in gp._row_chunks(n_new)]
+        for j in (0, 1):
+            assert np.array_equal(whole[j], np.concatenate([part[j] for part in parts])), \
+                (n_new, j)
 
 
 def test_empty_batch_predicts_nothing():
