@@ -1,7 +1,7 @@
-"""Mixed design spaces, validation, one-hot encoding and DoE generation.
+"""Mixed design spaces, point batches, normalization and DoE generation.
 
-Builds a small continuous/integer/categorical space, shows point
-validation and normalization, draws a Latin hypercube design, and writes
+Builds a small continuous/integer/categorical space, shows a checked point
+batch and its normalized arrays, draws a Latin hypercube design, and writes
 the space/points files used by the command-line tools.
 """
 
@@ -16,11 +16,10 @@ from mixedgp import (
     DesignSpace,
     Integer,
     MixedPoint,
+    PointBatch,
     grid,
     lhs,
     load_space,
-    normalize,
-    one_hot_encode,
     save_points,
     save_space,
 )
@@ -35,10 +34,13 @@ print("counts:", space.n_continuous, "continuous,", space.n_integer,
       "integer,", space.n_categorical, "categorical")
 print("relaxed one-hot dimension:", space.relaxed_dim)
 
-# points carry 1-based level indices for the categorical part
-point = MixedPoint(continuous=(350.0,), integer=(4,), categorical=(2,))
-print("\none-hot encoding of 'aluminium':", one_hot_encode(space, point))
-print("normalized point:", normalize(space, point))
+# points carry 1-based level indices for the categorical part; a batch is
+# checked once and holds them as (X, Z, C) arrays split by variable kind
+points = PointBatch.of(space, [MixedPoint((350.0,), (4,), (2,)),
+                               MixedPoint((300.0,), (6,), (3,))])
+X, Z, C = points.normalized()
+print("\nnormalized batch: X", X.tolist(), "Z", Z.tolist(), "levels", C.tolist())
+print("first row:", points[0])
 
 # Latin hypercube: every temperature bin gets one sample, materials stay
 # balanced (counts differ by at most one)

@@ -75,8 +75,6 @@ from .space import (
     load_dataset,
     load_points,
     load_space,
-    normalize,
-    one_hot_encode,
     save_dataset,
     save_points,
     save_predictions,

@@ -242,8 +242,14 @@ class _Workspace:
     def cross_correlations(self, kind, flat: np.ndarray, points):
         """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
 
-        Each block has shape (len(rows), n_train); the |x_new - x_train|^p
-        work array is allocated once, so memory is O(chunk * n_train * d).
+        Each block has shape (len(rows), n_train).  Within a chunk, a run of
+        consecutive rows with equal numeric coordinates (a grid whose
+        categorical variables come last) shares one numeric factor
+        exp(-theta . |x_new - x_train|^p): it is built for the run's first
+        row and gathered to the others, before the level-matrix tables
+        multiply in.  Every row keeps the bits of its own factor.  A chunk's
+        first row always starts a run.  The |x_new - x_train|^p work array
+        is allocated once, so memory is O(chunk * n_train * d).
         """
         X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
@@ -252,15 +258,23 @@ class _Workspace:
                   for i, Ri in self._categorical_factors(kind, flat)]
         work = np.empty((min(len(points), _PREDICT_CHUNK + 1), self.n_points, self.n_numeric))
         for rows in _row_chunks(len(points)):
-            diffs = work[:rows.stop - rows.start]
+            block = XZ[rows]
+            # rows equal by value share a run: -0.0 and 0.0 give |x - x_train|^p
+            # the same bits against every training coordinate
+            first = np.ones(len(block), dtype=bool)
+            np.any(block[1:] != block[:-1], axis=1, out=first[1:])
+            block = block[first]
+            diffs = work[:len(block)]
             for j in range(self.n_numeric):
                 column = diffs[:, :, j]
-                np.subtract(XZ[rows, j, None], self.numeric[:, j], out=column)
+                np.subtract(block[:, j, None], self.numeric[:, j], out=column)
                 if self.p == 1:
                     np.abs(column, out=column)
                 else:  # the square of -x and of |x| have the same bits
                     np.square(column, out=column)
             K = np.exp(-(diffs @ theta))
+            if len(K) < len(first):
+                K = K.take(np.cumsum(first) - 1, axis=0)
             for i, table in tables:
                 K *= table.take(C[rows, i] - 1, axis=0)
             yield rows, K
@@ -577,7 +591,10 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     The points are processed in chunks of rows (:func:`_row_chunks`), so
     memory beyond the two output vectors stays O(chunk * n_train) whatever
     the batch size.  The quadratic term of the variance is |L^-1 k|^2, one
-    ``dtrmm`` with the model's kept L^-1 per chunk.  A mean has the bits of
+    ``dtrmm`` with the model's kept L^-1 per chunk.  Consecutive points with
+    equal numeric coordinates share the numeric factor of k
+    (:meth:`_Workspace.cross_correlations`), so a grid whose categorical
+    variables come last builds it once per numeric point.  A mean has the bits of
     the whole-batch formula, chunked or not.  A variance's last bits depend
     on the chunk it falls in (a triangular multiply rounds a column by the
     width of its right-hand side) and on the BLAS thread count; it agrees
@@ -594,7 +611,7 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
         mean_std = model.mu_std + K @ model._alpha
         means[rows] = model.y_mean + model.y_scale * mean_std
         v = dtrmm(1.0, model._chol_inv, K.T, lower=1)
-        quad = np.sum(v * v, axis=0)
+        quad = np.square(v, out=v).sum(axis=0)
         shortfall = 1.0 - K @ model._r_inv_ones
         var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / ones_r_ones)
         variances[rows] = model.y_scale ** 2 * np.maximum(var_std, 0.0)

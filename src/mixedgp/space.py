@@ -32,9 +32,6 @@ __all__ = [
     "PointBatch",
     "Dataset",
     "validate_point",
-    "one_hot_encode",
-    "normalize",
-    "decode_one_hot",
     "load_space",
     "save_space",
     "load_dataset",
@@ -55,6 +52,21 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"{what} {name!r} must be a non-empty name without whitespace")
 
 
+def _check_bounds(var) -> None:
+    """Bounds must be finite floats with lower < upper and a finite width upper - lower."""
+    _check_name(var.name, "variable name")
+    try:
+        lower, upper = float(var.lower), float(var.upper)
+    except OverflowError as exc:  # an int too large for a float
+        raise ValueError(f"{var.name}: a bound is too large for a float; bounds must be "
+                         f"finite") from exc
+    if not np.isfinite([lower, upper, upper - lower]).all():
+        raise ValueError(f"{var.name}: bounds [{lower!r}, {upper!r}] must be finite floats "
+                         f"with a finite width")
+    if not lower < upper:
+        raise ValueError(f"{var.name}: lower must be < upper")
+
+
 @dataclass(frozen=True)
 class Continuous:
     """Bounded continuous variable."""
@@ -64,9 +76,7 @@ class Continuous:
     upper: float
 
     def __post_init__(self):
-        _check_name(self.name, "variable name")
-        if not self.lower < self.upper:
-            raise ValueError(f"{self.name}: lower must be < upper")
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,7 @@ class Integer:
     upper: int
 
     def __post_init__(self):
-        _check_name(self.name, "variable name")
-        if not self.lower < self.upper:
-            raise ValueError(f"{self.name}: lower must be < upper")
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -224,55 +232,6 @@ def validate_point(space: DesignSpace, point: MixedPoint) -> None:
     for i, (spec, c) in enumerate(zip(space.categorical, point.categorical)):
         if not (isinstance(c, int) and 1 <= c <= spec.n_levels):
             raise LevelOutOfRange(i, c, spec.n_levels)
-
-
-def one_hot_encode(space: DesignSpace, point: MixedPoint) -> np.ndarray:
-    """One-hot encoding of the categorical part, concatenated per variable.
-
-    Returns a vector of length ``space.relaxed_dim`` with exactly one 1 per
-    categorical variable, at the position of its level index.
-    """
-    validate_point(space, point)
-    out = np.zeros(space.relaxed_dim)
-    offset = 0
-    for spec, level in zip(space.categorical, point.categorical):
-        out[offset + level - 1] = 1.0
-        offset += spec.n_levels
-    return out
-
-
-def decode_one_hot(space: DesignSpace, encoded: np.ndarray) -> tuple[int, ...]:
-    """Recover 1-based level indices from a one-hot block layout (argmax per block)."""
-    encoded = np.asarray(encoded, dtype=float)
-    if encoded.shape != (space.relaxed_dim,):
-        raise DimensionMismatch(
-            f"encoded length {encoded.shape} does not match relaxed dim {space.relaxed_dim}"
-        )
-    levels = []
-    offset = 0
-    for spec in space.categorical:
-        block = encoded[offset:offset + spec.n_levels]
-        levels.append(int(np.argmax(block)) + 1)
-        offset += spec.n_levels
-    return tuple(levels)
-
-
-def normalize(space: DesignSpace, point: MixedPoint) -> MixedPoint:
-    """Map continuous and integer coordinates affinely onto [0, 1].
-
-    Categorical coordinates are unchanged.  Already-normalized unit-range
-    variables map to themselves.
-    """
-    validate_point(space, point)
-    cont = tuple(
-        (x - v.lower) / (v.upper - v.lower)
-        for v, x in zip(space.continuous, point.continuous)
-    )
-    intg = tuple(
-        (z - v.lower) / (v.upper - v.lower)
-        for v, z in zip(space.integer, point.integer)
-    )
-    return MixedPoint(cont, intg, point.categorical)
 
 
 @dataclass(frozen=True, eq=False)

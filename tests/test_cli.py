@@ -62,6 +62,17 @@ def test_doe_missing_space_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["continuous x 0 inf", "continuous x -1e308 1e308",
+                                  "integer z 0 1" + "0" * 400])
+def test_doe_space_with_infinite_or_overflowing_bounds_exits_2(tmp_path, capsys, line):
+    space_file = tmp_path / "bad.space"
+    space_file.write_text(line + "\ncategorical c a b\n")
+    code = main(["doe", str(space_file), "--n", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_doe_overflowing_grid(tmp_path):
     space = DesignSpace((Continuous("a", 0, 1), Continuous("b", 0, 1), Continuous("c", 0, 1)))
     space_file = tmp_path / "big.space"

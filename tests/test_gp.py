@@ -35,7 +35,6 @@ from mixedgp.space import (
     DesignSpace,
     Integer,
     MixedPoint,
-    normalize,
 )
 
 from conftest import (
@@ -45,6 +44,7 @@ from conftest import (
     one_shot_predict,
     random_hyper,
 )
+from oracles import normalize
 
 K = CategoricalKernelKind
 

@@ -10,6 +10,10 @@ width of its right-hand side.  They are held to the one-shot ``dtrtrs``
 formula within ``VARIANCE_TOL * sigma2_hat``, the default jitter, which is
 as finely as the model resolves the variance, and to the exact property
 that a batch predicts what its chunks predict one by one.
+
+Within a chunk, consecutive rows with equal numeric coordinates share one
+numeric factor of k; the per-row loop below is the oracle every block of
+``cross_correlations`` must equal bit for bit.
 """
 
 import tracemalloc
@@ -20,8 +24,8 @@ import pytest
 from mixedgp import gp
 from mixedgp import kernels as kr
 from mixedgp.benchmarks import beam_space, cosine_space
-from mixedgp.doe import grid
-from mixedgp.space import PointBatch
+from mixedgp.doe import grid, lhs
+from mixedgp.space import Categorical, Continuous, DesignSpace, Integer, PointBatch
 
 from conftest import VARIANCE_TOL, categorical_only_space, model_on, one_shot_predict
 
@@ -92,3 +96,99 @@ def test_predict_memory_does_not_grow_with_the_batch(case):
     beyond = [peak_bytes(model, b) - per_point * len(b) for b in (small, big)]
     assert max(beyond) < 3e6, beyond
     assert beyond[1] < beyond[0] + 0.25e6, beyond
+
+
+# ---------------------------------------------------------------------------
+# runs of rows sharing their numeric coordinates
+# ---------------------------------------------------------------------------
+
+def per_row_cross_correlations(ws, kind, flat, points):
+    """The oracle: (rows, k) per chunk, every row building its own numeric factor."""
+    X, Z, C = points.normalized()
+    XZ = np.hstack([X, Z])
+    tables = [(i, Ri[:, ws.levels[:, i]]) for i, Ri in ws._categorical_factors(kind, flat)]
+    for rows in gp._row_chunks(len(points)):
+        diffs = np.empty((rows.stop - rows.start, ws.n_points, ws.n_numeric))
+        for j in range(ws.n_numeric):
+            column = diffs[:, :, j]
+            np.subtract(XZ[rows, j, None], ws.numeric[:, j], out=column)
+            if ws.p == 1:
+                np.abs(column, out=column)
+            else:
+                np.square(column, out=column)
+        K = np.exp(-(diffs @ flat[:ws.n_numeric]))
+        for i, table in tables:
+            K *= table.take(C[rows, i] - 1, axis=0)
+        yield rows, K
+
+
+def levels(name, L):
+    return Categorical(name, tuple(f"l{j}" for j in range(L)))
+
+
+def beam_grid():
+    return grid(beam_space(), (8, 8))  # 768 rows in runs of 12: chunks 2 and 3 open mid-run
+
+
+def signed_zeros():
+    """Runs of three levels at x = 0, whose rows alternate 0.0 and -0.0, then at x = 0.5."""
+    space = DesignSpace((Continuous("x", 0.0, 1.0), levels("c", 3)))
+    X = np.array([[0.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0], [0.5], [0.5], [0.5]] * 40)
+    return space, PointBatch(space, X, np.empty((len(X), 0)), np.tile([[1], [2], [3]], (120, 1)))
+
+
+CATEGORICAL_FIRST = DesignSpace((levels("c", 5), Continuous("x", 0.0, 1.0), Integer("z", 0, 9)))
+INTERLEAVED = DesignSpace((Continuous("x", 0.0, 1.0), levels("c", 4), Integer("z", 0, 3),
+                           levels("d", 3)))
+# a rounded linspace of 0..3 in 9 steps repeats values: runs of whole duplicate points
+REPEATED_INTEGER = DesignSpace((Integer("z", 0, 3), Continuous("x", -1.0, 2.0), levels("c", 6)))
+
+RUN_CASES = {
+    "beam-grid-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98), beam_grid()),
+    "beam-grid-reversed-gd-p1": lambda: (model_on(beam_space(), K.GD, 1, 98), beam_grid()[::-1]),
+    "beam-grid-1-row-ehh-p2": lambda: (model_on(beam_space(), K.EHH, 2, 60), beam_grid()[5:6]),
+    "beam-grid-257-rows-fe-p1": lambda: (model_on(beam_space(), K.FE, 1, 60),
+                                         beam_grid()[7:264]),
+    "beam-grid-513-rows-hh-p2": lambda: (model_on(beam_space(), K.HH, 2, 60),
+                                         beam_grid()[3:516]),
+    "categorical-first-hh-p2": lambda: (model_on(CATEGORICAL_FIRST, K.HH, 2, 50),
+                                        grid(CATEGORICAL_FIRST, (7, 8))),
+    "interleaved-ehh-p1": lambda: (model_on(INTERLEAVED, K.EHH, 1, 50),
+                                   grid(INTERLEAVED, (9, 10))),
+    "repeated-integer-gd-p1": lambda: (model_on(REPEATED_INTEGER, K.GD, 1, 50),
+                                       grid(REPEATED_INTEGER, (9, 7))),
+    "categorical-only-cr-p1": lambda: (model_on(categorical_only_space(), K.CR, 1, 40),
+                                       grid(categorical_only_space(), ())),
+    "signed-zeros-fe-p2": lambda: (model_on(signed_zeros()[0], K.FE, 2, 30), signed_zeros()[1]),
+    "lhs-beam-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98), lhs(beam_space(), 600, 3)),
+}
+
+
+def test_the_run_cases_hold_what_they_are_named_for():
+    rows = np.hstack(beam_grid().normalized()[:2])
+    assert np.array_equal(rows[CHUNK - 1], rows[CHUNK])  # a chunk opens mid-run
+    assert np.array_equal(rows[2 * CHUNK - 1], rows[2 * CHUNK])
+    z = grid(REPEATED_INTEGER, (9, 7)).Z[:, 0]
+    assert len(np.unique(z)) < 9  # the integer axis repeats values
+    x = signed_zeros()[1].normalized()[0][:, 0]
+    assert np.signbit(x[1]) and not np.signbit(x[0]) and x[0] == x[1]
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_cross_correlations_equal_the_per_row_oracle(case):
+    model, points = RUN_CASES[case]()
+    ws, theta = model._workspace, model.theta_star
+    blocks = list(ws.cross_correlations(theta.kind, theta.flat, points))
+    expected = list(per_row_cross_correlations(ws, theta.kind, theta.flat, points))
+    assert [rows for rows, _ in blocks] == [rows for rows, _ in expected]
+    for (rows, got), (_, want) in zip(blocks, expected):
+        assert np.array_equal(got, want), rows
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_run_sharing_predict_matches_the_one_shot_formula(case):
+    model, points = RUN_CASES[case]()
+    means, variances = gp.predict(model, points)
+    expected = one_shot_predict(model, points)
+    assert np.array_equal(means, expected[0])
+    assert np.max(np.abs(variances - expected[1])) <= VARIANCE_TOL * model.sigma2_hat

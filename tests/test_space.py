@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,17 +16,16 @@ from mixedgp.space import (
     DesignSpace,
     Integer,
     MixedPoint,
-    decode_one_hot,
     load_dataset,
     load_points,
     load_space,
-    normalize,
-    one_hot_encode,
     save_dataset,
     save_points,
     save_space,
     validate_point,
 )
+
+from oracles import decode_one_hot, normalize, one_hot_encode
 
 
 @pytest.fixture
@@ -45,6 +46,26 @@ def test_variable_invariants():
         Categorical("c", ("only",))
     with pytest.raises(ValueError):
         Categorical("c", ("a", "a"))
+
+
+@pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                    (-1e308, 1e308)])
+def test_continuous_bounds_must_be_finite_with_a_finite_width(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Continuous("x", *bounds)
+
+
+@pytest.mark.parametrize("bounds", [(0, 10 ** 400), (-10 ** 400, 0)])
+def test_integer_bounds_must_fit_a_float(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Integer("z", *bounds)
+
+
+def test_load_space_refuses_infinite_bounds(tmp_path):
+    path = tmp_path / "bad.space"
+    path.write_text("continuous x 0 inf\n")
+    with pytest.raises(ParseError, match="finite"):
+        load_space(path)
 
 
 def test_space_counts(mixed_space):
