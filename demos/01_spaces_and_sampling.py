@@ -53,9 +53,10 @@ print("\nLHS of 12 points; material level counts:",
 full = grid(space, points_per_dim=(5, 6))
 print("grid size 5 x 6 x 3 =", len(full))
 
-workdir = Path(tempfile.mkdtemp())
-space_file = workdir / "demo.space"
-save_space(space, space_file)
-save_points(space, design, workdir / "design.csv")
-print("\nwrote", space_file, "and", workdir / "design.csv")
-print("reloaded space equals original:", load_space(space_file) == space)
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    space_file = workdir / "demo.space"
+    save_space(space, space_file)
+    save_points(space, design, workdir / "design.csv")
+    print("\nwrote", space_file, "and", workdir / "design.csv")
+    print("reloaded space equals original:", load_space(space_file) == space)

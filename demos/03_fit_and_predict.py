@@ -75,10 +75,11 @@ print("held-out RMSE:", float(np.sqrt(np.mean(errors ** 2))))
 inside = np.abs(errors) <= 3 * np.sqrt(variances) + 1e-12
 print("fraction inside 3 sigma:", float(np.mean(inside)))
 
-path = Path(tempfile.mkdtemp()) / "model.json"
-save_model(model, path)
-reloaded = load_model(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.json"
+    save_model(model, path)
+    reloaded = load_model(path)
+    print("\nserialized to", path)
 m1, _ = predict(model, test)
 m2, _ = predict(reloaded, test)
-print("\nserialized to", path)
 print("reloaded predictions bit-identical:", bool(np.array_equal(m1, m2)))

@@ -51,16 +51,10 @@ from .kernels import (
     HyperparameterSet,
     categorical_matrix,
     categorical_param_count,
-    continuous_kernel,
     embed_hyper_matrix,
     gram_to_angles,
-    hamming_score,
     hyperparameter_count,
     hypersphere_lower_triangular,
-    integer_kernel,
-    level_correlation,
-    mixed_kernel,
-    phi_transform,
     recover_angles_from_correlation,
 )
 from .optimize import BoxBounds, SearchConfig, local_search, multistart

@@ -226,6 +226,8 @@ def _cmd_benchmark(args) -> int:
         return 0
 
     kinds = [kr.CategoricalKernelKind.parse(k) for k in args.kernels.split(",") if k]
+    if not kinds:
+        raise ValueError(f"--kernels {args.kernels!r} names no kernel kind")
     fit_config = gp.FitConfig(n_starts=args.starts, max_evals=args.budget, seed=seed)
     if args.problem == "cosine":
         results, corr, errors = bm.run_cosine_benchmark(
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (MixedGpError, ValueError) as exc:
+    except (MixedGpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for errors, code in _EXIT_CODES if isinstance(exc, errors)), EXIT_PARSE)
 

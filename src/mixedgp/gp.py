@@ -663,9 +663,10 @@ def save_model(model: GpModel, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-# keys load_model reads, with the JSON types each must have
+# keys load_model reads, with the JSON types each must have; only fit_seconds may be absent
 _MODEL_KEYS = {"kernel": str, "p": int, "epsilon": (int, float), "jitter": (int, float),
-               "theta_flat": list, "space": list, "points": dict, "targets": list}
+               "theta_flat": list, "space": list, "points": dict, "targets": list,
+               "fit_seconds": (int, float)}
 
 
 def load_model(path) -> GpModel:
@@ -682,6 +683,7 @@ def load_model(path) -> GpModel:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "mixedgp-model":
         raise ParseError(f"{path} is not a mixedgp model file")
+    doc = {"fit_seconds": 0.0, **doc}
     for key, types in _MODEL_KEYS.items():
         if key not in doc:
             raise ParseError(f"{path}: model file has no {key!r}")
@@ -706,4 +708,4 @@ def load_model(path) -> GpModel:
     except (KeyError, TypeError, ValueError, MixedGpError) as exc:
         raise ParseError(f"{path}: invalid model file: {exc}") from exc
     return build_model(dataset, theta, p, float(doc["jitter"]),
-                       fit_seconds=float(doc.get("fit_seconds", 0.0)))
+                       fit_seconds=float(doc["fit_seconds"]))

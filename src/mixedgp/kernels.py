@@ -1,6 +1,7 @@
 """Correlation kernels for mixed continuous/integer/categorical inputs.
 
-Continuous and integer coordinates use the anisotropic exponential kernel
+Continuous and integer coordinates use the anisotropic exponential kernel,
+which :mod:`mixedgp.gp` builds over whole point batches:
 
     k(x, x') = prod_j exp(-theta_j |x_j - x'_j|^p),    p in {1, 2}.
 
@@ -52,8 +53,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotRepresentable, ShapeMismatch
-from .space import DesignSpace, MixedPoint
+from .errors import NotRepresentable, ShapeMismatch
+from .space import DesignSpace
 
 __all__ = [
     "EPSILON",
@@ -63,14 +64,8 @@ __all__ = [
     "KINDS",
     "check_exponent",
     "HyperparameterSet",
-    "continuous_kernel",
-    "integer_kernel",
-    "hamming_score",
     "hypersphere_lower_triangular",
-    "phi_transform",
-    "level_correlation",
     "categorical_matrix",
-    "mixed_kernel",
     "categorical_param_count",
     "hyperparameter_count",
     "gram_to_angles",
@@ -366,35 +361,6 @@ def hyperparameter_count(space: DesignSpace, kind: CategoricalKernelKind) -> int
 
 
 # ---------------------------------------------------------------------------
-# continuous / integer kernels
-# ---------------------------------------------------------------------------
-
-def continuous_kernel(x_r, x_s, theta, p: int = 2) -> float:
-    """Anisotropic exponential kernel prod_j exp(-theta_j |x_r,j - x_s,j|^p)."""
-    p = check_exponent(p)
-    x_r = np.asarray(x_r, dtype=float).reshape(-1)
-    x_s = np.asarray(x_s, dtype=float).reshape(-1)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if not (x_r.size == x_s.size == theta.size):
-        raise DimensionMismatch(
-            f"lengths differ: x_r {x_r.size}, x_s {x_s.size}, theta {theta.size}"
-        )
-    if np.any(theta < 0):
-        raise ValueError("theta entries must be non-negative")
-    return float(np.exp(-np.sum(theta * np.abs(x_r - x_s) ** p)))
-
-
-def integer_kernel(z_r, z_s, theta, p: int = 2) -> float:
-    """Exponential kernel on continuously relaxed integer coordinates."""
-    return continuous_kernel(z_r, z_s, theta, p)
-
-
-def hamming_score(level_r: int, level_s: int) -> int:
-    """0 if the two levels coincide, 1 otherwise."""
-    return 0 if int(level_r) == int(level_s) else 1
-
-
-# ---------------------------------------------------------------------------
 # hypersphere decomposition
 # ---------------------------------------------------------------------------
 
@@ -432,41 +398,6 @@ def _hypersphere(pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
 # unified categorical kernel
 # ---------------------------------------------------------------------------
 
-def phi_transform(
-    kind: CategoricalKernelKind,
-    n_levels: int,
-    values,
-) -> np.ndarray:
-    """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values."""
-    L, pack, values = _packed(kind, n_levels, values)
-    return _phi(KINDS[kind], pack, L, values)
-
-
-def _phi(rule: KindRule, pack: _Packing, L: int, values: np.ndarray) -> np.ndarray:
-    gram = None
-    if rule.angle_upper > 0:
-        C = _hypersphere(pack, L, values)
-        gram = C @ np.swapaxes(C, -1, -2)
-    return rule.phi(gram, _theta_diagonal(pack, L, values))
-
-
-def level_correlation(
-    kind: CategoricalKernelKind,
-    phi: np.ndarray,
-    level_r: int,
-    level_s: int,
-) -> float:
-    """Correlation between two levels given Phi(Theta_i).
-
-    Equal levels correlate 1; otherwise the level-wise form
-    kappa(2 Phi_rs) kappa(Phi_rr) kappa(Phi_ss) applies, with the kind's kappa.
-    """
-    r, s = int(level_r) - 1, int(level_s) - 1
-    if r == s:
-        return 1.0
-    return float(KINDS[kind].kappa(2.0 * phi[r, s], phi[r, r], phi[s, s]))
-
-
 def categorical_matrix(
     kind: CategoricalKernelKind,
     n_levels: int,
@@ -483,46 +414,15 @@ def categorical_matrix(
     """
     L, pack, values = _packed(kind, n_levels, values, stack=True)
     rule = KINDS[kind]
-    phi = _phi(rule, pack, L, values)
+    gram = None
+    if rule.angle_upper > 0:
+        C = _hypersphere(pack, L, values)
+        gram = C @ np.swapaxes(C, -1, -2)
+    phi = rule.phi(gram, _theta_diagonal(pack, L, values))
     d = np.diagonal(phi, axis1=-2, axis2=-1)
     R = rule.kappa(2.0 * phi, d[..., :, None], d[..., None, :])
     _fill_diagonal(R, 1.0)
     return R
-
-
-def mixed_kernel(
-    w_r: MixedPoint,
-    w_s: MixedPoint,
-    theta: HyperparameterSet,
-    p: int = 2,
-) -> float:
-    """Product kernel over the continuous, integer and categorical parts.
-
-    Coordinates are used exactly as stored in the points; the GP layer is
-    responsible for normalizing before it gets here.
-    """
-    if (
-        len(w_r.continuous) != len(w_s.continuous)
-        or len(w_r.integer) != len(w_s.integer)
-        or len(w_r.categorical) != len(w_s.categorical)
-    ):
-        raise DimensionMismatch("points have different coordinate layouts")
-    n_cont, (n_rates, level_counts) = len(w_r.continuous), theta.layout
-    if n_cont + len(w_r.integer) != n_rates or len(w_r.categorical) != len(level_counts):
-        raise DimensionMismatch(
-            f"points with {n_cont + len(w_r.integer)} numeric and {len(w_r.categorical)} "
-            f"categorical coordinates do not fit hyperparameter layout {theta.layout}"
-        )
-    value = 1.0
-    if w_r.continuous:
-        value *= continuous_kernel(w_r.continuous, w_s.continuous, theta.rates[:n_cont], p)
-    if w_r.integer:
-        value *= integer_kernel(w_r.integer, w_s.integer, theta.rates[n_cont:], p)
-    for i, (L, lr, ls) in enumerate(zip(level_counts, w_r.categorical, w_s.categorical)):
-        if lr != ls:
-            phi = phi_transform(theta.kind, L, theta.variable(i))
-            value *= level_correlation(theta.kind, phi, lr, ls)
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,27 @@
 """Per-point reference functions the tests compare the package against.
 
 No production path needs them: the package works on whole ``PointBatch``
-arrays (``PointBatch.normalized()`` maps a batch onto [0, 1]).  They
-restate, one point at a time, what the vectorised code computes.
+arrays (``PointBatch.normalized()`` maps a batch onto [0, 1]) and whole
+level correlation matrices (``categorical_matrix``).  They restate, one
+point at a time, what the vectorised code computes.
+
+The kernel functions share no categorical code with the package:
+:func:`phi_transform` unpacks Theta_i, builds the hypersphere rows and
+fills Phi in plain Python loops from the paper's definitions, so a slip in
+the package's vectorised Phi shows as a disagreement here.  From the
+kernel module they take only the kernel's constant ``EPSILON``, the kind
+names, the hyperparameter vector and the parameter count.
 """
+
+import math
 
 import numpy as np
 
-from mixedgp.errors import DimensionMismatch
+from mixedgp import EPSILON, CategoricalKernelKind, HyperparameterSet, categorical_param_count
+from mixedgp.errors import DimensionMismatch, ShapeMismatch
 from mixedgp.space import DesignSpace, MixedPoint, validate_point
+
+K = CategoricalKernelKind
 
 
 def one_hot_encode(space: DesignSpace, point: MixedPoint) -> np.ndarray:
@@ -58,3 +71,134 @@ def normalize(space: DesignSpace, point: MixedPoint) -> MixedPoint:
         for v, z in zip(space.integer, point.integer)
     )
     return MixedPoint(cont, intg, point.categorical)
+
+
+# ---------------------------------------------------------------------------
+# the mixed kernel, one pair of points at a time
+# ---------------------------------------------------------------------------
+
+def continuous_kernel(x_r, x_s, theta, p: int = 2) -> float:
+    """Anisotropic exponential kernel prod_j exp(-theta_j |x_r,j - x_s,j|^p)."""
+    p = int(p)
+    if p not in (1, 2):
+        raise ValueError(f"exponent p must be 1 or 2, got {p}")
+    x_r = np.asarray(x_r, dtype=float).reshape(-1)
+    x_s = np.asarray(x_s, dtype=float).reshape(-1)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if not (x_r.size == x_s.size == theta.size):
+        raise DimensionMismatch(
+            f"lengths differ: x_r {x_r.size}, x_s {x_s.size}, theta {theta.size}"
+        )
+    if np.any(theta < 0):
+        raise ValueError("theta entries must be non-negative")
+    return float(np.exp(-np.sum(theta * np.abs(x_r - x_s) ** p)))
+
+
+def integer_kernel(z_r, z_s, theta, p: int = 2) -> float:
+    """Exponential kernel on continuously relaxed integer coordinates."""
+    return continuous_kernel(z_r, z_s, theta, p)
+
+
+def hamming_score(level_r: int, level_s: int) -> int:
+    """0 if the two levels coincide, 1 otherwise."""
+    return 0 if int(level_r) == int(level_s) else 1
+
+
+def phi_transform(kind: CategoricalKernelKind, n_levels: int, values) -> np.ndarray:
+    """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values.
+
+    Theta_i is packed row-major over its lower triangle, each kind keeping
+    some of its entries: GD one theta with Theta_jj = theta/2, CR the
+    diagonal, EHH and HH the angles (the strict lower triangle), FE both.
+    Row k of the hypersphere factor C holds the spherical coordinates
+    (cos a_k1, sin a_k1 cos a_k2, ..., prod_j sin a_kj) of the angles a_k
+    of row k, and G = C C^T.  Phi then follows the kind table of the
+    ``mixedgp.kernels`` docstring.
+    """
+    L = int(n_levels)
+    values = [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
+    if len(values) != categorical_param_count(kind, L):
+        raise ShapeMismatch(f"{kind.value} with {L} levels expects "
+                            f"{categorical_param_count(kind, L)} values, got {len(values)}")
+    keeps_diagonal = kind in (K.CR, K.FE)
+    keeps_angles = kind in (K.EHH, K.FE, K.HH)
+    theta = [[0.0] * L for _ in range(L)]
+    packed = iter(values)
+    for k in range(L):
+        for j in range(k + 1):
+            if kind is K.GD and j == k:
+                theta[k][k] = values[0] / 2.0
+            elif (j == k and keeps_diagonal) or (j < k and keeps_angles):
+                theta[k][j] = next(packed)
+    C = [[0.0] * L for _ in range(L)]
+    for k in range(L):
+        sines = 1.0
+        for j in range(k):
+            C[k][j] = math.cos(theta[k][j]) * sines
+            sines *= math.sin(theta[k][j])
+        C[k][k] = sines
+    G = [[sum(C[r][m] * C[s][m] for m in range(L)) for s in range(L)] for r in range(L)]
+    phi = np.zeros((L, L))
+    for r in range(L):
+        for s in range(L):
+            if kind is K.HH:
+                phi[r, s] = 1.0 if r == s else G[r][s] / 2.0
+            elif r == s:
+                phi[r, s] = theta[r][r]
+            elif kind in (K.EHH, K.FE):
+                phi[r, s] = math.log(EPSILON) / 2.0 * (G[r][s] - 1.0)
+    return phi
+
+
+def level_correlation(
+    kind: CategoricalKernelKind,
+    phi: np.ndarray,
+    level_r: int,
+    level_s: int,
+) -> float:
+    """Correlation between two levels given Phi(Theta_i).
+
+    Equal levels correlate 1; otherwise the level-wise form
+    kappa(2 Phi_rs) kappa(Phi_rr) kappa(Phi_ss) applies, where kappa is the
+    identity for HH and exp(-.) for the other kinds.
+    """
+    r, s = int(level_r) - 1, int(level_s) - 1
+    if r == s:
+        return 1.0
+    kappa = (lambda v: v) if kind is K.HH else (lambda v: math.exp(-v))
+    return float(kappa(2.0 * phi[r, s]) * kappa(phi[r, r]) * kappa(phi[s, s]))
+
+
+def mixed_kernel(
+    w_r: MixedPoint,
+    w_s: MixedPoint,
+    theta: HyperparameterSet,
+    p: int = 2,
+) -> float:
+    """Product kernel over the continuous, integer and categorical parts.
+
+    Coordinates are used exactly as stored in the points; normalize them
+    first (:func:`normalize`) to compare with the package's correlations.
+    """
+    if (
+        len(w_r.continuous) != len(w_s.continuous)
+        or len(w_r.integer) != len(w_s.integer)
+        or len(w_r.categorical) != len(w_s.categorical)
+    ):
+        raise DimensionMismatch("points have different coordinate layouts")
+    n_cont, (n_rates, level_counts) = len(w_r.continuous), theta.layout
+    if n_cont + len(w_r.integer) != n_rates or len(w_r.categorical) != len(level_counts):
+        raise DimensionMismatch(
+            f"points with {n_cont + len(w_r.integer)} numeric and {len(w_r.categorical)} "
+            f"categorical coordinates do not fit hyperparameter layout {theta.layout}"
+        )
+    value = 1.0
+    if w_r.continuous:
+        value *= continuous_kernel(w_r.continuous, w_s.continuous, theta.rates[:n_cont], p)
+    if w_r.integer:
+        value *= integer_kernel(w_r.integer, w_s.integer, theta.rates[n_cont:], p)
+    for i, (L, lr, ls) in enumerate(zip(level_counts, w_r.categorical, w_s.categorical)):
+        if lr != ls:
+            phi = phi_transform(theta.kind, L, theta.variable(i))
+            value *= level_correlation(theta.kind, phi, lr, ls)
+    return float(value)

@@ -38,13 +38,13 @@ from mixedgp.kernels import (
     HyperparameterSet,
     categorical_matrix,
     hyperparameter_count,
-    mixed_kernel,
     recover_angles_from_correlation,
 )
 from mixedgp.optimize import BoxBounds, SearchConfig, multistart
 from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer
 
 from conftest import random_hyper
+from oracles import mixed_kernel
 
 K = CategoricalKernelKind
 

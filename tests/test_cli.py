@@ -207,6 +207,14 @@ def test_benchmark_unknown_kernel_kind():
     assert code == 2
 
 
+@pytest.mark.parametrize("kernels", ["", ","])
+def test_benchmark_with_no_kernel_kind_exits_2(kernels, capsys):
+    code = main(["benchmark", "--problem", "cosine", "--kernels", kernels, "--strict",
+                 "--doe-size", "5", "--starts", "1", "--budget", "50"])
+    assert code == 2
+    assert "names no kernel kind" in capsys.readouterr().err
+
+
 def test_kernel_info(tmp_path, cosine_files, capsys):
     _, space_file, _ = cosine_files
     assert main(["kernel-info", str(space_file)]) == 0
@@ -346,6 +354,37 @@ def test_model_file_with_negative_theta_exits_2(tmp_path, cosine_files, gd_model
     code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "abc"])
+def test_model_file_with_a_non_numeric_fit_seconds_exits_2(tmp_path, cosine_files, gd_model_file,
+                                                           value, capsys):
+    _, _, data_file = cosine_files
+    doc = json.loads(gd_model_file.read_text())
+    doc["fit_seconds"] = value
+    gd_model_file.write_text(json.dumps(doc))
+    code = main(["predict", str(gd_model_file), str(data_file), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "'fit_seconds' has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["doe", "fit-trace", "export-corr"])
+def test_output_path_that_cannot_be_written_exits_2(tmp_path, cosine_files, gd_model_file,
+                                                    command, capsys):
+    _, space_file, data_file = cosine_files
+    out = str(tmp_path / "no such directory" / "out")
+    args = {
+        "doe": ["doe", str(space_file), "--n", "5", "--out", out],
+        "fit-trace": ["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                        "--budget", "50", "--out-model", str(tmp_path / "m.json"),
+                        "--trace", out],
+        "export-corr": ["export-corr", str(gd_model_file), "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no such directory" in err
 
 
 def test_model_file_with_extra_point_row_exits_2(tmp_path, cosine_files, gd_model_file, capsys):

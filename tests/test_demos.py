@@ -17,7 +17,10 @@ DEMOS = ["01_spaces_and_sampling.py", "02_categorical_kernels.py", "03_fit_and_p
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
+    # the demo's temporary files go to a directory of its own, which it must leave empty
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    env = dict(os.environ, TMPDIR=str(temp))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -26,3 +29,4 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert list(temp.iterdir()) == []

@@ -26,7 +26,6 @@ from mixedgp.kernels import (
     EPSILON,
     CategoricalKernelKind,
     HyperparameterSet,
-    mixed_kernel,
 )
 from mixedgp.space import (
     Categorical,
@@ -44,7 +43,7 @@ from conftest import (
     one_shot_predict,
     random_hyper,
 )
-from oracles import normalize
+from oracles import mixed_kernel, normalize
 
 K = CategoricalKernelKind
 
@@ -106,15 +105,15 @@ def test_correlation_matrix_duplicates_and_jitter():
 def test_correlation_matrix_matches_mixed_kernel_on_normalized_points():
     rng = np.random.default_rng(0)
     ds = mixed_dataset(8)
-    theta = random_theta(ds.space, K.EHH, rng)
-    R = correlation_matrix(ds, theta, 2)
-    assert np.allclose(np.diag(R), 1.0)
-    assert np.allclose(R, R.T)
     normalized = [normalize(ds.space, w) for w in ds.points]
-    for i in (0, 3):
-        for j in (1, 5):
-            expected = mixed_kernel(normalized[i], normalized[j], theta, 2)
-            assert R[i, j] == pytest.approx(expected, rel=1e-12)
+    for kind in K:
+        theta = random_theta(ds.space, kind, rng)
+        for p in (1, 2):
+            R = correlation_matrix(ds, theta, p)
+            assert np.allclose(np.diag(R), 1.0)
+            assert np.allclose(R, R.T)
+            expected = [[mixed_kernel(a, b, theta, p) for b in normalized] for a in normalized]
+            assert np.max(np.abs(R - expected)) <= 1e-14, (kind, p)
 
 
 def test_correlation_matrix_ehh_single_level_difference():
@@ -539,13 +538,17 @@ def _corrupted(doc, case):
         "negative CR diagonal": {**doc, "theta_flat": theta[:-1] + [-0.1]},
         "non-positive jitter": {**doc, "jitter": 0.0},
         "epsilon other than exp(-20)": {**doc, "epsilon": 1e-3},
+        "fit_seconds null": {**doc, "fit_seconds": None},
+        "fit_seconds a string": {**doc, "fit_seconds": "abc"},
+        "fit_seconds a bool": {**doc, "fit_seconds": True},
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "missing theta_flat", "theta_flat not a list", "p not an int", "non-finite theta",
     "negative continuous rate", "negative CR diagonal", "non-positive jitter",
-    "epsilon other than exp(-20)",
+    "epsilon other than exp(-20)", "fit_seconds null", "fit_seconds a string",
+    "fit_seconds a bool",
 ])
 def test_load_model_validates_keys_types_and_domains(tmp_path, case):
     from mixedgp.errors import ParseError
@@ -556,6 +559,19 @@ def test_load_model_validates_keys_types_and_domains(tmp_path, case):
     path.write_text(json.dumps(_corrupted(json.loads(path.read_text()), case)))
     with pytest.raises(ParseError):
         load_model(path)
+
+
+def test_load_model_without_fit_seconds_reads_zero(tmp_path):
+    ds = mixed_dataset(10)
+    path = tmp_path / "model.json"
+    model = build_model(ds, random_theta(ds.space, K.CR, np.random.default_rng(4)))
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    del doc["fit_seconds"]
+    path.write_text(json.dumps(doc))
+    reloaded = load_model(path)
+    assert reloaded.fit_seconds == 0.0
+    assert reloaded.theta_star == model.theta_star
 
 
 @pytest.mark.parametrize("name, change, rows", [

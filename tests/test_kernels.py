@@ -12,16 +12,10 @@ from mixedgp.kernels import (
     HyperparameterSet,
     categorical_matrix,
     categorical_param_count,
-    continuous_kernel,
     embed_hyper_matrix,
     gram_to_angles,
-    hamming_score,
     hyperparameter_count,
     hypersphere_lower_triangular,
-    integer_kernel,
-    level_correlation,
-    mixed_kernel,
-    phi_transform,
     recover_angles_from_correlation,
     search_bounds,
     search_from_natural,
@@ -30,6 +24,14 @@ from mixedgp.kernels import (
 from mixedgp.space import Categorical, Continuous, DesignSpace, Integer, MixedPoint
 
 from conftest import random_hyper
+from oracles import (
+    continuous_kernel,
+    hamming_score,
+    integer_kernel,
+    level_correlation,
+    mixed_kernel,
+    phi_transform,
+)
 
 K = CategoricalKernelKind
 ALL_KINDS = list(K)
@@ -181,6 +183,33 @@ def test_categorical_matrix_ehh_right_angles():
 def test_categorical_matrix_hh_right_angles_identity():
     R = categorical_matrix(K.HH, 4, [math.pi / 2] * 6)
     assert np.allclose(R, np.eye(4), atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_categorical_matrix_matches_the_oracle(kind):
+    # tests/oracles.py builds Phi in plain loops from the paper, sharing no
+    # categorical code with the package: entry by entry, 20 draws per size
+    for L in (2, 3, 5, 13):
+        rng = np.random.default_rng(1000 + L)
+        for _ in range(20):
+            values = random_hyper(kind, L, rng)
+            phi = phi_transform(kind, L, values)
+            expected = [[level_correlation(kind, phi, r, s) for s in range(1, L + 1)]
+                        for r in range(1, L + 1)]
+            assert np.max(np.abs(categorical_matrix(kind, L, values) - expected)) <= 1e-14
+
+
+def test_oracle_imports_no_kernel_internals():
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module.startswith("mixedgp") for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_") or name in (
+        "categorical_matrix", "hypersphere_lower_triangular", "KINDS")]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("mixedgp") for alias in node.names)]
 
 
 @pytest.mark.parametrize("kind", EXP_KINDS)
