@@ -44,7 +44,6 @@ from mixedgp.optimize import BoxBounds, SearchConfig, multistart
 from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer
 
 from conftest import random_hyper
-from oracles import mixed_kernel
 
 K = CategoricalKernelKind
 
@@ -149,13 +148,15 @@ def test_criterion_4_categorical_p_irrelevance():
         for _ in range(50):
             L = int(rng.integers(2, 14))
             m = random_hyper(kind, L, rng)
+            space = DesignSpace((Categorical("c", tuple(str(i) for i in range(L))),))
+            levels = rng.integers(1, L + 1, size=8)
+            ds = Dataset(space, [mg.MixedPoint(categorical=(int(c),)) for c in levels],
+                         np.zeros(len(levels)))
             theta = HyperparameterSet(kind, (0, (L,)), m)
-            a = mg.MixedPoint(categorical=(int(rng.integers(1, L + 1)),))
-            b = mg.MixedPoint(categorical=(int(rng.integers(1, L + 1)),))
-            k1 = mixed_kernel(a, b, theta, 1)
-            k2 = mixed_kernel(a, b, theta, 2)
-            R1 = categorical_matrix(kind, L, m)
-            ok = ok and k1 == k2 and np.array_equal(R1, categorical_matrix(kind, L, m))
+            R1 = correlation_matrix(ds, theta, 1)
+            R2 = correlation_matrix(ds, theta, 2)
+            R_levels = categorical_matrix(kind, L, m)[np.ix_(levels - 1, levels - 1)]
+            ok = ok and np.array_equal(R1, R2) and np.array_equal(R1, R_levels)
     assert report(4, ok, "categorical matrices bit-identical for p=1 and p=2")
 
 

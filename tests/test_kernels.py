@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedgp.errors import DimensionMismatch, NotRepresentable, ShapeMismatch
+from mixedgp.gp import correlation_matrix
 from mixedgp.kernels import (
     EPSILON,
     CategoricalKernelKind,
@@ -21,7 +22,7 @@ from mixedgp.kernels import (
     search_from_natural,
     set_from_search_vector,
 )
-from mixedgp.space import Categorical, Continuous, DesignSpace, Integer, MixedPoint
+from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer, MixedPoint
 
 from conftest import random_hyper
 from oracles import (
@@ -203,13 +204,19 @@ def test_oracle_imports_no_kernel_internals():
     import ast
     from pathlib import Path
 
+    allowed = {
+        "mixedgp": {"EPSILON", "CategoricalKernelKind", "HyperparameterSet",
+                    "categorical_param_count"},
+        "mixedgp.errors": {"DimensionMismatch", "ShapeMismatch"},
+        "mixedgp.space": {"DesignSpace", "MixedPoint", "validate_point"},
+    }
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                and node.module.startswith("mixedgp") for alias in node.names]
-    assert imported and not [name for name in imported if name.startswith("_") or name in (
-        "categorical_matrix", "hypersphere_lower_triangular", "KINDS")]
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mixedgp"
+                for alias in node.names}
+    assert imported and all(name in allowed.get(module, ()) for module, name in imported)
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
-                and any(alias.name.startswith("mixedgp") for alias in node.names)]
+                and any(alias.name.split(".")[0] == "mixedgp" for alias in node.names)]
 
 
 @pytest.mark.parametrize("kind", EXP_KINDS)
@@ -330,12 +337,10 @@ def test_gram_to_angles_roundtrip():
 def test_categorical_independent_of_p():
     rng = np.random.default_rng(31)
     space = DesignSpace((Categorical("c", tuple(str(i) for i in range(6))),))
+    ds = Dataset(space, [MixedPoint(categorical=(c,)) for c in (2, 5, 1, 6, 2, 3)], np.zeros(6))
     for kind in ALL_KINDS:
-        m = random_hyper(kind, 6, rng)
-        theta = HyperparameterSet.from_flat(space, kind, m)
-        w1 = MixedPoint(categorical=(2,))
-        w2 = MixedPoint(categorical=(5,))
-        assert mixed_kernel(w1, w2, theta, 1) == mixed_kernel(w1, w2, theta, 2)
+        theta = HyperparameterSet.from_flat(space, kind, random_hyper(kind, 6, rng))
+        assert np.array_equal(correlation_matrix(ds, theta, 1), correlation_matrix(ds, theta, 2))
 
 
 def test_mixed_kernel_symmetry_and_self():

@@ -1,6 +1,6 @@
 """Count the lines of the package source: non-blank, and non-blank outside docstrings.
 
-Usage: python tools/src_lines.py [SRC_DIR]   (default: the repository's src/)
+Run as ``python tools/src_lines.py``; it counts the repository's ``src/``.
 
 A docstring is the leading string statement of a module, class or function,
 as ``ast`` finds it; its lines run from the statement's first to its last
@@ -12,7 +12,7 @@ import ast
 import sys
 from pathlib import Path
 
-DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(__file__).resolve().parent.parent / "src"
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -37,10 +37,9 @@ def count(path: Path) -> tuple[int, int]:
     return len(non_blank), sum(n not in docs for n in non_blank)
 
 
-def main(argv: list[str]) -> int:
-    src = Path(argv[0]) if argv else DEFAULT_SRC
+def main() -> int:
     totals = [0, 0]
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         for i, n in enumerate(count(path)):
             totals[i] += n
     print(f"src non-blank lines: {totals[0]}")
@@ -49,4 +48,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
