@@ -340,7 +340,6 @@ def run_cantilever_benchmark(
     doe_size: int = 98,
     seed: int = 0,
     p: int = 2,
-    cfg: CantileverConfig = CantileverConfig(),
     fit_config: gp.FitConfig | None = None,
     grid_points: tuple[int, int] = (30, 30),
 ):
@@ -351,7 +350,7 @@ def run_cantilever_benchmark(
     space = beam_space()
     validation = grid(space, grid_points)
     truth = lambda points: cantilever_deflection(
-        cfg, points.C[:, 0], points.X[:, 0], points.X[:, 1]
+        CantileverConfig(), points.C[:, 0], points.X[:, 0], points.X[:, 1]
     )
     return _run_problem(
         space, truth, validation, kinds, doe_size, seed, p,

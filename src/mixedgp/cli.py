@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 DoE generation error,
 4 numerical failure, 5 validation error, 6 benchmark failure under
---strict.  Environment variables MIXEDGP_SEED and MIXEDGP_JITTER override
-the built-in defaults of --seed and --jitter.
+--strict.
 """
 
 from __future__ import annotations
@@ -55,31 +54,26 @@ _EXIT_CODES = (
 _KERNEL_CHOICES = [k.value for k in kr.CategoricalKernelKind]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MIXEDGP_SEED", "0"))
-
-
-def _default_jitter() -> float:
-    return float(os.environ.get("MIXEDGP_JITTER", repr(gp.JITTER_DEFAULT)))
+# --problem: runner, space (for --export-corr-dir), and the scale and unit of the RMSE shown
+_PROBLEMS = {
+    "cosine": (bm.run_cosine_benchmark, bm.cosine_space, 1.0, ""),
+    "beam": (bm.run_cantilever_benchmark, bm.beam_space, 100.0, " cm"),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; the handlers read the environment defaults."""
+    """The parser, built once per process; every default of every flag is set here."""
     parser = argparse.ArgumentParser(
         prog="mixedgp",
         description="Gaussian-process surrogates over mixed continuous/integer/categorical inputs.",
-        epilog=(
-            "Environment overrides: MIXEDGP_SEED sets the default --seed, "
-            "MIXEDGP_JITTER the default --jitter."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_doe = sub.add_parser("doe", help="generate a design of experiments")
     p_doe.add_argument("space_file")
     p_doe.add_argument("--n", type=int, default=10, help="number of LHS points")
-    p_doe.add_argument("--seed", type=int, default=None)
+    p_doe.add_argument("--seed", type=int, default=0)
     p_doe.add_argument("--method", choices=["lhs", "grid"], default="lhs")
     p_doe.add_argument(
         "--grid-counts",
@@ -94,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--kernel", choices=_KERNEL_CHOICES, default="ehh")
     p_fit.add_argument("--p", type=int, choices=[1, 2], default=2)
     p_fit.add_argument("--starts", type=int, default=10)
-    p_fit.add_argument("--seed", type=int, default=None)
+    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--budget", type=int, default=None, help="optimizer evaluations per start")
-    p_fit.add_argument("--jitter", type=float, default=None)
+    p_fit.add_argument("--jitter", type=float, default=gp.JITTER_DEFAULT)
     p_fit.add_argument("--trace", default=None,
                        help="write one JSON line per start of the search here")
     p_fit.add_argument("--out-model", required=True)
@@ -107,10 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--out", required=True)
 
     p_bench = sub.add_parser("benchmark", help="run a benchmark problem")
-    p_bench.add_argument("--problem", required=True, choices=["cosine", "beam", "dragon-audit"])
+    p_bench.add_argument("--problem", required=True, choices=[*_PROBLEMS, "dragon-audit"])
     p_bench.add_argument("--kernels", default="gd,cr,ehh", help="comma list of kernel kinds")
     p_bench.add_argument("--doe-size", type=int, default=98)
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--p", type=int, choices=[1, 2], default=2)
     p_bench.add_argument("--starts", type=int, default=10)
     p_bench.add_argument("--budget", type=int, default=None)
@@ -158,10 +152,9 @@ def _write_trace(records, path) -> None:
 
 def _cmd_doe(args) -> int:
     space = load_space(args.space_file)
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         if args.method == "lhs":
-            points = lhs(space, args.n, seed)
+            points = lhs(space, args.n, args.seed)
         else:
             n_numeric = space.n_continuous + space.n_integer
             if args.grid_counts:
@@ -181,16 +174,16 @@ def _cmd_fit(args) -> int:
     space = load_space(args.space_file)
     dataset = load_dataset(space, args.data_file)
     kind = kr.CategoricalKernelKind.parse(args.kernel)
-    config = gp.FitConfig(
-        n_starts=args.starts,
-        max_evals=args.budget,
-        jitter=args.jitter if args.jitter is not None else _default_jitter(),
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    config = gp.FitConfig(n_starts=args.starts, max_evals=args.budget, jitter=args.jitter,
+                          seed=args.seed)
     model = gp.fit(dataset, kind, args.p, config)
     gp.save_model(model, args.out_model)
     if args.trace is not None:
-        _write_trace(model.start_log, args.trace)
+        try:
+            _write_trace(model.start_log, args.trace)
+        except OSError:
+            os.remove(args.out_model)  # a failed fit leaves neither file
+            raise
     n_hyper = kr.hyperparameter_count(space, kind)
     print(
         f"kernel={kind.value} n_hyper={n_hyper} "
@@ -209,7 +202,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.problem == "dragon-audit":
         report = bm.dragon_space_audit()
         counts = report["hyperparameters"]
@@ -228,21 +220,12 @@ def _cmd_benchmark(args) -> int:
     kinds = [kr.CategoricalKernelKind.parse(k) for k in args.kernels.split(",") if k]
     if not kinds:
         raise ValueError(f"--kernels {args.kernels!r} names no kernel kind")
-    fit_config = gp.FitConfig(n_starts=args.starts, max_evals=args.budget, seed=seed)
-    if args.problem == "cosine":
-        results, corr, errors = bm.run_cosine_benchmark(
-            kinds, args.doe_size, seed, args.p, fit_config
-        )
-        unit = ""
-    else:
-        results, corr, errors = bm.run_cantilever_benchmark(
-            kinds, args.doe_size, seed, args.p, fit_config=fit_config
-        )
-        unit = " cm"
+    run, make_space, scale, unit = _PROBLEMS[args.problem]
+    fit_config = gp.FitConfig(n_starts=args.starts, max_evals=args.budget, seed=args.seed)
+    results, corr, errors = run(kinds, args.doe_size, args.seed, args.p, fit_config=fit_config)
     for res in results:
-        shown = res.rmse * 100.0 if args.problem == "beam" else res.rmse
         print(
-            f"{res.kind.value}: n_hyper={res.n_hyper} rmse={shown:.4f}{unit} "
+            f"{res.kind.value}: n_hyper={res.n_hyper} rmse={res.rmse * scale:.4f}{unit} "
             f"pva={res.pva:.3f} fit_seconds={res.fit_seconds:.2f}"
         )
     for kind, exc in errors.items():
@@ -251,8 +234,7 @@ def _cmd_benchmark(args) -> int:
         bm.write_benchmark_report(results, errors, args.out)
     if args.export_corr_dir:
         os.makedirs(args.export_corr_dir, exist_ok=True)
-        space = bm.cosine_space() if args.problem == "cosine" else bm.beam_space()
-        levels = space.categorical[0].levels
+        levels = make_space().categorical[0].levels
         for kind, matrix in corr.items():
             _write_matrix(matrix, levels, os.path.join(args.export_corr_dir, f"corr_{kind.value}.csv"))
     if errors and args.strict:

@@ -664,18 +664,18 @@ def save_model(model: GpModel, path) -> None:
 
 
 # keys load_model reads, with the JSON types each must have; only fit_seconds may be absent
-_MODEL_KEYS = {"kernel": str, "p": int, "epsilon": (int, float), "jitter": (int, float),
-               "theta_flat": list, "space": list, "points": dict, "targets": list,
-               "fit_seconds": (int, float)}
+_MODEL_KEYS = {"version": int, "kernel": str, "p": int, "epsilon": (int, float),
+               "jitter": (int, float), "theta_flat": list, "space": list, "points": dict,
+               "targets": list, "fit_seconds": (int, float)}
 
 
 def load_model(path) -> GpModel:
     """Rebuild a model saved by :func:`save_model` (bit-identical predictions).
 
     Raises ParseError when the file is not a model file, misses a key, holds
-    a value of the wrong type, its ``epsilon`` is not :data:`~mixedgp.kernels.EPSILON`,
-    or its hyperparameters are not finite or violate their domain (negative
-    rates, say).
+    a value of the wrong type, its ``version`` is not 1, its ``epsilon`` is
+    not :data:`~mixedgp.kernels.EPSILON`, or its hyperparameters are not
+    finite or violate their domain (negative rates, say).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -689,6 +689,8 @@ def load_model(path) -> GpModel:
             raise ParseError(f"{path}: model file has no {key!r}")
         if isinstance(doc[key], bool) or not isinstance(doc[key], types):
             raise ParseError(f"{path}: {key!r} has the wrong type: {doc[key]!r}")
+    if doc["version"] != 1:
+        raise ParseError(f"{path}: model file version {doc['version']} is not 1")
     try:
         space = _space_from_json(doc["space"])
         rows = {name: doc["points"][name] for name in ("continuous", "integer", "categorical")}

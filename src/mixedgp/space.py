@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,9 +53,15 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"{what} {name!r} must be a non-empty name without whitespace")
 
 
-def _check_bounds(var) -> None:
-    """Bounds must be finite floats with lower < upper and a finite width upper - lower."""
+def _set_bounds(var, whole: bool) -> None:
+    """Store real bounds as Python ints (whole numbers only) when ``whole``, else as floats.
+
+    As floats they must be finite, with lower < upper and a finite width upper - lower.
+    """
     _check_name(var.name, "variable name")
+    if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+               for b in (var.lower, var.upper)):
+        raise ValueError(f"{var.name}: bounds [{var.lower!r}, {var.upper!r}] must be real numbers")
     try:
         lower, upper = float(var.lower), float(var.upper)
     except OverflowError as exc:  # an int too large for a float
@@ -65,30 +72,34 @@ def _check_bounds(var) -> None:
                          f"with a finite width")
     if not lower < upper:
         raise ValueError(f"{var.name}: lower must be < upper")
+    if whole and not (lower.is_integer() and upper.is_integer()):
+        raise ValueError(f"{var.name}: bounds [{lower!r}, {upper!r}] must be whole numbers")
+    object.__setattr__(var, "lower", int(var.lower) if whole else lower)
+    object.__setattr__(var, "upper", int(var.upper) if whole else upper)
 
 
 @dataclass(frozen=True)
 class Continuous:
-    """Bounded continuous variable."""
+    """Bounded continuous variable; its bounds are stored as Python floats."""
 
     name: str
     lower: float
     upper: float
 
     def __post_init__(self):
-        _check_bounds(self)
+        _set_bounds(self, whole=False)
 
 
 @dataclass(frozen=True)
 class Integer:
-    """Bounded integer variable, relaxed to a real for kernel evaluation."""
+    """Bounded integer variable, relaxed to a real for kernel evaluation; its bounds are ints."""
 
     name: str
     lower: int
     upper: int
 
     def __post_init__(self):
-        _check_bounds(self)
+        _set_bounds(self, whole=True)
 
 
 @dataclass(frozen=True)

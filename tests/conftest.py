@@ -40,12 +40,20 @@ def random_hyper(kind, L, rng):
     return values
 
 
+# the types a numeric bound may be given in; a variable stores each bound in one canonical type
+BOUND_TYPES = (int, float, np.int64, np.float64)
+
+
 @st.composite
 def spaces(draw):
-    """0-3 numeric variables and 0-2 categorical ones of 2-13 levels, in any order."""
-    numeric = draw(st.lists(st.booleans(), max_size=3))
-    variables = [Continuous(f"x{i}", -1.0, 2.0) if continuous else Integer(f"z{i}", 0, 5)
-                 for i, continuous in enumerate(numeric)]
+    """0-3 numeric variables and 0-2 categorical ones of 2-13 levels, in any order.
+
+    Each numeric variable gets its bounds in a type drawn from BOUND_TYPES.
+    """
+    numeric = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(BOUND_TYPES)), max_size=3))
+    variables = [Continuous(f"x{i}", box(-1), box(2)) if continuous
+                 else Integer(f"z{i}", box(0), box(5))
+                 for i, (continuous, box) in enumerate(numeric)]
     for i in range(draw(st.integers(0 if numeric else 1, 2))):
         L = draw(st.integers(2, 13))
         variables.append(Categorical(f"c{i}", tuple(f"l{j}" for j in range(L))))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -249,36 +250,47 @@ def test_export_corr_rejects_continuous_variable(tmp_path, cosine_files):
     assert code == 5
 
 
-def test_seed_env_override(tmp_path, cosine_files, monkeypatch):
-    space, space_file, _ = cosine_files
+def test_an_environment_variable_does_not_change_a_design(tmp_path, cosine_files, monkeypatch):
+    _, space_file, _ = cosine_files
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("MIXEDGP_SEED", "11")
     assert main(["doe", str(space_file), "--n", "9", "--out", str(out1)]) == 0
     monkeypatch.delenv("MIXEDGP_SEED")
-    assert main(["doe", str(space_file), "--n", "9", "--seed", "11", "--out", str(out2)]) == 0
-    assert out1.read_text() == out2.read_text()
+    assert main(["doe", str(space_file), "--n", "9", "--seed", "0", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_main_called_twice_gives_what_two_fresh_processes_give(tmp_path, cosine_files,
-                                                               monkeypatch, capsys):
-    # the parser is built once per process; MIXEDGP_SEED is still read on every call
+def test_no_module_of_the_package_reads_the_environment():
+    package = Path(__file__).resolve().parent.parent / "src" / "mixedgp"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+            else:
+                continue
+            assert not names & {"environ", "getenv"}, f"{path.name}:{node.lineno}"
+
+
+def test_main_called_twice_gives_what_two_fresh_processes_give(tmp_path, cosine_files, capsys):
+    # the parser is built once per process; each call still reads its own --seed
     _, space_file, _ = cosine_files
-    calls = [("3", ["doe", str(space_file), "--n", "12", "--out", "{out}/doe.csv"]),
-             ("5", ["benchmark", "--problem", "cosine", "--kernels", "gd", "--doe-size", "8",
-                    "--starts", "1", "--budget", "30", "--out", "{out}/report.csv",
-                    "--export-corr-dir", "{out}/corr"])]
+    calls = [["doe", str(space_file), "--n", "12", "--seed", "3", "--out", "{out}/doe.csv"],
+             ["benchmark", "--problem", "cosine", "--kernels", "gd", "--doe-size", "8",
+              "--seed", "5", "--starts", "1", "--budget", "30", "--out", "{out}/report.csv",
+              "--export-corr-dir", "{out}/corr"]]
     src = str(Path(__file__).resolve().parent.parent / "src")
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     fresh.mkdir(), here.mkdir()
-    for seed, argv in calls:
-        env = dict(os.environ, MIXEDGP_SEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in calls:
         result = subprocess.run([sys.executable, "-m", "mixedgp.cli"]
                                 + [a.format(out=fresh) for a in argv],
                                 env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-    for seed, argv in calls:
-        monkeypatch.setenv("MIXEDGP_SEED", seed)
+    for argv in calls:
         assert main([a.format(out=here) for a in argv]) == 0
         with pytest.raises(SystemExit) as info:  # a usage error leaves the parser usable
             main(["doe", str(space_file), "--method", "sobol", "--out", "x.csv"])
@@ -385,6 +397,16 @@ def test_output_path_that_cannot_be_written_exits_2(tmp_path, cosine_files, gd_m
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "no such directory" in err
+
+
+def test_fit_whose_trace_cannot_be_written_leaves_no_model_file(tmp_path, cosine_files, capsys):
+    _, space_file, data_file = cosine_files
+    model_file = tmp_path / "m.json"
+    assert main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(model_file),
+                 "--trace", str(tmp_path / "no such directory" / "t.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not model_file.exists()
 
 
 def test_model_file_with_extra_point_row_exits_2(tmp_path, cosine_files, gd_model_file, capsys):

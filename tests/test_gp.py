@@ -541,6 +541,10 @@ def _corrupted(doc, case):
         "fit_seconds null": {**doc, "fit_seconds": None},
         "fit_seconds a string": {**doc, "fit_seconds": "abc"},
         "fit_seconds a bool": {**doc, "fit_seconds": True},
+        "version 99": {**doc, "version": 99},
+        "version a string": {**doc, "version": "two"},
+        "version null": {**doc, "version": None},
+        "no version": {k: v for k, v in doc.items() if k != "version"},
     }[case]
 
 
@@ -548,7 +552,7 @@ def _corrupted(doc, case):
     "missing theta_flat", "theta_flat not a list", "p not an int", "non-finite theta",
     "negative continuous rate", "negative CR diagonal", "non-positive jitter",
     "epsilon other than exp(-20)", "fit_seconds null", "fit_seconds a string",
-    "fit_seconds a bool",
+    "fit_seconds a bool", "version 99", "version a string", "version null", "no version",
 ])
 def test_load_model_validates_keys_types_and_domains(tmp_path, case):
     from mixedgp.errors import ParseError

@@ -1,14 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixedgp.doe import lhs
 from mixedgp.errors import (
     DimensionMismatch,
     LevelOutOfRange,
     OutOfBounds,
     ParseError,
 )
+from mixedgp.gp import load_model, predict, save_model
+from mixedgp.kernels import CategoricalKernelKind
 from mixedgp.space import (
     Categorical,
     Continuous,
@@ -25,6 +31,7 @@ from mixedgp.space import (
     validate_point,
 )
 
+from conftest import model_on, spaces
 from oracles import decode_one_hot, normalize, one_hot_encode
 
 
@@ -59,6 +66,63 @@ def test_continuous_bounds_must_be_finite_with_a_finite_width(bounds):
 def test_integer_bounds_must_fit_a_float(bounds):
     with pytest.raises(ValueError, match="finite"):
         Integer("z", *bounds)
+
+
+def test_numpy_float_bounds_reload_from_a_space_file(tmp_path):
+    space = DesignSpace((Continuous("x", np.float64(0), np.float64(1)),))
+    save_space(space, tmp_path / "s.space")
+    assert (tmp_path / "s.space").read_text().splitlines()[1] == "continuous x 0.0 1.0"
+    assert load_space(tmp_path / "s.space") == space
+
+
+def test_numpy_int_bounds_save_in_a_model_file(tmp_path):
+    space = DesignSpace((Integer("n", np.int64(1), np.int64(6)), Continuous("x", 0.0, 1.0)))
+    model = model_on(space, CategoricalKernelKind.GD, 2, 6)
+    save_model(model, tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["space"][0] == {"kind": "integer", "name": "n", "lower": 1, "upper": 6}
+    assert load_model(tmp_path / "m.json").dataset.space == space
+
+
+def test_whole_float_integer_bounds_are_stored_as_ints(tmp_path):
+    var = Integer("n", 0.0, 5.0)
+    assert (var.lower, var.upper) == (0, 5) and type(var.lower) is type(var.upper) is int
+    save_space(DesignSpace((var,)), tmp_path / "s.space")
+    assert (tmp_path / "s.space").read_text().splitlines()[1] == "integer n 0 5"
+    assert load_space(tmp_path / "s.space") == DesignSpace((var,))
+
+
+def test_integer_bounds_must_be_whole_numbers():
+    with pytest.raises(ValueError, match="whole numbers"):
+        Integer("n", 0.5, 5.5)
+
+
+@pytest.mark.parametrize("bounds", [("0", "1"), (0.0, "1"), (None, 1.0), (False, True),
+                                    (0.0, 1j)])
+def test_bounds_must_be_real_numbers(bounds):
+    with pytest.raises(ValueError, match="must be real numbers"):
+        Continuous("x", *bounds)
+    with pytest.raises(ValueError, match="must be real numbers"):
+        Integer("n", *bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spaces(), st.sampled_from(list(CategoricalKernelKind)), st.sampled_from([1, 2]))
+def test_spaces_reload_from_both_file_formats_whatever_the_bound_types(tmp_path_factory,
+                                                                       space, kind, p):
+    for v in space.continuous + space.integer:
+        assert {type(v.lower), type(v.upper)} == {int if isinstance(v, Integer) else float}
+    model = model_on(space, kind, p, 6)
+    at = lhs(space, 5, seed=1)
+    means, variances = predict(model, at)
+    tmp = tmp_path_factory.mktemp("files")
+    save_space(space, tmp / "s.space")
+    assert load_space(tmp / "s.space") == space
+    save_model(model, tmp / "m.json")
+    reloaded = load_model(tmp / "m.json")
+    assert reloaded.dataset.space == space
+    again = predict(reloaded, at)
+    assert again[0].tobytes() == means.tobytes() and again[1].tobytes() == variances.tobytes()
 
 
 def test_load_space_refuses_infinite_bounds(tmp_path):
