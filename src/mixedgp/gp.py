@@ -679,7 +679,7 @@ def load_model(path) -> GpModel:
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "mixedgp-model":
         raise ParseError(f"{path} is not a mixedgp model file")

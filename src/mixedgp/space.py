@@ -403,7 +403,7 @@ def load_space(path) -> DesignSpace:
     variables: list[VariableSpec] = []
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read space file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -511,14 +511,15 @@ def save_predictions(points: PointBatch, means, variances, path) -> None:
 
 
 def _read_csv(space: DesignSpace, path, expect_target: bool | None):
-    """Values per variable (space order) and targets or None, parsed column by column.
+    """Float arrays per variable (space order) and targets or None, parsed column by column.
 
-    A defect raises ParseError naming the first bad row and cell in file order.
+    A column of repeating cells is parsed once per distinct cell.  A defect
+    raises ParseError naming the first bad row and cell in file order.
     """
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: empty file, header row required")
@@ -531,22 +532,37 @@ def _read_csv(space: DesignSpace, path, expect_target: bool | None):
         )
     if expect_target is True and not has_target:
         raise ParseError(f"{path}: expected a final 'target' column")
-    parsers = [{name: i for i, name in enumerate(v.levels, start=1)}.__getitem__
+    parsers = [{name: float(i) for i, name in enumerate(v.levels, start=1)}.__getitem__
                if isinstance(v, Categorical) else float for v in space.variables]
     parsers += [float] if has_target else []
-    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    body = rows[1:]
+    if not all(body):  # csv.reader reads a blank line as an empty row
+        body = list(filter(None, body))
     try:
-        if any(len(row) != len(parsers) for _, row in body):
+        # one pass transposes the rows and checks that they have one width
+        cells = list(zip(*body, strict=True)) or [()] * len(parsers)
+        if len(cells) != len(parsers):
             raise ValueError
-        cells = list(zip(*(row for _, row in body))) or [()] * len(parsers)
-        columns = [list(map(parse, column)) for parse, column in zip(parsers, cells)]
+        columns = [_parsed(parse, column) for parse, column in zip(parsers, cells)]
     except (KeyError, ValueError):
-        _raise_first_defect(path, body, names, parsers)
+        _raise_first_defect(path, rows, names, parsers)
     return columns[:len(names)], (columns[-1] if has_target else None)
 
 
-def _raise_first_defect(path, body, names, parsers) -> None:
-    for lineno, row in body:
+def _parsed(parse, column) -> np.ndarray:
+    """``parse`` of each cell as a float array; ``float`` runs once per distinct cell
+    when at most half the cells are distinct."""
+    if parse is float:
+        distinct = set(column)
+        if 2 * len(distinct) <= len(column):
+            parse = dict(zip(distinct, map(float, distinct))).__getitem__
+    return np.fromiter(map(parse, column), float, len(column))
+
+
+def _raise_first_defect(path, rows, names, parsers) -> None:
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
         if len(row) != len(parsers):
             raise ParseError(f"{path}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
         for j, (parse, cell) in enumerate(zip(parsers, row)):
@@ -560,7 +576,7 @@ def _raise_first_defect(path, body, names, parsers) -> None:
 
 def load_dataset(space: DesignSpace, path) -> Dataset:
     columns, targets = _read_csv(space, path, expect_target=True)
-    if not targets:
+    if len(targets) == 0:
         raise ParseError(f"{path}: dataset has no rows")
     targets = _checked_targets(len(targets), targets)  # before the points, as Dataset orders them
     return Dataset(space, PointBatch.from_columns(space, columns), targets)

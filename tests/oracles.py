@@ -11,15 +11,20 @@ fills Phi in plain Python loops from the paper's definitions, so a slip in
 the package's vectorised Phi shows as a disagreement here.  From the
 kernel module they take only the kernel's constant ``EPSILON``, the kind
 names, the hyperparameter vector and the parameter count.
+
+:func:`_read_csv` is the package's CSV reader as it was before columns
+were parsed through a table of their distinct cells: it calls a parser on
+every cell and returns lists.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from mixedgp import EPSILON, CategoricalKernelKind, HyperparameterSet, categorical_param_count
-from mixedgp.errors import DimensionMismatch, ShapeMismatch
-from mixedgp.space import DesignSpace, MixedPoint, validate_point
+from mixedgp.errors import DimensionMismatch, ParseError, ShapeMismatch
+from mixedgp.space import Categorical, DesignSpace, MixedPoint, validate_point
 
 K = CategoricalKernelKind
 
@@ -202,3 +207,55 @@ def mixed_kernel(
             phi = phi_transform(theta.kind, L, theta.variable(i))
             value *= level_correlation(theta.kind, phi, lr, ls)
     return float(value)
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader, one cell at a time
+# ---------------------------------------------------------------------------
+
+def _read_csv(space: DesignSpace, path, expect_target: bool | None):
+    """Values per variable (space order) and targets or None, parsed column by column.
+
+    A defect raises ParseError naming the first bad row and cell in file order.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ParseError(f"{path}: empty file, header row required")
+    header = [h.strip() for h in rows[0]]
+    names = list(space.names())
+    has_target = header == names + ["target"]
+    if not has_target and header != names:
+        raise ParseError(
+            f"{path}: header {header!r} does not match space variables {names!r}"
+        )
+    if expect_target is True and not has_target:
+        raise ParseError(f"{path}: expected a final 'target' column")
+    parsers = [{name: i for i, name in enumerate(v.levels, start=1)}.__getitem__
+               if isinstance(v, Categorical) else float for v in space.variables]
+    parsers += [float] if has_target else []
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    try:
+        if any(len(row) != len(parsers) for _, row in body):
+            raise ValueError
+        cells = list(zip(*(row for _, row in body))) or [()] * len(parsers)
+        columns = [list(map(parse, column)) for parse, column in zip(parsers, cells)]
+    except (KeyError, ValueError):
+        _raise_first_defect(path, body, names, parsers)
+    return columns[:len(names)], (columns[-1] if has_target else None)
+
+
+def _raise_first_defect(path, body, names, parsers) -> None:
+    for lineno, row in body:
+        if len(row) != len(parsers):
+            raise ParseError(f"{path}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
+        for j, (parse, cell) in enumerate(zip(parsers, row)):
+            try:
+                parse(cell)
+            except (KeyError, ValueError) as exc:
+                what = (f"target {cell!r}" if j == len(names)
+                        else f"cell {cell!r} for variable {names[j]}")
+                raise ParseError(f"{path}:{lineno}: bad {what}") from exc

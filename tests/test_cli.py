@@ -338,6 +338,19 @@ def test_fit_rejects_non_integral_integer_exits_5(tmp_path, capsys):
     assert "2.5 is not a whole number" in capsys.readouterr().err
 
 
+def test_predict_on_a_field_over_the_csv_size_limit_exits_2(tmp_path, cosine_files, capsys):
+    space, space_file, data_file = cosine_files
+    model_file = tmp_path / "model.json"
+    assert main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(model_file)]) == 0
+    big = tmp_path / "big.csv"
+    big.write_text("x,c\r\n0.5," + "1" * (csv.field_size_limit() + 1) + "\r\n")
+    capsys.readouterr()
+    assert main(["predict", str(model_file), str(big), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {big}: ") and "field larger" in err
+
+
 @pytest.fixture
 def gd_model_file(tmp_path, cosine_files):
     _, space_file, data_file = cosine_files
