@@ -20,20 +20,26 @@ through it.  R is the product of one factor per block of the vector,
 block's last factor with the slice of the vector it was built from.  A
 search step that moves one coordinate therefore rebuilds one factor; the
 product is taken in the same order either way, so every likelihood has
-the same bits as a rebuild from scratch.  The kept factors live for one
-fit: a model's workspace holds none.  ``_Workspace.evaluate_block``
+the same bits as a rebuild from scratch.  The factors are held in R^T
+layout, so their C-order product is R in Fortran order: the scorer
+multiplies them straight into one Fortran-order n x n buffer per
+workspace, writes 1 + jitter on its diagonal and factors it there with
+``dpotrf``.  Scoring never allocates or copies R; an evaluation's
+factor is that buffer, valid until the next evaluation on the workspace.
+The kept factors and the buffer live for one fit: ``forget`` frees them,
+and a model's workspace holds neither.  ``_Workspace.evaluate_block``
 scores many vectors at once with the same builder and scorer; a fit
 passes it each search stencil, whose rows share the centre's factors and
 whose level matrices are built as one stack, so every row keeps the bits
 of a one-vector evaluation.  All solves go through one Cholesky factor L
-of R + jitter*I, read from its lower triangle (the search leaves the
-upper one uncleared; a model stores the clean lower factor, and L^-1 for
-the predictive variance); the jitter escalates by factors of 10 (up to
-1e-4) when factorization fails, which makes duplicate design points
-survivable.  Internally the GP always sees
-continuous/integer coordinates normalized to [0, 1] and targets
-standardized to zero mean and unit variance; reported trend, variance and
-predictions are in original units.
+of R + jitter*I, read from its lower triangle (the search leaves R's
+upper triangle in place; a model stores the clean lower factor, and L^-1
+for the predictive variance); the jitter escalates by factors of 10 (up
+to 1e-4) when factorization fails, the buffer refilled from the kept
+factors each time, which makes duplicate design points survivable.
+Internally the GP always sees continuous/integer coordinates normalized
+to [0, 1] and targets standardized to zero mean and unit variance;
+reported trend, variance and predictions are in original units.
 """
 
 from __future__ import annotations
@@ -119,8 +125,10 @@ class _Evaluation(NamedTuple):
     """One likelihood evaluation and the factors a model keeps from it.
 
     ``chol`` is the lower Cholesky factor of R + jitter*I in its lower
-    triangle; its upper triangle is unspecified (the factorization does
-    not clear it, and every solve reads the lower triangle only).
+    triangle; its upper triangle holds R's (the factorization does not
+    clear it, and every solve reads the lower triangle only).  It is the
+    workspace's scoring buffer itself, so it stays valid only until the
+    next evaluation on that workspace: copy what must outlive it.
     """
 
     log_likelihood: float
@@ -134,35 +142,37 @@ class _Evaluation(NamedTuple):
 class _Workspace:
     """Per-dataset caches and the one likelihood evaluator.
 
-    Holds |x_r - x_s|^p per continuous/integer dimension, the 0-based
-    level index column and the flat level-pair indices per categorical
-    variable, all on normalized coordinates, plus the targets
-    :meth:`evaluate` and :meth:`evaluate_block` score and their variance
-    floor.  ``_memo`` keeps, per factor block of R (-1 for the rates, i for
-    categorical variable i), the key it was last built at and the n x n
-    factor; :meth:`forget` empties it.
+    Holds |x_r - x_s|^p per continuous/integer dimension (one row of
+    ``pair_powers`` each, over the n*n pairs) and the 0-based level index
+    column per categorical variable, all on normalized coordinates, plus
+    the targets :meth:`evaluate` and :meth:`evaluate_block` score and their
+    variance floor.  ``_memo`` keeps, per factor block of R (-1 for the
+    rates, i for categorical variable i), the bytes of the slice it was
+    last built at and the n x n factor, for the kind in ``_kind``;
+    ``_buffer`` is the Fortran-order n x n array R is built and factored
+    in.  :meth:`forget` drops both.
     """
 
     def __init__(self, points: PointBatch, p: int, targets: np.ndarray):
         self.p = kr.check_exponent(p)
         X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
-        self.n_points = XZ.shape[0]
+        self.n_points = n = XZ.shape[0]
         self.n_numeric = XZ.shape[1]
         self.numeric = XZ
         diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
-        self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
+        self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0)).reshape(-1, n * n)
         self.levels = C - 1
         self.level_counts = points.space.level_counts
         self.layout = (self.n_numeric, self.level_counts)
-        # flat index of level pair (c_r, c_s) in the row-major L x L level matrix
-        self.level_pairs = [(idx[:, None] * L + idx[None, :]).astype(np.intp)
-                            for idx, L in zip(self.levels.T, self.level_counts)]
         self.y = targets
-        self.ones = np.ones(self.n_points)
+        self.ones = np.ones(n)
         var_y = float(np.var(targets))
         self.sigma2_floor = 1e-12 * var_y if var_y > 0 else 1e-12
+        self._slices: dict = {}
+        self._kind = None
         self._memo: dict[int, tuple] = {}
+        self._buffer = None
 
     def flat(self, theta: kr.HyperparameterSet) -> np.ndarray:
         """theta's natural-units vector, once its layout is checked against the space."""
@@ -171,24 +181,24 @@ class _Workspace:
                                 f"space's {self.layout}")
         return theta.flat
 
-    def _variables(self, kind, flat):
-        """(variable index, level count, packed values) per categorical variable.
-
-        ``flat`` is one vector or an (m, size) array of them; the values are
-        sliced along its last axis.
-        """
-        pos = self.n_numeric
-        for i, L in enumerate(self.level_counts):
-            k = kr.categorical_param_count(kind, L)
-            yield i, L, flat[..., pos:pos + k]
-            pos += k
+    def _variables(self, kind):
+        """(variable index, level count, slice of the flat vector) per categorical variable."""
+        table = self._slices.get(kind)
+        if table is None:
+            table, pos = [], self.n_numeric
+            for i, L in enumerate(self.level_counts):
+                k = kr.categorical_param_count(kind, L)
+                table.append((i, L, slice(pos, pos + k)))
+                pos += k
+            self._slices[kind] = table
+        return table
 
     def _categorical_factors(self, kind, flat):
         """(variable index, level matrix) per categorical variable."""
-        for i, L, values in self._variables(kind, flat):
-            yield i, kr.categorical_matrix(kind, L, values)
+        for i, L, cut in self._variables(kind):
+            yield i, kr.categorical_matrix(kind, L, flat[cut])
 
-    def _memoized(self, block: int, key, once, build) -> np.ndarray:
+    def _memoized(self, block: int, key: bytes, once, build) -> np.ndarray:
         """Block ``block``'s factor at ``key``, built only when the key changed.
 
         A factor whose ``(block, key)`` is in ``once`` is built without
@@ -204,40 +214,70 @@ class _Workspace:
         return factor
 
     def _factors(self, kind, flat, levels=None, once=()) -> list[np.ndarray]:
-        """R's n x n factors: exp(-theta . D), then R_i[c_r, c_s] per categorical variable.
+        """R's n x n factors, transposed: exp(-theta . D), then R_i[c_s, c_r] per variable.
 
-        A factor is keyed by the bytes of its slice of ``flat``, and a
-        categorical one also by ``kind``.  ``levels`` and
-        ``once`` come from :meth:`evaluate_block`: the level matrices it
-        built, by (variable, key), and the factors only one of its rows
-        needs (see :meth:`_memoized`).
+        exp(-theta . D) is symmetric bit for bit, as |x_r - x_s|^p is; a
+        level matrix need not be (``kappa`` adds d_r and d_s in either
+        order), so its factor is gathered transposed.  A factor is keyed by
+        the bytes of its slice of ``flat``; the memo is emptied when
+        ``kind`` changes.  ``levels`` and ``once`` come from
+        :meth:`evaluate_block`: the level matrices it built, by (variable,
+        key), and the factors only one of its rows needs (see
+        :meth:`_memoized`).
         """
+        if kind is not self._kind:
+            self._memo.clear()
+            self._kind = kind
         rates = flat[:self.n_numeric]
-        factors = [self._memoized(-1, rates.tobytes(), once, lambda: np.exp(
-            -np.tensordot(rates, self.pair_powers, axes=1)))]
-        for i, L, values in self._variables(kind, flat):
-            key = (kind, values.tobytes())
-            factors.append(self._memoized(i, key, once, lambda: (
-                levels[i, key] if levels is not None
-                else kr.categorical_matrix(kind, L, values)).take(self.level_pairs[i])))
+        factors = [self._memoized(-1, rates.tobytes(), once, lambda: self._rates_factor(rates))]
+        for i, L, cut in self._variables(kind):
+            values = flat[cut]
+            key = values.tobytes()
+            factors.append(self._memoized(i, key, once, lambda: self._gathered(
+                i, levels[i, key] if levels is not None
+                else kr.categorical_matrix(kind, L, values))))
         return factors
 
-    def forget(self) -> None:
-        """Drop the kept factors (see ``_memo``)."""
-        self._memo.clear()
+    def _rates_factor(self, rates: np.ndarray) -> np.ndarray:
+        """exp(-theta . D), n x n: one product over the pairs, negated and exponentiated in place."""
+        E = np.dot(rates, self.pair_powers)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        return E.reshape(self.n_points, self.n_points)
 
-    def _product(self, factors: list[np.ndarray]) -> np.ndarray:
-        """((E o G_1) o G_2) ... with an exact unit diagonal: R, no jitter."""
+    def _gathered(self, i: int, level_matrix: np.ndarray) -> np.ndarray:
+        """R_i[c_s, c_r] at [r, s], the level factor of variable i transposed.
+
+        Whole rows are gathered twice (rows c_r of R_i, then rows c_s of the
+        transposed n x L result), which is cheaper than one gather per entry.
+        """
+        c = self.levels[:, i]
+        return level_matrix.take(c, axis=0).T.take(c, axis=0)
+
+    def forget(self) -> None:
+        """Drop the kept factors (see ``_memo``) and the scoring buffer."""
+        self._memo.clear()
+        self._kind = self._buffer = None
+
+    def _assemble(self, factors: list[np.ndarray], out: np.ndarray, diagonal: float) -> None:
+        """((E o G_1) o G_2) ... of the transposed factors into ``out`` (C order), and ``diagonal``.
+
+        ``out`` receives R^T: the transpose of a Fortran-order array gets R.
+        """
         E, *G = factors
-        R = E * G[0] if G else E.copy()
+        if G:
+            np.multiply(E, G[0], out=out)
+        else:
+            np.copyto(out, E)
         for Gi in G[1:]:
-            R *= Gi
-        R.flat[::self.n_points + 1] = 1.0
-        return R
+            np.multiply(out, Gi, out=out)
+        out.reshape(-1)[::self.n_points + 1] = diagonal
 
     def correlation(self, kind, flat: np.ndarray) -> np.ndarray:
-        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter."""
-        return self._product(self._factors(kind, flat))
+        """R at the natural-units vector ``flat``, exact unit diagonal, no jitter (C order)."""
+        R_T = np.empty((self.n_points, self.n_points))
+        self._assemble(self._factors(kind, flat), R_T, 1.0)
+        return R_T.T.copy()
 
     def cross_correlations(self, kind, flat: np.ndarray, points):
         """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
@@ -279,10 +319,26 @@ class _Workspace:
                 K *= table.take(C[rows, i] - 1, axis=0)
             yield rows, K
 
-    def _score(self, R: np.ndarray, jitter: float) -> _Evaluation:
-        """Profiled likelihood of the workspace targets under R: one factorization, two solves."""
-        chol, jitter_used = _cholesky_with_escalation(R, jitter)
+    def _score(self, factors: list[np.ndarray], jitter: float) -> _Evaluation:
+        """Profiled likelihood of the workspace targets under the R of ``factors``.
+
+        R + jitter*I is built in the workspace's Fortran-order buffer and
+        factored there; when the factorization fails the buffer is refilled
+        and the jitter escalates by 10 up to JITTER_MAX.  Raises
+        NumericalFailure when even that fails.
+        """
         n = self.n_points
+        if self._buffer is None:
+            self._buffer = np.empty((n, n), order="F")
+        j = float(jitter)
+        while True:
+            self._assemble(factors, self._buffer.T, 1.0 + j)
+            chol, info = dpotrf(self._buffer, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                break
+            if j >= JITTER_MAX:
+                raise NumericalFailure(f"Cholesky failed even with jitter {j:g}")
+            j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
         a = _solve(chol, self.y)
         b = _solve(chol, self.ones)
         mu = float((b @ a) / (b @ b))
@@ -290,7 +346,7 @@ class _Workspace:
         sigma2 = max(float(resid @ resid) / n, self.sigma2_floor)
         log_det = 2.0 * float(np.log(chol.diagonal()).sum())
         ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
-        return _Evaluation(ll, mu, sigma2, chol, jitter_used, b)
+        return _Evaluation(ll, mu, sigma2, chol, j, b)
 
     def evaluate(self, kind, flat: np.ndarray, jitter: float) -> _Evaluation:
         """Profiled likelihood of the workspace targets at ``flat``.
@@ -298,24 +354,26 @@ class _Workspace:
         Raises NumericalFailure when R + jitter*I cannot be factored even
         after jitter escalation.
         """
-        return self._score(self.correlation(kind, flat), jitter)
+        return self._score(self._factors(kind, flat), jitter)
 
     def evaluate_block(self, kind, flats: np.ndarray, jitter: float) -> np.ndarray:
         """Log-likelihoods at the rows of ``flats`` (m, size), -inf where R cannot be factored.
 
         Row by row, the value has the bits of :meth:`evaluate` at that row:
-        the rows go through the same factors, product and scorer.  Each
+        the rows go through the same factors and scorer.  Each
         categorical variable builds the level matrices of the block's
         distinct slices as one stack, and each block of R builds one n x n
         factor per distinct slice: one the memo holds is reused, and a
         factor only one row needs stays out of the memo, so the factors the
         rows share (a search stencil's centre) stay in it.  The n x n work
-        is done row by row; no (m, n, n) stack is held.
+        is done row by row in the one scoring buffer; no (m, n, n) stack is
+        held.
         """
         keys = {-1: [rates.tobytes() for rates in flats[:, :self.n_numeric]]}
         levels = {}
-        for i, L, values in self._variables(kind, flats):
-            keys[i] = [(kind, row.tobytes()) for row in values]
+        for i, L, cut in self._variables(kind):
+            values = flats[:, cut]
+            keys[i] = [row.tobytes() for row in values]
             first = {}
             for row, key in enumerate(keys[i]):
                 first.setdefault(key, row)
@@ -326,30 +384,11 @@ class _Workspace:
         lls = np.empty(len(flats))
         for row, flat in enumerate(flats):
             try:
-                R = self._product(self._factors(kind, flat, levels, once))
-                lls[row] = self._score(R, jitter).log_likelihood
+                lls[row] = self._score(self._factors(kind, flat, levels, once),
+                                       jitter).log_likelihood
             except NumericalFailure:
                 lls[row] = -math.inf
         return lls
-
-
-def _cholesky_with_escalation(R: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
-    """Cholesky factor of R + j*I in the lower triangle, escalating j by 10 up to JITTER_MAX.
-
-    The upper triangle of the returned array is not cleared (it keeps R's
-    entries); solves read the lower triangle only.  R itself is left as it
-    is: each attempt factors a fresh F-order copy.
-    """
-    j = float(jitter)
-    while True:
-        work = np.array(R, dtype=float, order="F")
-        work.reshape(-1, order="F")[::work.shape[0] + 1] += j  # a view: work is F-contiguous
-        chol, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            return chol, j
-        if j >= JITTER_MAX:
-            raise NumericalFailure(f"Cholesky failed even with jitter {j:g}")
-        j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +510,9 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
 def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
            y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
     """The model at theta, on a workspace holding the standardized targets."""
-    R = ws.correlation(theta.kind, ws.flat(theta))
-    ev = ws._score(R, jitter)  # factors a copy: R stays intact for the refinement
-    alpha = _refined_weights(R, ev.chol, ws.y - ev.mu)
+    flat = ws.flat(theta)
+    ev = ws.evaluate(theta.kind, flat, jitter)
+    alpha = _refined_weights(ws.correlation(theta.kind, flat), ev.chol, ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
     chol = np.asfortranarray(np.tril(ev.chol))  # a clean lower factor, in LAPACK's order
     chol_inv, info = dtrtri(chol, lower=1)

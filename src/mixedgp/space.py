@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -330,7 +331,11 @@ def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
                                   (C, (1.0, np.array(space.level_counts, dtype=float)))):
             bad |= ~np.all((A >= lower) & (A <= upper) & np.isfinite(A), axis=1)
     for i in np.flatnonzero(bad):  # validate_point raises on the first bad point
-        validate_point(space, MixedPoint(*(r[i] for r in rows)))
+        try:
+            validate_point(space, MixedPoint(*(r[i] for r in rows)))
+        except (OutOfBounds, LevelOutOfRange) as exc:
+            exc.row = int(i)  # the 0-based row, which a file reader maps to its line
+            raise
     if not shaped:
         raise DimensionMismatch(f"point rows do not have the space's widths {widths}")
     return arrays[:2] + [arrays[2].astype(int)]
@@ -345,7 +350,10 @@ def _checked_targets(n_points: int, targets) -> np.ndarray:
         raise DimensionMismatch(f"{n_points} points but {y.size} targets")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
-        raise ValueError(f"targets must be finite: row {bad[0]} (0-based) holds {y[bad[0]]!r}")
+        exc = ValueError(f"targets must be finite: row {bad[0]} (0-based) holds "
+                         f"{float(y[bad[0]])!r}")
+        exc.row = int(bad[0])
+        raise exc
     return y
 
 
@@ -574,15 +582,43 @@ def _raise_first_defect(path, rows, names, parsers) -> None:
                 raise ParseError(f"{path}:{lineno}: bad {what}") from exc
 
 
+def _name_line(path, exc) -> None:
+    """Prefix the message of ``exc``, an entry check's refusal of data row ``exc.row``
+    read from ``path``, with ``<path>:<line>:``; an error that names no row is left as is.
+
+    Lines are counted as :func:`_raise_first_defect` counts them, blank ones
+    included, so the file is read again: this runs on the error path only.
+    """
+    if not hasattr(exc, "row"):
+        return
+    with open(path, newline="") as fh:
+        lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1)
+                 if lineno > 1 and row)
+        lineno = next(itertools.islice(lines, exc.row, None), "?")
+    exc.args = (f"{path}:{lineno}: {exc}",)
+
+
 def load_dataset(space: DesignSpace, path) -> Dataset:
+    """Read a dataset file; a value refused at entry is reported with its file line."""
     columns, targets = _read_csv(space, path, expect_target=True)
     if len(targets) == 0:
         raise ParseError(f"{path}: dataset has no rows")
-    targets = _checked_targets(len(targets), targets)  # before the points, as Dataset orders them
-    return Dataset(space, PointBatch.from_columns(space, columns), targets)
+    try:
+        targets = _checked_targets(len(targets), targets)  # before the points, as Dataset does
+        return Dataset(space, PointBatch.from_columns(space, columns), targets)
+    except (OutOfBounds, LevelOutOfRange, ValueError) as exc:
+        _name_line(path, exc)
+        raise
 
 
 def load_points(space: DesignSpace, path) -> PointBatch:
-    """Read a points file; a trailing target column, if present, is ignored."""
+    """Read a points file; a trailing target column, if present, is ignored.
+
+    A value refused at entry is reported with its file line.
+    """
     columns, _ = _read_csv(space, path, expect_target=None)
-    return PointBatch.from_columns(space, columns)
+    try:
+        return PointBatch.from_columns(space, columns)
+    except (OutOfBounds, LevelOutOfRange) as exc:
+        _name_line(path, exc)
+        raise

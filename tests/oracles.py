@@ -15,12 +15,20 @@ names, the hyperparameter vector and the parameter count.
 :func:`_read_csv` is the package's CSV reader as it was before columns
 were parsed through a table of their distinct cells: it calls a parser on
 every cell and returns lists.
+
+:func:`correlation_from_factors` and :func:`profiled_likelihood` are the
+correlation assembly and the likelihood scorer as they were before R was
+built straight into the buffer it is factored in: R is a fresh C-order
+product with an exact unit diagonal, each Cholesky attempt factors a
+Fortran-order copy of it plus the jitter, and two triangular solves give
+the profiled formula.  The level matrices come in as arguments.
 """
 
 import csv
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from mixedgp import EPSILON, CategoricalKernelKind, HyperparameterSet, categorical_param_count
 from mixedgp.errors import DimensionMismatch, ParseError, ShapeMismatch
@@ -259,3 +267,71 @@ def _raise_first_defect(path, body, names, parsers) -> None:
                 what = (f"target {cell!r}" if j == len(names)
                         else f"cell {cell!r} for variable {names[j]}")
                 raise ParseError(f"{path}:{lineno}: bad {what}") from exc
+
+
+# ---------------------------------------------------------------------------
+# the likelihood scorer, on a fresh copy of R
+# ---------------------------------------------------------------------------
+
+JITTER_DEFAULT = 1e-10
+JITTER_MAX = 1e-4
+
+
+def correlation_from_factors(numeric, levels, p: int, rates, level_matrices) -> np.ndarray:
+    """R, no jitter: exp(-theta . D) o R_1[c_r, c_s] o ... with an exact unit diagonal.
+
+    ``numeric`` holds the normalized continuous and integer coordinates
+    (n, d), ``levels`` the 0-based levels (n, k), and ``level_matrices``
+    one L x L level correlation matrix per categorical variable.
+    """
+    diffs = np.abs(numeric[:, None, :] - numeric[None, :, :]) ** p
+    pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0))
+    factors = [np.exp(-np.tensordot(rates, pair_powers, axes=1))]
+    for idx, level_matrix in zip(levels.T, level_matrices):
+        L = level_matrix.shape[0]
+        factors.append(level_matrix.take((idx[:, None] * L + idx[None, :]).astype(np.intp)))
+    return _product(factors)
+
+
+def _product(factors) -> np.ndarray:
+    """((E o G_1) o G_2) ... with an exact unit diagonal: R, no jitter."""
+    E, *G = factors
+    R = E * G[0] if G else E.copy()
+    for Gi in G[1:]:
+        R *= Gi
+    R.flat[::R.shape[0] + 1] = 1.0
+    return R
+
+
+def cholesky_with_escalation(R: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
+    """Cholesky factor of R + j*I in the lower triangle, escalating j by 10 up to JITTER_MAX.
+
+    The upper triangle keeps R's entries.  Each attempt factors a fresh
+    F-order copy of R; raises LinAlgError when even JITTER_MAX fails.
+    """
+    j = float(jitter)
+    while True:
+        work = np.array(R, dtype=float, order="F")
+        work.reshape(-1, order="F")[::work.shape[0] + 1] += j  # a view: work is F-contiguous
+        chol, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return chol, j
+        if j >= JITTER_MAX:
+            raise np.linalg.LinAlgError(f"Cholesky failed even with jitter {j:g}")
+        j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
+
+
+def profiled_likelihood(R: np.ndarray, y: np.ndarray, jitter: float):
+    """(log-likelihood, mu, sigma2, chol, jitter used, L^-1 1) of targets ``y`` under R."""
+    var_y = float(np.var(y))
+    sigma2_floor = 1e-12 * var_y if var_y > 0 else 1e-12
+    chol, jitter_used = cholesky_with_escalation(R, jitter)
+    n = len(y)
+    a = dtrtrs(chol, y, lower=1)[0]
+    b = dtrtrs(chol, np.ones(n), lower=1)[0]
+    mu = float((b @ a) / (b @ b))
+    resid = a - mu * b
+    sigma2 = max(float(resid @ resid) / n, sigma2_floor)
+    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
+    ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
+    return ll, mu, sigma2, chol, jitter_used, b

@@ -316,6 +316,33 @@ def test_fit_rejects_nan_target(tmp_path, cosine_files, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_fit_on_a_nan_target_names_the_file_line_and_exits_2(tmp_path, cosine_files, capsys):
+    space, space_file, data_file = cosine_files
+    lines = data_file.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1] + ["nan"])
+    lines.insert(2, "")  # a blank line is skipped, and still counted as a line
+    data_file.write_text("\n".join(lines) + "\n")
+    code = main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(tmp_path / "m.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {data_file}:5: targets must be finite: "
+                                       f"row 2 (0-based) holds nan\n")
+
+
+def test_predict_on_a_nan_coordinate_names_the_file_line_and_exits_5(tmp_path, cosine_files,
+                                                                       gd_model_file, capsys):
+    space, _, _ = cosine_files
+    level = space.categorical[0].levels[1]
+    points_file = tmp_path / "points.csv"
+    points_file.write_text(f"x,c\n0.5,{level}\n\n0.25,{level}\nnan,{level}\n")
+    capsys.readouterr()
+    code = main(["predict", str(gd_model_file), str(points_file),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"error: {points_file}:5: coordinate 0 = nan ")
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("option, value", [("--jitter", "inf"), ("--jitter", "nan"),
                                            ("--jitter", "0"), ("--budget", "0")])
 def test_fit_with_a_budget_or_jitter_outside_its_domain_exits_2(tmp_path, cosine_files, option,

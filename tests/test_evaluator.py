@@ -7,8 +7,10 @@ workspace and compares every outcome with ``==`` against a fresh
 workspace.  ``evaluate_block`` scores many rows at once, sharing their
 factors; its values are compared with ``==`` against one evaluation per
 row, and searches and fits with and without it against each other.  The
-property tests check R, the likelihood and saved models over random
-spaces without looking inside the evaluator.
+scorer, which builds R in its factorization buffer, is compared bit for
+bit with ``oracles.profiled_likelihood``, which factors a fresh copy of a
+C-order R.  The property tests check R, the likelihood and saved models
+over random spaces without looking inside the evaluator.
 """
 
 import math
@@ -38,6 +40,7 @@ from mixedgp.gp import (
 from mixedgp.kernels import (
     EPSILON,
     CategoricalKernelKind,
+    HyperparameterSet,
     categorical_matrix,
     categorical_param_count,
     natural_from_search,
@@ -47,6 +50,7 @@ from mixedgp.kernels import (
 from mixedgp.optimize import BoxBounds, SearchConfig, local_search
 from mixedgp.space import Categorical, Dataset, DesignSpace, Integer
 
+import oracles
 from conftest import random_hyper, spaces
 
 K = CategoricalKernelKind
@@ -165,7 +169,8 @@ def test_fit_equals_a_fit_on_fresh_workspaces(kind, monkeypatch):
     data = dataset(SPACES["integer-two-categorical"], n=16)
     config = FitConfig(n_starts=2, max_evals=60, seed=1)
     kept = fit(data, kind, 2, config)
-    assert kept._workspace._memo == {}  # a model keeps no evaluation state
+    # a model keeps no evaluation state: no factors, no scoring buffer
+    assert kept._workspace._memo == {} and kept._workspace._buffer is None
 
     evaluate, evaluate_block = gp._Workspace.evaluate, gp._Workspace.evaluate_block
 
@@ -188,7 +193,70 @@ def test_built_model_keeps_no_factors():
     data = dataset(SPACES["cosine"])
     lower, upper, _ = search_bounds(data.space, K.CR)
     theta = set_from_search_vector(data.space, K.CR, 0.5 * (lower + upper))
-    assert build_model(data, theta)._workspace._memo == {}
+    workspace = build_model(data, theta)._workspace
+    assert workspace._memo == {} and workspace._buffer is None
+
+
+# ---------------------------------------------------------------------------
+# the scorer against the oracle's: a fresh C-order R, factored in a copy
+# ---------------------------------------------------------------------------
+
+def oracle_outcome(data, p, kind, flat):
+    """(R, what one evaluation returns) by the oracle, "NumericalFailure" where it fails."""
+    X, Z, C = data.points.normalized()
+    numeric = np.hstack([X, Z])
+    d = numeric.shape[1]
+    level_matrices, pos = [], d
+    for L in data.space.level_counts:
+        k = categorical_param_count(kind, L)
+        level_matrices.append(categorical_matrix(kind, L, flat[pos:pos + k]))
+        pos += k
+    R = oracles.correlation_from_factors(numeric, C - 1, p, flat[:d], level_matrices)
+    try:
+        ll, mu, sigma2, chol, jitter, r_ones = oracles.profiled_likelihood(
+            R, data.targets, JITTER_DEFAULT)
+    except np.linalg.LinAlgError:
+        return R, "NumericalFailure"
+    return R, (repr(ll), repr(mu), repr(sigma2), repr(jitter), np.tril(chol).tobytes(),
+               r_ones.tobytes())
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("space_name", list(SPACES))
+def test_scorer_equals_the_oracle_on_a_fresh_copy_of_r(space_name, p):
+    space = SPACES[space_name]
+    data = dataset(space)
+    ws = gp._Workspace(data.points, p, data.targets)  # one workspace for every kind in turn
+    failed, escalated = set(), set()
+    for seed, kind in enumerate(K):
+        flats = np.array([flat for _, flat in script(space, kind, seed)])
+        expected = [oracle_outcome(data, p, kind, flat) for flat in flats]
+        for row, (flat, (R, want)) in enumerate(zip(flats, expected)):
+            try:
+                ev = ws.evaluate(kind, flat, JITTER_DEFAULT)
+                got = (repr(ev.log_likelihood), repr(ev.mu), repr(ev.sigma2), repr(ev.jitter),
+                       np.tril(ev.chol).tobytes(), ev.r_ones.tobytes())
+            except NumericalFailure:
+                got = "NumericalFailure"
+            assert got == want, (kind, row)
+            assert ws.correlation(kind, flat).tobytes() == R.tobytes(), (kind, row)
+            try:
+                theta = HyperparameterSet(kind, ws.layout, flat)
+            except ValueError:  # a negative rate or diagonal: no set holds it
+                pass
+            else:
+                assert correlation_matrix(data, theta, p).tobytes() == R.tobytes(), (kind, row)
+            if want == "NumericalFailure":
+                failed.add(kind)
+            elif float(want[3]) > JITTER_DEFAULT:
+                escalated.add(kind)
+        values = ws.evaluate_block(kind, flats, JITTER_DEFAULT)
+        for row, (_, want) in enumerate(expected):
+            expected_value = "-inf" if want == "NumericalFailure" else want[0]
+            assert repr(float(values[row])) == expected_value, (kind, row)
+    # the script reaches the escalation and the failure of every kind that has them
+    assert failed == escalated == set(K) - (
+        {K.EHH, K.HH} if space_name == "categorical-only" else set())
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixedgp import gp
 from mixedgp.benchmarks import beam_space, cosine_function, cosine_space
 from mixedgp.doe import lhs
 from mixedgp.errors import NumericalFailure
 from mixedgp.gp import (
+    JITTER_DEFAULT,
     FitConfig,
     build_model,
     concentrated_log_likelihood,
@@ -26,6 +28,7 @@ from mixedgp.kernels import (
     EPSILON,
     CategoricalKernelKind,
     HyperparameterSet,
+    search_bounds,
 )
 from mixedgp.space import (
     Categorical,
@@ -170,22 +173,29 @@ def test_likelihood_single_point_floored():
 
 
 def test_cholesky_escalation_raises_on_indefinite():
-    from mixedgp.gp import _cholesky_with_escalation
-
-    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+    # as tests/test_evaluator.py's indefinite() builds one: rates and packed
+    # diagonals of -30 put entries near exp(60) off R's diagonal
+    ds = Dataset(mixed_space(), lhs(mixed_space(), 6, 2), np.arange(6.0))
+    mask = search_bounds(ds.space, K.CR)[2]
+    ws = gp._Workspace(ds.points, 2, ds.targets)
     with pytest.raises(NumericalFailure):
-        _cholesky_with_escalation(indefinite, 1e-10)
+        ws.evaluate(K.CR, np.where(mask, -30.0, 0.0), JITTER_DEFAULT)
 
 
 def test_cholesky_escalation_reports_jitter_used():
-    from mixedgp.gp import _cholesky_with_escalation
-
-    # exact duplicate rows: singular, factorable only after escalation
-    R = np.ones((2, 2))
-    chol, used = _cholesky_with_escalation(R, 1e-10)
-    assert used >= 1e-10
-    lower = np.tril(chol)  # the factor is the lower triangle; the upper one is not cleared
-    assert np.allclose(lower @ lower.T, R + used * np.eye(2))
+    # exact duplicate points make R singular.  JITTER_DEFAULT already makes
+    # R + jitter*I factorable, so start from a jitter that 1.0 + jitter
+    # rounds away: the factorization fails until the jitter has escalated
+    space = DesignSpace((Continuous("x", 0.0, 1.0),))
+    ds = Dataset(space, (MixedPoint((0.5,)), MixedPoint((0.5,))), np.array([1.0, 2.0]))
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0])
+    start = 1e-18
+    ev = gp._Workspace(ds.points, 2, ds.targets).evaluate(K.GD, theta.flat, start)
+    assert ev.jitter > start and 1.0 + ev.jitter > 1.0
+    lower = np.tril(ev.chol)  # the factor is the lower triangle; the upper one is not cleared
+    R = correlation_matrix(ds, theta)
+    assert np.array_equal(R, np.ones((2, 2)))
+    assert np.allclose(lower @ lower.T, R + ev.jitter * np.eye(2), rtol=0.0, atol=1e-15)
 
 
 def test_log_det_identity_on_random_matrices():

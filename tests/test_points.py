@@ -181,9 +181,12 @@ def test_non_integral_integer_fails_at_every_entry(tmp_path, cat_int_cont):
                  lambda: PointBatch.of(space, points),
                  lambda: PointBatch(space, *arrays),
                  lambda: Dataset(space, points, np.zeros(5)),
-                 lambda: predict(gd_model(space), points),
-                 lambda: load_points(space, tmp_path / "p.csv")):
+                 lambda: predict(gd_model(space), points)):
         assert_raises_like(expected, call)
+    # read from a file, the same error names the file line of the refused row
+    from_file = NotIntegral(0, 2.5, -2, 4)
+    from_file.args = (f"{tmp_path / 'p.csv'}:3: {expected}",)
+    assert_raises_like(from_file, lambda: load_points(space, tmp_path / "p.csv"))
 
 
 # ---------------------------------------------------------------------------

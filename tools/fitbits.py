@@ -1,0 +1,89 @@
+"""Print the bits of a fixed set of fits, so two checkouts can be compared with diff.
+
+    python tools/fitbits.py > before.txt        # in one checkout
+    python tools/fitbits.py > after.txt         # in the other
+    diff before.txt after.txt
+
+It fits cosine seeds 0-2 (GD, CR, then EHH, n = 98, ``max_evals=100``,
+each kind warm-started from the kinds before it as the benchmark runner
+does) and beam seed 0 (CR, p = 2, the same budget), and prints one line
+per fit:
+
+- the problem, seed and kind;
+- ``repr`` of the log-likelihood;
+- a sha256 of ``theta_star.flat``;
+- the ``StartRecord`` tuples of every start;
+- a sha256 of the saved model file, written with ``fit_seconds`` set to 0;
+- sha256s of the means and of the variances on the validation grid.
+
+The bits depend on the CPU's BLAS kernels and on the BLAS thread count, so
+compare outputs from one machine with one thread setting.  The script
+imports the package from the ``src/`` next to it and uses only the
+standard library besides; it exits 0 once every fit printed.
+"""
+
+import hashlib
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mixedgp import benchmarks as bm  # noqa: E402
+from mixedgp import gp  # noqa: E402
+from mixedgp.doe import grid, lhs  # noqa: E402
+from mixedgp.kernels import CategoricalKernelKind as K  # noqa: E402
+from mixedgp.space import Dataset  # noqa: E402
+
+N_POINTS = 98
+MAX_EVALS = 100
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def cosine(points):
+    return bm.cosine_function(points.X[:, 0], points.C[:, 0])
+
+
+def beam(points):
+    return bm.cantilever_deflection(bm.CantileverConfig(), points.C[:, 0], points.X[:, 0],
+                                    points.X[:, 1])
+
+
+PROBLEMS = [
+    ("cosine", bm.cosine_space(), cosine, (1000,), seed, (K.GD, K.CR, K.EHH))
+    for seed in range(3)
+] + [("beam", bm.beam_space(), beam, (30, 30), 0, (K.CR,))]
+
+
+def model_sha(model, directory: Path) -> str:
+    path = directory / "model.json"
+    gp.save_model(replace(model, fit_seconds=0.0), path)
+    return sha(path.read_bytes())
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, space, truth, grid_points, seed, kinds in PROBLEMS:
+            points = lhs(space, N_POINTS, seed)
+            data = Dataset(space, points, truth(points))
+            validation = grid(space, grid_points)
+            fitted = {}
+            for kind in kinds:
+                config = gp.FitConfig(seed=seed, max_evals=MAX_EVALS,
+                                      extra_starts=bm._warm_starts(kind, fitted))
+                model = fitted[kind] = gp.fit(data, kind, 2, config)
+                means, variances = gp.predict(model, validation)
+                starts = [tuple(record) for record in model.start_log]
+                print(f"{name} seed={seed} {kind.value} ll={model.log_likelihood!r} "
+                      f"theta={sha(model.theta_star.flat.tobytes())} starts={starts} "
+                      f"model={model_sha(model, Path(tmp))} means={sha(means.tobytes())} "
+                      f"variances={sha(variances.tobytes())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
