@@ -57,7 +57,7 @@ from .kernels import (
     hypersphere_lower_triangular,
     recover_angles_from_correlation,
 )
-from .optimize import BoxBounds, SearchConfig, local_search, multistart
+from .optimize import BoxBounds, local_search, multistart
 from .space import (
     Categorical,
     Continuous,

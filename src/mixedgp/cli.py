@@ -152,16 +152,16 @@ def _write_trace(records, path) -> None:
 
 def _cmd_doe(args) -> int:
     space = load_space(args.space_file)
+    counts = (args.n,) * (space.n_continuous + space.n_integer)
+    if args.grid_counts:
+        try:
+            counts = tuple(int(c) for c in args.grid_counts.split(","))
+        except ValueError:
+            print(f"error: --grid-counts must be a comma list of integers, "
+                  f"got {args.grid_counts!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
-        if args.method == "lhs":
-            points = lhs(space, args.n, args.seed)
-        else:
-            n_numeric = space.n_continuous + space.n_integer
-            if args.grid_counts:
-                counts = tuple(int(c) for c in args.grid_counts.split(","))
-            else:
-                counts = (args.n,) * n_numeric
-            points = grid(space, counts)
+        points = lhs(space, args.n, args.seed) if args.method == "lhs" else grid(space, counts)
     except (SizeOverflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATION

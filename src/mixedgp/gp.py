@@ -12,7 +12,8 @@ of the likelihood in closed form:
 One evaluator, ``_Workspace.evaluate``, maps a natural-units
 hyperparameter vector to R and its likelihood; fitting, model building,
 :func:`concentrated_log_likelihood` and :func:`correlation_matrix` all go
-through it.  R is the product of one factor per block of the vector,
+through it, on a workspace built for one kernel kind and one starting
+jitter.  R is the product of one factor per block of the vector,
 
     R = exp(-sum_j theta_j D_j) o R_1[c_r, c_s] o R_2[c_r, c_s] o ...
 
@@ -26,16 +27,16 @@ multiplies them straight into one Fortran-order n x n buffer per
 workspace, writes 1 + jitter on its diagonal and factors it there with
 ``dpotrf``.  Scoring never allocates or copies R; an evaluation's
 factor is that buffer, valid until the next evaluation on the workspace.
-The kept factors and the buffer live for one fit: ``forget`` frees them,
-and a model's workspace holds neither.  ``_Workspace.evaluate_block``
-scores many vectors at once with the same builder and scorer; a fit
-passes it each search stencil, whose rows share the centre's factors and
-whose level matrices are built as one stack, so every row keeps the bits
-of a one-vector evaluation.  All solves go through one Cholesky factor L
-of R + jitter*I, read from its lower triangle (the search leaves R's
-upper triangle in place; a model stores the clean lower factor, and L^-1
-for the predictive variance); the jitter escalates by factors of 10 (up
-to 1e-4) when factorization fails, the buffer refilled from the kept
+The kept factors, the buffer and the pairwise distances live for one
+fit: ``forget`` frees them.  ``_Workspace.evaluate_block`` scores many
+vectors at once with the same code as ``evaluate``; a fit passes it each
+search stencil, whose rows share the centre's factors and whose level
+matrices are built as one stack, so every row keeps the bits of a
+one-vector evaluation.  All solves go through one Cholesky factor L of
+R + jitter*I, read from its lower triangle (the search leaves R's upper
+triangle in place; a model stores the clean lower factor, and L^-1 for
+the predictive variance); the jitter escalates by factors of 10 (up to
+1e-4) when factorization fails, the buffer refilled from the kept
 factors each time, which makes duplicate design points survivable.
 Internally the GP always sees continuous/integer coordinates normalized
 to [0, 1] and targets standardized to zero mean and unit variance;
@@ -58,7 +59,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from . import kernels as kr
 from .errors import MixedGpError, NumericalFailure, ParseError, ShapeMismatch
-from .optimize import BoxBounds, MultistartResult, SearchConfig, multistart
+from .optimize import BoxBounds, MultistartResult, multistart
 from .space import Categorical, Continuous, Dataset, DesignSpace, Integer, PointBatch
 
 __all__ = [
@@ -140,28 +141,29 @@ class _Evaluation(NamedTuple):
 
 
 class _Workspace:
-    """Per-dataset caches and the one likelihood evaluator.
+    """The likelihood evaluator of one kernel kind, exponent and starting jitter on one dataset.
 
-    Holds |x_r - x_s|^p per continuous/integer dimension (one row of
-    ``pair_powers`` each, over the n*n pairs) and the 0-based level index
-    column per categorical variable, all on normalized coordinates, plus
-    the targets :meth:`evaluate` and :meth:`evaluate_block` score and their
-    variance floor.  ``_memo`` keeps, per factor block of R (-1 for the
-    rates, i for categorical variable i), the bytes of the slice it was
-    last built at and the n x n factor, for the kind in ``_kind``;
-    ``_buffer`` is the Fortran-order n x n array R is built and factored
-    in.  :meth:`forget` drops both.
+    Holds the normalized numeric coordinates, the 0-based level index
+    column and the slice of the flat vector (``variables``) per categorical
+    variable, and the targets with their variance floor.  An evaluation
+    builds what it needs: ``pair_powers`` (|x_r - x_s|^p, one row per
+    continuous/integer dimension over the n*n pairs); ``_memo``, per factor
+    block of R (-1 for the rates, i for categorical variable i), the bytes
+    of the slice it was last built at and the n x n factor; and ``_buffer``,
+    the Fortran-order n x n array R is built and factored in.
+    :meth:`forget` drops all three.
     """
 
-    def __init__(self, points: PointBatch, p: int, targets: np.ndarray):
+    def __init__(self, points: PointBatch, kind: kr.CategoricalKernelKind, p: int,
+                 targets: np.ndarray, jitter: float = JITTER_DEFAULT):
+        self.kind = kind
         self.p = kr.check_exponent(p)
+        self.jitter = jitter
         X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
         self.n_points = n = XZ.shape[0]
         self.n_numeric = XZ.shape[1]
         self.numeric = XZ
-        diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
-        self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0)).reshape(-1, n * n)
         self.levels = C - 1
         self.level_counts = points.space.level_counts
         self.layout = (self.n_numeric, self.level_counts)
@@ -169,34 +171,20 @@ class _Workspace:
         self.ones = np.ones(n)
         var_y = float(np.var(targets))
         self.sigma2_floor = 1e-12 * var_y if var_y > 0 else 1e-12
-        self._slices: dict = {}
-        self._kind = None
+        self.variables, pos = [], self.n_numeric
+        for i, L in enumerate(self.level_counts):
+            k = kr.categorical_param_count(kind, L)
+            self.variables.append((i, L, slice(pos, pos + k)))
+            pos += k
         self._memo: dict[int, tuple] = {}
-        self._buffer = None
+        self._buffer = self.pair_powers = None
 
     def flat(self, theta: kr.HyperparameterSet) -> np.ndarray:
-        """theta's natural-units vector, once its layout is checked against the space."""
-        if theta.layout != self.layout:
-            raise ShapeMismatch(f"hyperparameter layout {theta.layout} does not fit the "
-                                f"space's {self.layout}")
+        """theta's natural-units vector, once its kind and layout are checked against the workspace."""
+        if theta.kind is not self.kind or theta.layout != self.layout:
+            raise ShapeMismatch(f"a {theta.kind.value} set on layout {theta.layout} does not fit "
+                                f"the workspace's {self.kind.value} kernel on {self.layout}")
         return theta.flat
-
-    def _variables(self, kind):
-        """(variable index, level count, slice of the flat vector) per categorical variable."""
-        table = self._slices.get(kind)
-        if table is None:
-            table, pos = [], self.n_numeric
-            for i, L in enumerate(self.level_counts):
-                k = kr.categorical_param_count(kind, L)
-                table.append((i, L, slice(pos, pos + k)))
-                pos += k
-            self._slices[kind] = table
-        return table
-
-    def _categorical_factors(self, kind, flat):
-        """(variable index, level matrix) per categorical variable."""
-        for i, L, cut in self._variables(kind):
-            yield i, kr.categorical_matrix(kind, L, flat[cut])
 
     def _memoized(self, block: int, key: bytes, once, build) -> np.ndarray:
         """Block ``block``'s factor at ``key``, built only when the key changed.
@@ -213,37 +201,37 @@ class _Workspace:
             self._memo[block] = (key, factor)
         return factor
 
-    def _factors(self, kind, flat, levels=None, once=()) -> list[np.ndarray]:
+    def _factors(self, flat, levels=None, once=()) -> list[np.ndarray]:
         """R's n x n factors, transposed: exp(-theta . D), then R_i[c_s, c_r] per variable.
 
         exp(-theta . D) is symmetric bit for bit, as |x_r - x_s|^p is; a
         level matrix need not be (``kappa`` adds d_r and d_s in either
         order), so its factor is gathered transposed.  A factor is keyed by
-        the bytes of its slice of ``flat``; the memo is emptied when
-        ``kind`` changes.  ``levels`` and ``once`` come from
+        the bytes of its slice of ``flat``.  ``levels`` and ``once`` come from
         :meth:`evaluate_block`: the level matrices it built, by (variable,
         key), and the factors only one of its rows needs (see
         :meth:`_memoized`).
         """
-        if kind is not self._kind:
-            self._memo.clear()
-            self._kind = kind
         rates = flat[:self.n_numeric]
         factors = [self._memoized(-1, rates.tobytes(), once, lambda: self._rates_factor(rates))]
-        for i, L, cut in self._variables(kind):
+        for i, L, cut in self.variables:
             values = flat[cut]
             key = values.tobytes()
             factors.append(self._memoized(i, key, once, lambda: self._gathered(
                 i, levels[i, key] if levels is not None
-                else kr.categorical_matrix(kind, L, values))))
+                else kr.categorical_matrix(self.kind, L, values))))
         return factors
 
     def _rates_factor(self, rates: np.ndarray) -> np.ndarray:
         """exp(-theta . D), n x n: one product over the pairs, negated and exponentiated in place."""
+        n, XZ = self.n_points, self.numeric
+        if self.pair_powers is None:
+            diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
+            self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0)).reshape(-1, n * n)
         E = np.dot(rates, self.pair_powers)
         np.negative(E, out=E)
         np.exp(E, out=E)
-        return E.reshape(self.n_points, self.n_points)
+        return E.reshape(n, n)
 
     def _gathered(self, i: int, level_matrix: np.ndarray) -> np.ndarray:
         """R_i[c_s, c_r] at [r, s], the level factor of variable i transposed.
@@ -255,9 +243,12 @@ class _Workspace:
         return level_matrix.take(c, axis=0).T.take(c, axis=0)
 
     def forget(self) -> None:
-        """Drop the kept factors (see ``_memo``) and the scoring buffer."""
+        """Drop the evaluation state: ``pair_powers``, the kept factors and the scoring buffer.
+
+        A later evaluation builds it again; a model's workspace holds none of it.
+        """
         self._memo.clear()
-        self._kind = self._buffer = None
+        self._buffer = self.pair_powers = None
 
     def _assemble(self, factors: list[np.ndarray], out: np.ndarray, diagonal: float) -> None:
         """((E o G_1) o G_2) ... of the transposed factors into ``out`` (C order), and ``diagonal``.
@@ -273,13 +264,13 @@ class _Workspace:
             np.multiply(out, Gi, out=out)
         out.reshape(-1)[::self.n_points + 1] = diagonal
 
-    def correlation(self, kind, flat: np.ndarray) -> np.ndarray:
+    def correlation(self, flat: np.ndarray) -> np.ndarray:
         """R at the natural-units vector ``flat``, exact unit diagonal, no jitter (C order)."""
         R_T = np.empty((self.n_points, self.n_points))
-        self._assemble(self._factors(kind, flat), R_T, 1.0)
+        self._assemble(self._factors(flat), R_T, 1.0)
         return R_T.T.copy()
 
-    def cross_correlations(self, kind, flat: np.ndarray, points):
+    def cross_correlations(self, flat: np.ndarray, points):
         """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
 
         Each block has shape (len(rows), n_train).  Within a chunk, a run of
@@ -294,8 +285,8 @@ class _Workspace:
         X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
         theta = flat[:self.n_numeric]
-        tables = [(i, Ri[:, self.levels[:, i]])
-                  for i, Ri in self._categorical_factors(kind, flat)]
+        tables = [(i, kr.categorical_matrix(self.kind, L, flat[cut])[:, self.levels[:, i]])
+                  for i, L, cut in self.variables]
         work = np.empty((min(len(points), _PREDICT_CHUNK + 1), self.n_points, self.n_numeric))
         for rows in _row_chunks(len(points)):
             block = XZ[rows]
@@ -319,18 +310,18 @@ class _Workspace:
                 K *= table.take(C[rows, i] - 1, axis=0)
             yield rows, K
 
-    def _score(self, factors: list[np.ndarray], jitter: float) -> _Evaluation:
+    def _score(self, factors: list[np.ndarray]) -> _Evaluation:
         """Profiled likelihood of the workspace targets under the R of ``factors``.
 
         R + jitter*I is built in the workspace's Fortran-order buffer and
-        factored there; when the factorization fails the buffer is refilled
-        and the jitter escalates by 10 up to JITTER_MAX.  Raises
-        NumericalFailure when even that fails.
+        factored there, from the workspace's jitter; when the factorization
+        fails the buffer is refilled and the jitter escalates by 10 up to
+        JITTER_MAX.  Raises NumericalFailure when even that fails.
         """
         n = self.n_points
         if self._buffer is None:
             self._buffer = np.empty((n, n), order="F")
-        j = float(jitter)
+        j = float(self.jitter)
         while True:
             self._assemble(factors, self._buffer.T, 1.0 + j)
             chol, info = dpotrf(self._buffer, lower=1, clean=0, overwrite_a=1)
@@ -348,15 +339,15 @@ class _Workspace:
         ll = -0.5 * n * math.log(sigma2) - 0.5 * log_det - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
         return _Evaluation(ll, mu, sigma2, chol, j, b)
 
-    def evaluate(self, kind, flat: np.ndarray, jitter: float) -> _Evaluation:
+    def evaluate(self, flat: np.ndarray) -> _Evaluation:
         """Profiled likelihood of the workspace targets at ``flat``.
 
         Raises NumericalFailure when R + jitter*I cannot be factored even
         after jitter escalation.
         """
-        return self._score(self._factors(kind, flat), jitter)
+        return self._score(self._factors(flat))
 
-    def evaluate_block(self, kind, flats: np.ndarray, jitter: float) -> np.ndarray:
+    def evaluate_block(self, flats: np.ndarray) -> np.ndarray:
         """Log-likelihoods at the rows of ``flats`` (m, size), -inf where R cannot be factored.
 
         Row by row, the value has the bits of :meth:`evaluate` at that row:
@@ -371,21 +362,20 @@ class _Workspace:
         """
         keys = {-1: [rates.tobytes() for rates in flats[:, :self.n_numeric]]}
         levels = {}
-        for i, L, cut in self._variables(kind):
+        for i, L, cut in self.variables:
             values = flats[:, cut]
             keys[i] = [row.tobytes() for row in values]
             first = {}
             for row, key in enumerate(keys[i]):
                 first.setdefault(key, row)
-            stack = kr.categorical_matrix(kind, L, values[list(first.values())])
+            stack = kr.categorical_matrix(self.kind, L, values[list(first.values())])
             levels.update(((i, key), level) for key, level in zip(first, stack))
         once = {(block, key) for block, column in keys.items()
                 for key, count in Counter(column).items() if count == 1}
         lls = np.empty(len(flats))
         for row, flat in enumerate(flats):
             try:
-                lls[row] = self._score(self._factors(kind, flat, levels, once),
-                                       jitter).log_likelihood
+                lls[row] = self._score(self._factors(flat, levels, once)).log_likelihood
             except NumericalFailure:
                 lls[row] = -math.inf
         return lls
@@ -400,8 +390,8 @@ def correlation_matrix(dataset: Dataset, theta: kr.HyperparameterSet, p: int = 2
 
     Symmetric with exact unit diagonal; no jitter is added here.
     """
-    ws = _Workspace(dataset.points, p, dataset.targets)
-    return ws.correlation(theta.kind, ws.flat(theta))
+    ws = _Workspace(dataset.points, theta.kind, p, dataset.targets)
+    return ws.correlation(ws.flat(theta))
 
 
 def concentrated_log_likelihood(
@@ -419,8 +409,8 @@ def concentrated_log_likelihood(
     Raises NumericalFailure when R + jitter*I cannot be factored even after
     jitter escalation.
     """
-    ws = _Workspace(dataset.points, p, dataset.targets)
-    return ws.evaluate(theta.kind, ws.flat(theta), jitter).log_likelihood
+    ws = _Workspace(dataset.points, theta.kind, p, dataset.targets, jitter)
+    return ws.evaluate(ws.flat(theta)).log_likelihood
 
 
 def standardize_targets(dataset: Dataset) -> tuple[Dataset, float, float]:
@@ -507,12 +497,12 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
     return best_alpha
 
 
-def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet, jitter: float,
+def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet,
            y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
     """The model at theta, on a workspace holding the standardized targets."""
     flat = ws.flat(theta)
-    ev = ws.evaluate(theta.kind, flat, jitter)
-    alpha = _refined_weights(ws.correlation(theta.kind, flat), ev.chol, ws.y - ev.mu)
+    ev = ws.evaluate(flat)
+    alpha = _refined_weights(ws.correlation(flat), ev.chol, ws.y - ev.mu)
     r_inv_ones = _solve(ev.chol, ev.r_ones, trans=1)
     chol = np.asfortranarray(np.tril(ev.chol))  # a clean lower factor, in LAPACK's order
     chol_inv, info = dtrtri(chol, lower=1)
@@ -548,8 +538,8 @@ def build_model(
 ) -> GpModel:
     """Assemble a GpModel at fixed hyperparameters (no optimization)."""
     ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(dataset.points, p, ds_std.targets)
-    return _model(ws, dataset, theta, jitter, y_mean, y_scale, fit_seconds)
+    ws = _Workspace(dataset.points, theta.kind, p, ds_std.targets, jitter)
+    return _model(ws, dataset, theta, y_mean, y_scale, fit_seconds)
 
 
 def fit(
@@ -567,36 +557,27 @@ def fit(
     t0 = time.perf_counter()
     space = dataset.space
     ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(dataset.points, p, ds_std.targets)
+    ws = _Workspace(dataset.points, kind, p, ds_std.targets, config.jitter)
 
     lower, upper, log_mask = kr.search_bounds(space, kind)
     bounds = BoxBounds(lower, upper)
 
     def objective(v: np.ndarray) -> float:
         try:
-            ev = ws.evaluate(kind, kr.natural_from_search(v, log_mask), config.jitter)
+            return ws.evaluate(kr.natural_from_search(v, log_mask)).log_likelihood
         except NumericalFailure:
             return -math.inf
-        return ev.log_likelihood
 
     def batch_objective(V: np.ndarray) -> np.ndarray:
-        return ws.evaluate_block(kind, kr.natural_from_search(V, log_mask), config.jitter)
+        return ws.evaluate_block(kr.natural_from_search(V, log_mask))
 
-    extra = []
-    for hp in config.extra_starts:
-        if hp.kind is not kind:
-            raise ShapeMismatch(
-                f"warm start kind {hp.kind.value} does not match fit kind {kind.value}"
-            )
-        extra.append(kr.search_from_natural(ws.flat(hp), log_mask))
-
-    search_cfg = SearchConfig(max_evals=config.max_evals)
+    extra = tuple(kr.search_from_natural(ws.flat(hp), log_mask) for hp in config.extra_starts)
     result: MultistartResult = multistart(
-        objective, bounds, config.n_starts, search_cfg, extra_starts=tuple(extra),
+        objective, bounds, config.n_starts, config.max_evals, extra_starts=extra,
         batch_objective=batch_objective,
     )
     theta_star = kr.set_from_search_vector(space, kind, result.point)
-    model = _model(ws, dataset, theta_star, config.jitter, y_mean, y_scale,
+    model = _model(ws, dataset, theta_star, y_mean, y_scale,
                    fit_seconds=time.perf_counter() - t0)
     # sanity: the model stores exactly the value the optimizer maximized
     if model.log_likelihood != result.value:
@@ -643,10 +624,9 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     and after a reload.
     """
     batch = PointBatch.of(model.dataset.space, points)
-    theta = model.theta_star
     means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
-    for rows, K in model._workspace.cross_correlations(theta.kind, theta.flat, batch):
+    for rows, K in model._workspace.cross_correlations(model.theta_star.flat, batch):
         mean_std = model.mu_std + K @ model._alpha
         means[rows] = model.y_mean + model.y_scale * mean_std
         v = dtrmm(1.0, model._chol_inv, K.T, lower=1)

@@ -4,8 +4,8 @@ The local search is a stencil-based trust-region method: at the current
 radius it evaluates a one-sided coordinate stencil, fits the implied linear
 surrogate (a finite-difference gradient), and line-searches along the
 projected gradient with expansion and backtracking.  When neither the
-stencil nor the line search improves, the radius shrinks; the search stops
-once the radius drops below ``final_step`` or the evaluation budget is
+stencil nor the line search improves, the radius halves; the search stops
+once the radius drops below ``FINAL_STEP`` or the evaluation budget is
 exhausted.  A stencil is scored whole or not at all: one the remaining
 budget cannot cover ends the search unscored.  All candidate points are
 clipped to the box, so returned points satisfy the bounds exactly.
@@ -28,7 +28,9 @@ budget check and count in ``n_evals`` as scored ones, so every result and
 count equals that of independent searches; ``StartRecord.replayed`` says
 how many were replayed.  This relies on the objective being a
 deterministic function of the point.  The record lives for one
-multistart call; :func:`local_search` alone keeps none.
+multistart call; :func:`local_search` keeps one of its own, which never
+replays: one search never returns to a state, because the centre moves
+only on a strict improvement and otherwise the radius halves.
 
 Everything here is deterministic: identical inputs give bit-identical
 results; nothing is drawn at random.
@@ -45,14 +47,19 @@ import numpy as np
 from .errors import ObjectiveFailure
 
 __all__ = [
+    "INITIAL_STEP",
+    "FINAL_STEP",
     "BoxBounds",
-    "SearchConfig",
     "SearchResult",
     "StartRecord",
     "MultistartResult",
     "local_search",
     "multistart",
 ]
+
+# a search's first stencil radius, and the one it converges below, as fractions of the box width
+INITIAL_STEP = 0.25
+FINAL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,29 +88,6 @@ class BoxBounds:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of one local search.
-
-    ``initial_step`` and ``final_step`` are fractions of the box width; the
-    search stops when the stencil radius falls below ``final_step``.
-    ``max_evals`` defaults to 500 * dim when left as None.
-    """
-
-    initial_step: float = 0.25
-    final_step: float = 1e-6
-    max_evals: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.final_step < self.initial_step <= 0.5:
-            raise ValueError("need 0 < final_step < initial_step <= 0.5")
-        if self.max_evals is not None and self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
-
-    def budget(self, dim: int) -> int:
-        return self.max_evals if self.max_evals is not None else 500 * dim
-
-
 class SearchResult(NamedTuple):
     point: np.ndarray
     value: float
@@ -114,7 +98,7 @@ class StartRecord(NamedTuple):
     """One start of a multistart: ``n_evals - replayed`` of its values reached the objective.
 
     ``stop`` says why the search ended: ``"converged"`` when its radius fell
-    below ``final_step``, ``"budget"`` when the next scoring step would
+    below ``FINAL_STEP``, ``"budget"`` when the next scoring step would
     have exceeded the evaluation budget.  A start whose objective raised
     leaves no record.
     """
@@ -144,15 +128,17 @@ def local_search(
     objective: Callable[[np.ndarray], float],
     bounds: BoxBounds,
     start,
-    config: SearchConfig = SearchConfig(),
+    max_evals: int | None = None,
     *,
     batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SearchResult:
-    """Maximize ``objective`` over the box from ``start``.
+    """Maximize ``objective`` over the box from ``start``, in at most ``max_evals`` evaluations.
 
     Returns (best_point, best_value, n_evals) with best_point inside the
-    bounds exactly and best_value >= objective(start).  Exceptions from the
-    objective are re-raised as ObjectiveFailure with the point attached.
+    bounds exactly and best_value >= objective(start).  ``max_evals``
+    defaults to 500 * dim when None, and must be at least 1.  Exceptions
+    from the objective are re-raised as ObjectiveFailure with the point
+    attached.
 
     ``batch_objective(points)``, given, scores each stencil as one block:
     it takes an (m, dim) array of points and returns their m values, each
@@ -162,34 +148,36 @@ def local_search(
     without being scored.  When the block raises, the ObjectiveFailure
     carries the block's first row.
     """
-    return _search(objective, bounds, start, config, batch_objective, None)[0]
+    return _search(objective, bounds, start, max_evals, batch_objective, {})[0]
 
 
-def _search(objective, bounds, start, config, batch_objective,
-            record: dict | None) -> tuple[SearchResult, int, str]:
+def _search(objective, bounds, start, max_evals, batch_objective,
+            record: dict) -> tuple[SearchResult, int, str]:
     """:func:`local_search`, how many of its values came from ``record``, and why it stopped.
 
     ``record`` maps a search state ``(centre bytes, radius)`` (radius None
     for the start's own point) to the values its iteration scored, one
     list per scoring call.  The search replays the calls a state holds and
-    appends the ones it has to score; None keeps no record.
+    appends the ones it has to score.
     """
     start = np.asarray(start, dtype=float).reshape(-1)
     if start.size != bounds.dim:
         raise ValueError(f"start has length {start.size}, bounds expect {bounds.dim}")
     if not bounds.contains(start):
         raise ValueError("start must lie within the bounds")
+    if max_evals is not None and max_evals < 1:
+        raise ValueError("max_evals must be None or >= 1")
 
     lo, hi = bounds.lower, bounds.upper
     width = hi - lo
     dim = bounds.dim
-    budget = config.budget(dim)
+    budget = max_evals if max_evals is not None else 500 * dim
     n_evals = replayed = 0
     calls, cursor = [], 0  # the current state's scoring calls, and how many were made
 
     def enter(state) -> None:
         nonlocal calls, cursor
-        calls = record.setdefault(state, []) if record is not None else []
+        calls = record.setdefault(state, [])
         cursor = 0
 
     def to_x(u: np.ndarray) -> np.ndarray:
@@ -229,9 +217,9 @@ def _search(objective, bounds, start, config, batch_objective,
     enter((best_u.tobytes(), None))
     [best_f] = score(best_u)
 
-    delta = config.initial_step
+    delta = INITIAL_STEP
     try:
-        while delta >= config.final_step and n_evals < budget:
+        while delta >= FINAL_STEP and n_evals < budget:
             enter((best_u.tobytes(), delta))
             # one-sided coordinate stencil, stepping away from the near bound
             coords = np.clip(best_u + np.where(best_u + delta <= 1.0, delta, -delta), 0.0, 1.0)
@@ -268,7 +256,7 @@ def _search(objective, bounds, start, config, batch_objective,
                         if improving_run:
                             break
                         t *= 0.5  # backtrack until the first improvement
-                        if t < 0.25 * config.final_step:
+                        if t < 0.25 * FINAL_STEP:
                             break
                 if line_u is not None:
                     candidates.append((line_f, line_u))
@@ -280,7 +268,7 @@ def _search(objective, bounds, start, config, batch_objective,
     except _BudgetExhausted:
         pass
 
-    stop = "converged" if delta < config.final_step else "budget"
+    stop = "converged" if delta < FINAL_STEP else "budget"
     return SearchResult(to_x(best_u), best_f, n_evals), replayed, stop
 
 
@@ -288,7 +276,7 @@ def multistart(
     objective: Callable[[np.ndarray], float],
     bounds: BoxBounds,
     n_starts: int,
-    config: SearchConfig = SearchConfig(),
+    max_evals: int | None = None,
     *,
     extra_starts: tuple = (),
     batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -297,9 +285,9 @@ def multistart(
 
     Start i sits at fraction (i + 1/2) / n_starts along the box diagonal.
     ``extra_starts`` appends caller-supplied warm starts (clipped to the
-    box) after the diagonal ones.  ``batch_objective`` is passed to every
-    :func:`local_search`.  Per-start failures are tolerated; the call
-    fails only if every start fails.
+    box) after the diagonal ones.  ``max_evals`` (each start's budget) and
+    ``batch_objective`` are passed to every :func:`local_search`.  Per-start
+    failures are tolerated; the call fails only if every start fails.
 
     The objective must be a deterministic function of the point: the
     starts share one record of the values scored per search state (see
@@ -324,7 +312,7 @@ def multistart(
     failures: list[ObjectiveFailure] = []
     for index, start in enumerate(starts):
         try:
-            result, replayed, stop = _search(objective, bounds, start, config,
+            result, replayed, stop = _search(objective, bounds, start, max_evals,
                                              batch_objective, shared)
         except ObjectiveFailure as exc:
             failures.append(exc)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -408,6 +407,13 @@ def save_space(space: DesignSpace, path) -> None:
 
 
 def load_space(path) -> DesignSpace:
+    """Read a space file: one variable a line, ``#`` comments and blank lines skipped.
+
+    Raises ParseError naming the file and line on an unknown kind, a
+    continuous or integer line with other than a name and two bounds, or a
+    value its variable refuses; and naming the file on two variables with
+    one name.
+    """
     variables: list[VariableSpec] = []
     try:
         text = Path(path).read_text()
@@ -420,6 +426,9 @@ def load_space(path) -> DesignSpace:
         fields = line.split()
         kind = fields[0].lower()
         try:
+            if kind in ("continuous", "integer") and len(fields) != 4:
+                raise ValueError(f"a {kind} variable takes a name and two bounds, "
+                                 f"got {' '.join(fields[1:])!r}")
             if kind == "continuous":
                 variables.append(Continuous(fields[1], float(fields[2]), float(fields[3])))
             elif kind == "integer":
@@ -432,7 +441,10 @@ def load_space(path) -> DesignSpace:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not variables:
         raise ParseError(f"{path}: no variables found")
-    return DesignSpace(tuple(variables))
+    try:
+        return DesignSpace(tuple(variables))
+    except ValueError as exc:  # two variables with one name
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # A CSV column is a function from a slice of rows to their cells, quoted as
@@ -519,10 +531,12 @@ def save_predictions(points: PointBatch, means, variances, path) -> None:
 
 
 def _read_csv(space: DesignSpace, path, expect_target: bool | None):
-    """Float arrays per variable (space order) and targets or None, parsed column by column.
+    """Float arrays per variable (space order), targets or None, and the data rows' file lines.
 
-    A column of repeating cells is parsed once per distinct cell.  A defect
-    raises ParseError naming the first bad row and cell in file order.
+    The columns are parsed column by column; a column of repeating cells is
+    parsed once per distinct cell.  A defect raises ParseError naming the
+    first bad row and cell in file order.  The file lines are None when no
+    blank line was skipped: data row r is then on line r + 2.
     """
     try:
         with open(path, newline="") as fh:
@@ -543,8 +557,9 @@ def _read_csv(space: DesignSpace, path, expect_target: bool | None):
     parsers = [{name: float(i) for i, name in enumerate(v.levels, start=1)}.__getitem__
                if isinstance(v, Categorical) else float for v in space.variables]
     parsers += [float] if has_target else []
-    body = rows[1:]
+    body, lines = rows[1:], None
     if not all(body):  # csv.reader reads a blank line as an empty row
+        lines = [lineno for lineno, row in enumerate(body, start=2) if row]
         body = list(filter(None, body))
     try:
         # one pass transposes the rows and checks that they have one width
@@ -554,7 +569,7 @@ def _read_csv(space: DesignSpace, path, expect_target: bool | None):
         columns = [_parsed(parse, column) for parse, column in zip(parsers, cells)]
     except (KeyError, ValueError):
         _raise_first_defect(path, rows, names, parsers)
-    return columns[:len(names)], (columns[-1] if has_target else None)
+    return columns[:len(names)], (columns[-1] if has_target else None), lines
 
 
 def _parsed(parse, column) -> np.ndarray:
@@ -582,32 +597,28 @@ def _raise_first_defect(path, rows, names, parsers) -> None:
                 raise ParseError(f"{path}:{lineno}: bad {what}") from exc
 
 
-def _name_line(path, exc) -> None:
+def _name_line(path, lines, exc) -> None:
     """Prefix the message of ``exc``, an entry check's refusal of data row ``exc.row``
     read from ``path``, with ``<path>:<line>:``; an error that names no row is left as is.
 
-    Lines are counted as :func:`_raise_first_defect` counts them, blank ones
-    included, so the file is read again: this runs on the error path only.
+    ``lines`` comes from :func:`_read_csv`, which counts lines as
+    :func:`_raise_first_defect` does, blank ones included.
     """
-    if not hasattr(exc, "row"):
-        return
-    with open(path, newline="") as fh:
-        lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1)
-                 if lineno > 1 and row)
-        lineno = next(itertools.islice(lines, exc.row, None), "?")
-    exc.args = (f"{path}:{lineno}: {exc}",)
+    if hasattr(exc, "row"):
+        lineno = exc.row + 2 if lines is None else lines[exc.row]
+        exc.args = (f"{path}:{lineno}: {exc}",)
 
 
 def load_dataset(space: DesignSpace, path) -> Dataset:
     """Read a dataset file; a value refused at entry is reported with its file line."""
-    columns, targets = _read_csv(space, path, expect_target=True)
+    columns, targets, lines = _read_csv(space, path, expect_target=True)
     if len(targets) == 0:
         raise ParseError(f"{path}: dataset has no rows")
     try:
         targets = _checked_targets(len(targets), targets)  # before the points, as Dataset does
         return Dataset(space, PointBatch.from_columns(space, columns), targets)
     except (OutOfBounds, LevelOutOfRange, ValueError) as exc:
-        _name_line(path, exc)
+        _name_line(path, lines, exc)
         raise
 
 
@@ -616,9 +627,9 @@ def load_points(space: DesignSpace, path) -> PointBatch:
 
     A value refused at entry is reported with its file line.
     """
-    columns, _ = _read_csv(space, path, expect_target=None)
+    columns, _, lines = _read_csv(space, path, expect_target=None)
     try:
         return PointBatch.from_columns(space, columns)
     except (OutOfBounds, LevelOutOfRange) as exc:
-        _name_line(path, exc)
+        _name_line(path, lines, exc)
         raise

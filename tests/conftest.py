@@ -68,13 +68,13 @@ VARIANCE_TOL = gp.JITTER_DEFAULT
 
 def one_shot_predict(model, batch):
     """The whole-batch formula: one (n_new, n_train, d) difference array, one triangular solve."""
-    ws, theta = model._workspace, model.theta_star
-    flat = theta.flat
+    ws, flat = model._workspace, model.theta_star.flat
     X, Z, C = batch.normalized()
     XZ = np.hstack([X, Z])
     diffs = np.abs(XZ[:, None, :] - ws.numeric[None, :, :]) ** ws.p
     k = np.exp(-(diffs @ flat[:ws.n_numeric]))
-    for i, Ri in ws._categorical_factors(theta.kind, flat):
+    for i, L, cut in ws.variables:
+        Ri = kr.categorical_matrix(ws.kind, L, flat[cut])
         k *= Ri[np.ix_(C[:, i] - 1, ws.levels[:, i])]
     means = model.y_mean + model.y_scale * (model.mu_std + k @ model._alpha)
     v = dtrtrs(model.chol, k.T, lower=1)[0]

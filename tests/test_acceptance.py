@@ -40,7 +40,7 @@ from mixedgp.kernels import (
     hyperparameter_count,
     recover_angles_from_correlation,
 )
-from mixedgp.optimize import BoxBounds, SearchConfig, multistart
+from mixedgp.optimize import BoxBounds, multistart
 from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer
 
 from conftest import random_hyper
@@ -261,8 +261,8 @@ def test_criterion_8_optimizer_sanity():
         target = rng.uniform(0.1, 0.9, dim)
         objective = lambda x: -float(np.sum((x - target) ** 2))
         bounds = BoxBounds(np.zeros(dim), np.ones(dim))
-        first = multistart(objective, bounds, 3, SearchConfig())
-        second = multistart(objective, bounds, 3, SearchConfig())
+        first = multistart(objective, bounds, 3)
+        second = multistart(objective, bounds, 3)
         deterministic = (
             np.array_equal(first.point, second.point) and first.value == second.value
         )

@@ -83,6 +83,24 @@ def test_doe_overflowing_grid(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("counts", ["3,", "3,x", "1.5"])
+def test_doe_malformed_grid_counts_is_a_usage_error(tmp_path, cosine_files, capsys, counts):
+    _, space_file, _ = cosine_files
+    code = main(["doe", str(space_file), "--method", "grid", "--grid-counts", counts,
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "--grid-counts" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_doe_grid_count_below_one_is_a_generation_error(tmp_path, cosine_files, capsys):
+    _, space_file, _ = cosine_files
+    code = main(["doe", str(space_file), "--method", "grid", "--grid-counts", "0",
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == 3
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_doe_grid_over_the_byte_cap_exits_3(tmp_path, capsys):
     space_file = tmp_path / "wide.space"
     save_space(DesignSpace(tuple(Continuous(f"x{i}", 0, 1) for i in range(14))), space_file)
@@ -340,6 +358,26 @@ def test_predict_on_a_nan_coordinate_names_the_file_line_and_exits_5(tmp_path, c
                  "--out", str(tmp_path / "p.csv")])
     assert code == 5
     assert capsys.readouterr().err.startswith(f"error: {points_file}:5: coordinate 0 = nan ")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["no-blank-line", "blank-line"])
+def test_predict_from_a_pipe_names_the_file_line_of_a_refused_row(tmp_path, cosine_files,
+                                                                    gd_model_file, capsys, blank):
+    """A file that can be read once (a pipe) still has the line of a refused row named."""
+    space, _, _ = cosine_files
+    a, b = space.categorical[0].levels[:2]
+    rows = ["x,c", f"0.5,{a}"] + ([""] if blank else [f"0.25,{a}"]) + [f"1.5,{b}", f"0.75,{b}"]
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, ("\n".join(rows) + "\n").encode())
+        os.close(write_end)
+        path = f"/proc/self/fd/{read_end}"
+        code = main(["predict", str(gd_model_file), path, "--out", str(tmp_path / "p.csv")])
+    finally:
+        os.close(read_end)
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"error: {path}:4: coordinate 0 = 1.5 outside ")
     assert not (tmp_path / "p.csv").exists()
 
 

@@ -1,10 +1,10 @@
 """The likelihood evaluator: kept factors against fresh workspaces, and R from outside.
 
-``gp._Workspace`` keeps each block's last factor of R (the rates, then
-each categorical variable) and rebuilds only the blocks whose slice of the
-vector changed.  The oracle runs scripted sequences of evaluations on one
-workspace and compares every outcome with ``==`` against a fresh
-workspace.  ``evaluate_block`` scores many rows at once, sharing their
+``gp._Workspace``, built for one kernel kind, keeps each block's last
+factor of R (the rates, then each categorical variable) and rebuilds only
+the blocks whose slice of the vector changed.  The oracle runs scripted
+sequences of evaluations on one workspace per kind and compares every
+outcome with ``==`` against a fresh workspace.  ``evaluate_block`` scores many rows at once, sharing their
 factors; its values are compared with ``==`` against one evaluation per
 row, and searches and fits with and without it against each other.  The
 scorer, which builds R in its factorization buffer, is compared bit for
@@ -47,7 +47,7 @@ from mixedgp.kernels import (
     search_bounds,
     set_from_search_vector,
 )
-from mixedgp.optimize import BoxBounds, SearchConfig, local_search
+from mixedgp.optimize import BoxBounds, local_search
 from mixedgp.space import Categorical, Dataset, DesignSpace, Integer
 
 import oracles
@@ -76,15 +76,14 @@ def dataset(space, n=14, seed=3):
     return Dataset(space, points, np.sin(1.7 * np.arange(n)) + 0.1 * np.arange(n))
 
 
-def outcome(ws, kind, flat):
+def outcome(ws, flat):
     """Everything one evaluation returns, as comparable values."""
     try:
-        ev = ws.evaluate(kind, flat, JITTER_DEFAULT)
+        ev = ws.evaluate(flat)
     except NumericalFailure:
         return "NumericalFailure"
     return (repr(ev.log_likelihood), repr(ev.mu), repr(ev.sigma2), repr(ev.jitter),
-            ev.chol.tobytes(), ev.r_ones.tobytes(),
-            ws.correlation(kind, flat).tobytes())
+            ev.chol.tobytes(), ev.r_ones.tobytes(), ws.correlation(flat).tobytes())
 
 
 def indefinite(space, kind, excess):
@@ -102,7 +101,7 @@ def indefinite(space, kind, excess):
 
 
 def script(space, kind, seed):
-    """(kind, flat) steps of one kind, in the order a search could take them.
+    """Flat vectors of one kind, in the order a search could take them.
 
     Every coordinate is moved alone from a base point, so every block is
     stepped; then the base point again, a repeat, a walk that moves one
@@ -124,42 +123,37 @@ def script(space, kind, seed):
         walk[i] -= 0.05 * width[i]
         steps.append(walk.copy())
     steps.append(lower)
-    out = [(kind, natural_from_search(v, mask)) for v in steps]
+    out = [natural_from_search(v, mask) for v in steps]
     for excess in (1e-9, 30.0):
         point = indefinite(space, kind, excess)
         if point is not None:
-            out.append((kind, point))
+            out.append(point)
     return out + [out[0]]
 
 
 def run_script(space_name, p):
+    """(kind, kept outcome, fresh outcome) per step, each kind's script on one workspace."""
     space = SPACES[space_name]
     data = dataset(space)
-    ws = gp._Workspace(data.points, p, data.targets)
-    steps = []
+    out = []
     for seed, kind in enumerate(K):
-        steps += script(space, kind, seed)
-    # EHH and HH pack the same number of values: one flat, two kinds, in turn
-    ehh = [flat for kind, flat in steps if kind is K.EHH][:4]
-    for flat in ehh:
-        steps += [(K.EHH, flat), (K.HH, flat)]
-    kept, fresh = [], []
-    for kind, flat in steps:
-        kept.append(outcome(ws, kind, flat))
-        fresh.append(outcome(gp._Workspace(data.points, p, data.targets), kind, flat))
-    return steps, kept, fresh
+        ws = gp._Workspace(data.points, kind, p, data.targets)
+        for flat in script(space, kind, seed):
+            fresh = gp._Workspace(data.points, kind, p, data.targets)
+            out.append((kind, outcome(ws, flat), outcome(fresh, flat)))
+    return out
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("space_name", list(SPACES))
 def test_kept_factors_match_a_fresh_workspace(space_name, p):
-    steps, kept, fresh = run_script(space_name, p)
-    for index, (step, a, b) in enumerate(zip(steps, kept, fresh)):
-        assert a == b, (index, step[0])
+    steps = run_script(space_name, p)
+    for index, (kind, kept, fresh) in enumerate(steps):
+        assert kept == fresh, (index, kind)
     # the script reaches the branches it is meant to
     expected = set(K) - ({K.EHH, K.HH} if space_name == "categorical-only" else set())
-    failed = {kind for (kind, _), out in zip(steps, kept) if out == "NumericalFailure"}
-    escalated = {kind for (kind, _), out in zip(steps, kept)
+    failed = {kind for kind, out, _ in steps if out == "NumericalFailure"}
+    escalated = {kind for kind, out, _ in steps
                  if out != "NumericalFailure" and float(out[3]) > JITTER_DEFAULT}
     assert failed == escalated == expected
 
@@ -169,16 +163,20 @@ def test_fit_equals_a_fit_on_fresh_workspaces(kind, monkeypatch):
     data = dataset(SPACES["integer-two-categorical"], n=16)
     config = FitConfig(n_starts=2, max_evals=60, seed=1)
     kept = fit(data, kind, 2, config)
-    # a model keeps no evaluation state: no factors, no scoring buffer
-    assert kept._workspace._memo == {} and kept._workspace._buffer is None
+    # a model keeps no evaluation state: no factors, no scoring buffer, no distances
+    ws = kept._workspace
+    assert ws._memo == {} and ws._buffer is None and ws.pair_powers is None
 
     evaluate, evaluate_block = gp._Workspace.evaluate, gp._Workspace.evaluate_block
 
+    def fresh_workspace(self):
+        return gp._Workspace(data.points, self.kind, self.p, self.y, self.jitter)
+
     def evaluate_fresh(self, *args):
-        return evaluate(gp._Workspace(data.points, self.p, self.y), *args)
+        return evaluate(fresh_workspace(self), *args)
 
     def evaluate_block_fresh(self, *args):
-        return evaluate_block(gp._Workspace(data.points, self.p, self.y), *args)
+        return evaluate_block(fresh_workspace(self), *args)
 
     monkeypatch.setattr(gp._Workspace, "evaluate", evaluate_fresh)
     monkeypatch.setattr(gp._Workspace, "evaluate_block", evaluate_block_fresh)
@@ -195,6 +193,7 @@ def test_built_model_keeps_no_factors():
     theta = set_from_search_vector(data.space, K.CR, 0.5 * (lower + upper))
     workspace = build_model(data, theta)._workspace
     assert workspace._memo == {} and workspace._buffer is None
+    assert workspace.pair_powers is None  # only an evaluation reads the pairwise distances
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +225,20 @@ def oracle_outcome(data, p, kind, flat):
 def test_scorer_equals_the_oracle_on_a_fresh_copy_of_r(space_name, p):
     space = SPACES[space_name]
     data = dataset(space)
-    ws = gp._Workspace(data.points, p, data.targets)  # one workspace for every kind in turn
     failed, escalated = set(), set()
     for seed, kind in enumerate(K):
-        flats = np.array([flat for _, flat in script(space, kind, seed)])
+        ws = gp._Workspace(data.points, kind, p, data.targets)  # one workspace per kind
+        flats = np.array(script(space, kind, seed))
         expected = [oracle_outcome(data, p, kind, flat) for flat in flats]
         for row, (flat, (R, want)) in enumerate(zip(flats, expected)):
             try:
-                ev = ws.evaluate(kind, flat, JITTER_DEFAULT)
+                ev = ws.evaluate(flat)
                 got = (repr(ev.log_likelihood), repr(ev.mu), repr(ev.sigma2), repr(ev.jitter),
                        np.tril(ev.chol).tobytes(), ev.r_ones.tobytes())
             except NumericalFailure:
                 got = "NumericalFailure"
             assert got == want, (kind, row)
-            assert ws.correlation(kind, flat).tobytes() == R.tobytes(), (kind, row)
+            assert ws.correlation(flat).tobytes() == R.tobytes(), (kind, row)
             try:
                 theta = HyperparameterSet(kind, ws.layout, flat)
             except ValueError:  # a negative rate or diagonal: no set holds it
@@ -250,7 +249,7 @@ def test_scorer_equals_the_oracle_on_a_fresh_copy_of_r(space_name, p):
                 failed.add(kind)
             elif float(want[3]) > JITTER_DEFAULT:
                 escalated.add(kind)
-        values = ws.evaluate_block(kind, flats, JITTER_DEFAULT)
+        values = ws.evaluate_block(flats)
         for row, (_, want) in enumerate(expected):
             expected_value = "-inf" if want == "NumericalFailure" else want[0]
             assert repr(float(values[row])) == expected_value, (kind, row)
@@ -263,47 +262,39 @@ def test_scorer_equals_the_oracle_on_a_fresh_copy_of_r(space_name, p):
 # the block path: many rows scored at once
 # ---------------------------------------------------------------------------
 
-def blocks(steps):
-    """The script's flats as blocks of one kind, in script order."""
-    grouped = {}
-    for kind, flat in steps:
-        grouped.setdefault(kind, []).append(flat)
-    return [(kind, np.array(flats)) for kind, flats in grouped.items()]
-
-
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("space_name", list(SPACES))
 def test_block_scores_equal_one_evaluation_per_row(space_name, p):
     space = SPACES[space_name]
     data = dataset(space)
-    ws = gp._Workspace(data.points, p, data.targets)
     failed = set()
     for seed, kind in enumerate(K):
-        for _, flats in blocks(script(space, kind, seed)):
-            # the memo then holds the factors of the block's first row
-            outcome(ws, kind, flats[0])
-            values = ws.evaluate_block(kind, flats, JITTER_DEFAULT)
-            assert values.shape == (len(flats),)
-            for row, flat in enumerate(flats):
-                fresh = outcome(gp._Workspace(data.points, p, data.targets), kind, flat)
-                expected = "-inf" if fresh == "NumericalFailure" else fresh[0]
-                assert repr(float(values[row])) == expected, (kind, row)
-                # whatever the block left in the memo, one evaluation still matches
-                assert outcome(ws, kind, flat) == fresh, (kind, row)
-            failed |= {kind} if -math.inf in values else set()
+        ws = gp._Workspace(data.points, kind, p, data.targets)
+        flats = np.array(script(space, kind, seed))
+        # the memo then holds the factors of the block's first row
+        outcome(ws, flats[0])
+        values = ws.evaluate_block(flats)
+        assert values.shape == (len(flats),)
+        for row, flat in enumerate(flats):
+            fresh = outcome(gp._Workspace(data.points, kind, p, data.targets), flat)
+            expected = "-inf" if fresh == "NumericalFailure" else fresh[0]
+            assert repr(float(values[row])) == expected, (kind, row)
+            # whatever the block left in the memo, one evaluation still matches
+            assert outcome(ws, flat) == fresh, (kind, row)
+        failed |= {kind} if -math.inf in values else set()
     assert failed == set(K) - ({K.EHH, K.HH} if space_name == "categorical-only" else set())
 
 
 def test_block_keeps_the_shared_factors_in_the_memo():
     data = dataset(SPACES["integer-two-categorical"])
-    ws = gp._Workspace(data.points, 2, data.targets)
+    ws = gp._Workspace(data.points, K.CR, 2, data.targets)
     lower, upper, mask = search_bounds(data.space, K.CR)
     centre = lower + 0.5 * (upper - lower)
     stencil = np.repeat(centre[None, :], centre.size, axis=0)
     stencil[np.arange(centre.size), np.arange(centre.size)] += 0.1 * (upper - lower)
-    ws.evaluate_block(K.CR, natural_from_search(stencil, mask), JITTER_DEFAULT)
-    fresh = gp._Workspace(data.points, 2, data.targets)
-    fresh.evaluate(K.CR, natural_from_search(centre, mask), JITTER_DEFAULT)
+    ws.evaluate_block(natural_from_search(stencil, mask))
+    fresh = gp._Workspace(data.points, K.CR, 2, data.targets)
+    fresh.evaluate(natural_from_search(centre, mask))
     assert ws._memo.keys() == fresh._memo.keys() == {-1, 0, 1}
     for block, (key, factor) in fresh._memo.items():
         assert ws._memo[block][0] == key
@@ -329,17 +320,17 @@ def likelihood_search(kind, p=2):
     """(objective, batch_objective, bounds, start) of a fit's search on one workspace each."""
     data = dataset(SPACES["integer-two-categorical"], n=16)
     lower, upper, mask = search_bounds(data.space, kind)
-    single = gp._Workspace(data.points, p, data.targets)
-    block = gp._Workspace(data.points, p, data.targets)
+    single = gp._Workspace(data.points, kind, p, data.targets)
+    block = gp._Workspace(data.points, kind, p, data.targets)
 
     def objective(v):
         try:
-            return single.evaluate(kind, natural_from_search(v, mask), JITTER_DEFAULT).log_likelihood
+            return single.evaluate(natural_from_search(v, mask)).log_likelihood
         except NumericalFailure:
             return -math.inf
 
     def batch_objective(V):
-        return block.evaluate_block(kind, natural_from_search(V, mask), JITTER_DEFAULT)
+        return block.evaluate_block(natural_from_search(V, mask))
 
     return objective, batch_objective, BoxBounds(lower, upper), lower + 0.3 * (upper - lower)
 
@@ -349,9 +340,9 @@ def test_search_with_a_block_objective_equals_one_by_one(kind):
     objective, batch_objective, bounds, start = likelihood_search(kind)
     dim = bounds.dim
     for max_evals in (1, dim, dim + 1, 37, 150):
-        config = SearchConfig(max_evals=max_evals)
-        plain = local_search(objective, bounds, start, config)
-        blocked = local_search(objective, bounds, start, config, batch_objective=batch_objective)
+        plain = local_search(objective, bounds, start, max_evals)
+        blocked = local_search(objective, bounds, start, max_evals,
+                               batch_objective=batch_objective)
         assert plain.point.tobytes() == blocked.point.tobytes(), max_evals
         assert repr(plain.value) == repr(blocked.value)
         assert plain.n_evals == blocked.n_evals == min(max_evals, plain.n_evals)
@@ -375,12 +366,12 @@ def test_block_objective_sees_only_whole_stencils():
     bounds = BoxBounds(np.zeros(5), np.ones(5))
     for max_evals in (1, 5, 6, 37):
         seen.clear()
-        plain = local_search(objective, bounds, np.full(5, 0.75), SearchConfig(max_evals=max_evals))
+        plain = local_search(objective, bounds, np.full(5, 0.75), max_evals)
         one_by_one = list(seen)
         seen.clear()
         rows.clear()
-        blocked = local_search(objective, bounds, np.full(5, 0.75),
-                               SearchConfig(max_evals=max_evals), batch_objective=batch_objective)
+        blocked = local_search(objective, bounds, np.full(5, 0.75), max_evals,
+                               batch_objective=batch_objective)
         assert [x.tobytes() for x in seen] == [x.tobytes() for x in one_by_one]
         assert plain.point.tobytes() == blocked.point.tobytes()
         assert plain.value == blocked.value
@@ -406,7 +397,7 @@ def test_a_stencil_the_budget_cannot_cover_is_never_scored(blocked):
     def search(max_evals, blocked=blocked):
         seen.clear()
         starts.clear()
-        return local_search(objective, bounds, np.full(5, 0.75), SearchConfig(max_evals=max_evals),
+        return local_search(objective, bounds, np.full(5, 0.75), max_evals,
                             batch_objective=batch_objective if blocked else None)
 
     bounds = BoxBounds(np.zeros(5), np.ones(5))

@@ -13,7 +13,6 @@ from mixedgp.benchmarks import beam_space, cosine_function, cosine_space
 from mixedgp.doe import lhs
 from mixedgp.errors import NumericalFailure
 from mixedgp.gp import (
-    JITTER_DEFAULT,
     FitConfig,
     build_model,
     concentrated_log_likelihood,
@@ -177,9 +176,9 @@ def test_cholesky_escalation_raises_on_indefinite():
     # diagonals of -30 put entries near exp(60) off R's diagonal
     ds = Dataset(mixed_space(), lhs(mixed_space(), 6, 2), np.arange(6.0))
     mask = search_bounds(ds.space, K.CR)[2]
-    ws = gp._Workspace(ds.points, 2, ds.targets)
+    ws = gp._Workspace(ds.points, K.CR, 2, ds.targets)
     with pytest.raises(NumericalFailure):
-        ws.evaluate(K.CR, np.where(mask, -30.0, 0.0), JITTER_DEFAULT)
+        ws.evaluate(np.where(mask, -30.0, 0.0))
 
 
 def test_cholesky_escalation_reports_jitter_used():
@@ -190,7 +189,7 @@ def test_cholesky_escalation_reports_jitter_used():
     ds = Dataset(space, (MixedPoint((0.5,)), MixedPoint((0.5,))), np.array([1.0, 2.0]))
     theta = HyperparameterSet.from_flat(space, K.GD, [1.0])
     start = 1e-18
-    ev = gp._Workspace(ds.points, 2, ds.targets).evaluate(K.GD, theta.flat, start)
+    ev = gp._Workspace(ds.points, K.GD, 2, ds.targets, start).evaluate(theta.flat)
     assert ev.jitter > start and 1.0 + ev.jitter > 1.0
     lower = np.tril(ev.chol)  # the factor is the lower triangle; the upper one is not cleared
     R = correlation_matrix(ds, theta)
@@ -255,18 +254,18 @@ def test_every_start_says_why_it_stopped(monkeypatch):
 
     A budget start stopped within one stencil of its budget.  A converged
     start halved its radius after its last stencil, scored at a radius of at
-    least ``final_step``; rerun alone, that stencil is the objective's last
+    least ``FINAL_STEP``; rerun alone, that stencil is the objective's last
     block, and its rows step away from the centre by that radius.
     """
     from mixedgp import gp
     from mixedgp.benchmarks import cosine_function, cosine_space
-    from mixedgp.optimize import local_search
+    from mixedgp.optimize import FINAL_STEP, local_search
 
     calls = []
 
-    def recording(objective, bounds, n_starts, config, **kwargs):
-        calls.append((objective, bounds, n_starts, config, kwargs))
-        return multistart(objective, bounds, n_starts, config, **kwargs)
+    def recording(objective, bounds, n_starts, max_evals, **kwargs):
+        calls.append((objective, bounds, n_starts, max_evals, kwargs))
+        return multistart(objective, bounds, n_starts, max_evals, **kwargs)
 
     multistart = gp.multistart
     monkeypatch.setattr(gp, "multistart", recording)
@@ -277,13 +276,14 @@ def test_every_start_says_why_it_stopped(monkeypatch):
     seen = set()
     for kind in K:
         model = fit(ds, kind, 2, FitConfig(n_starts=3, max_evals=300))
-        objective, bounds, n_starts, config, kwargs = calls.pop()
-        budget, width = config.budget(bounds.dim), bounds.upper - bounds.lower
+        objective, bounds, n_starts, max_evals, kwargs = calls.pop()
+        assert max_evals == 300
+        width = bounds.upper - bounds.lower
         starts = [bounds.lower + (i + 0.5) / n_starts * width for i in range(n_starts)]
         for record in model.start_log:
             seen.add(record.stop)
             if record.stop == "budget":
-                assert record.n_evals > budget - bounds.dim
+                assert record.n_evals > max_evals - bounds.dim
                 continue
             assert record.stop == "converged"
             blocks = []
@@ -292,12 +292,12 @@ def test_every_start_says_why_it_stopped(monkeypatch):
                 blocks.append(np.array(V))
                 return kwargs["batch_objective"](V)
 
-            again = local_search(objective, bounds, starts[record.start_index], config,
+            again = local_search(objective, bounds, starts[record.start_index], max_evals,
                                  batch_objective=block)
             assert again.n_evals == record.n_evals
             stencil = blocks[-1]
             radius = np.max(np.abs(stencil[0] - stencil[1]) / width)
-            assert config.final_step <= radius * (1 + 1e-6) and radius / 2 < config.final_step
+            assert FINAL_STEP <= radius * (1 + 1e-6) and radius / 2 < FINAL_STEP
     assert seen == {"budget", "converged"}
 
 

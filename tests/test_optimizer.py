@@ -5,8 +5,9 @@ import pytest
 
 from mixedgp.errors import ObjectiveFailure
 from mixedgp.optimize import (
+    FINAL_STEP,
+    INITIAL_STEP,
     BoxBounds,
-    SearchConfig,
     _search,
     local_search,
     multistart,
@@ -22,10 +23,11 @@ def test_bounds_validation():
         BoxBounds([0.0, 0.0], [1.0])
     with pytest.raises(ValueError):
         BoxBounds([0.0, 2.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        SearchConfig(initial_step=0.6)
-    with pytest.raises(ValueError):
-        SearchConfig(final_step=0.5, initial_step=0.25)
+    for max_evals in (0, -3):  # the budget comes from callers, so both entries check it
+        with pytest.raises(ValueError, match="max_evals"):
+            local_search(lambda x: 0.0, unit_box(2), np.full(2, 0.5), max_evals)
+        with pytest.raises(ValueError, match="max_evals"):
+            multistart(lambda x: 0.0, unit_box(2), 2, max_evals)
 
 
 def test_quadratic_recovery():
@@ -52,7 +54,7 @@ def test_best_value_at_least_start_value():
         coeff = rng.normal(size=5)
         start = rng.random(5)
         objective = lambda x: float(np.sin(x @ coeff) - 0.1 * np.sum(x**2))
-        result = local_search(objective, unit_box(5), start, SearchConfig(max_evals=400))
+        result = local_search(objective, unit_box(5), start, max_evals=400)
         assert result.value >= objective(start)
         assert result.n_evals <= 400
 
@@ -70,8 +72,8 @@ def test_points_respect_bounds_exactly():
 
 def test_determinism():
     objective = lambda x: float(-np.sum((x - 0.42) ** 2) + np.sin(5 * x[0]))
-    a = local_search(objective, unit_box(4), np.full(4, 0.9), SearchConfig())
-    b = local_search(objective, unit_box(4), np.full(4, 0.9), SearchConfig())
+    a = local_search(objective, unit_box(4), np.full(4, 0.9))
+    b = local_search(objective, unit_box(4), np.full(4, 0.9))
     assert np.array_equal(a.point, b.point)
     assert a.value == b.value and a.n_evals == b.n_evals
 
@@ -81,7 +83,7 @@ def test_budget_never_exceeded():
     def objective(x):
         calls.append(1)
         return float(np.sum(x))
-    local_search(objective, unit_box(6), np.full(6, 0.5), SearchConfig(max_evals=37))
+    local_search(objective, unit_box(6), np.full(6, 0.5), max_evals=37)
     assert len(calls) <= 37
 
 
@@ -156,10 +158,10 @@ class _Spent(Exception):
     pass
 
 
-def loop_search(objective, bounds, start, config):
+def loop_search(objective, bounds, start, max_evals):
     """local_search with its stencil built and read one coordinate at a time: the reference."""
     lo, hi = bounds.lower, bounds.upper
-    budget = config.budget(bounds.dim)
+    budget = max_evals if max_evals is not None else 500 * bounds.dim
     n_evals = 0
 
     def f(u):
@@ -170,9 +172,9 @@ def loop_search(objective, bounds, start, config):
 
     best_u = np.clip((start - lo) / (hi - lo), 0.0, 1.0)
     best_f = f(best_u)
-    delta = config.initial_step
+    delta = INITIAL_STEP
     try:
-        while delta >= config.final_step and n_evals < budget:
+        while delta >= FINAL_STEP and n_evals < budget:
             moved = []
             for i in range(bounds.dim):
                 coord = min(max(best_u[i] + (delta if best_u[i] + delta <= 1.0 else -delta), 0.0), 1.0)
@@ -210,7 +212,7 @@ def loop_search(objective, bounds, start, config):
                         break
                     else:
                         t *= 0.5
-                        if t < 0.25 * config.final_step:
+                        if t < 0.25 * FINAL_STEP:
                             break
                 if line_u is not None:
                     candidates.append((line_f, line_u))
@@ -243,9 +245,8 @@ def test_search_equals_the_coordinate_loop_reference(objective, dim, upper):
     bounds = BoxBounds(np.full(dim, -1.0), np.linspace(1.0, upper, dim))
     for start in (bounds.lower, bounds.upper, 0.3 * bounds.lower + 0.7 * bounds.upper):
         for max_evals in (1, dim, dim + 1, 37, None):
-            config = SearchConfig(max_evals=max_evals)
-            point, value, n_evals = loop_search(objective, bounds, start, config)
-            result = local_search(objective, bounds, start, config)
+            point, value, n_evals = loop_search(objective, bounds, start, max_evals)
+            result = local_search(objective, bounds, start, max_evals)
             assert result.point.tobytes() == point.tobytes(), (start, max_evals)
             assert type(result.value) is float and repr(result.value) == repr(value)
             assert result.n_evals == n_evals
@@ -269,7 +270,7 @@ class Counting:
         return np.array([self(x) for x in X])
 
 
-def independent_starts(objective, bounds, n_starts, config, extra_starts=(), batched=False):
+def independent_starts(objective, bounds, n_starts, max_evals, extra_starts=(), batched=False):
     """multistart's reference: one search per start, no state shared between them."""
     batch = (lambda X: np.array([objective(x) for x in X])) if batched else None
     starts = [bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)
@@ -279,7 +280,7 @@ def independent_starts(objective, bounds, n_starts, config, extra_starts=(), bat
     best, records, failures = None, [], []
     for index, start in enumerate(starts):
         try:
-            result, _, stop = _search(objective, bounds, start, config, batch, None)
+            result, _, stop = _search(objective, bounds, start, max_evals, batch, {})
         except ObjectiveFailure as exc:
             failures.append(exc)
             continue
@@ -306,20 +307,20 @@ def fails_at_the_corner(x):
     return corner(x)
 
 
-def assert_multistart_is_independent(objective, bounds, n_starts, config, batched,
+def assert_multistart_is_independent(objective, bounds, n_starts, max_evals, batched,
                                      extra_starts=()):
     """multistart equals independent searches; returns its records."""
-    best, expected, failures = independent_starts(objective, bounds, n_starts, config,
+    best, expected, failures = independent_starts(objective, bounds, n_starts, max_evals,
                                                   extra_starts, batched)
     counting = Counting(objective)
     kwargs = dict(extra_starts=extra_starts,
                   batch_objective=counting.block if batched else None)
     if best is None:
         with pytest.raises(ObjectiveFailure) as info:
-            multistart(counting, bounds, n_starts, config, **kwargs)
+            multistart(counting, bounds, n_starts, max_evals, **kwargs)
         assert info.value.point.tobytes() == failures[-1].point.tobytes()
         return ()
-    result = multistart(counting, bounds, n_starts, config, **kwargs)
+    result = multistart(counting, bounds, n_starts, max_evals, **kwargs)
     assert result.point.tobytes() == best.point.tobytes()
     assert repr(result.value) == repr(best.value)
     assert [(r.start_index, r.n_evals, repr(r.best_value), r.stop)
@@ -341,9 +342,8 @@ def test_multistart_equals_independent_searches(objective, dim, batched):
             # a copy of the first diagonal start, the farthest from the corners, replays
             # states that nearer starts extended: its budget must still stop it
             for extra_starts in ((), (np.full(dim, 0.5 / n_starts),)):
-                config = SearchConfig(final_step=1e-3, max_evals=max_evals)
                 starts = assert_multistart_is_independent(
-                    objective, bounds, n_starts, config, batched, extra_starts)
+                    objective, bounds, n_starts, max_evals, batched, extra_starts)
                 replayed += sum(r.replayed for r in starts)
     if objective is not awkward:
         assert replayed > 0  # the starts meet, and the test sees them share their path
@@ -356,7 +356,7 @@ def test_an_extra_start_on_a_diagonal_start_replays_its_whole_path(batched):
     for objective in (corner, floor, awkward):
         for max_evals in (1, 5, 40, None):
             starts = assert_multistart_is_independent(
-                objective, bounds, 3, SearchConfig(max_evals=max_evals), batched,
+                objective, bounds, 3, max_evals, batched,
                 extra_starts=(diagonal,))
             assert starts[-1].start_index == 3
             assert starts[-1].replayed == starts[-1].n_evals == starts[0].n_evals
@@ -372,11 +372,10 @@ def test_a_start_extends_a_record_the_budget_cut(batched):
     # (index 1, at 0.9) reaches it after 1 + 2 + 2, replays those 7 states
     # and scores the 8th.
     bounds = unit_box(2)
-    config = SearchConfig(max_evals=22)
     near = (np.full(2, 0.9),)
-    best, expected, _ = independent_starts(corner, bounds, 1, config, near, batched)
+    best, expected, _ = independent_starts(corner, bounds, 1, 22, near, batched)
     counting = Counting(corner)
-    result = multistart(counting, bounds, 1, config, extra_starts=near,
+    result = multistart(counting, bounds, 1, 22, extra_starts=near,
                         batch_objective=counting.block if batched else None)
     assert [(r.start_index, r.n_evals, repr(r.best_value), r.stop)
             for r in result.starts] == expected

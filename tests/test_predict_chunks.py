@@ -102,11 +102,12 @@ def test_predict_memory_does_not_grow_with_the_batch(case):
 # runs of rows sharing their numeric coordinates
 # ---------------------------------------------------------------------------
 
-def per_row_cross_correlations(ws, kind, flat, points):
+def per_row_cross_correlations(ws, flat, points):
     """The oracle: (rows, k) per chunk, every row building its own numeric factor."""
     X, Z, C = points.normalized()
     XZ = np.hstack([X, Z])
-    tables = [(i, Ri[:, ws.levels[:, i]]) for i, Ri in ws._categorical_factors(kind, flat)]
+    tables = [(i, kr.categorical_matrix(ws.kind, L, flat[cut])[:, ws.levels[:, i]])
+              for i, L, cut in ws.variables]
     for rows in gp._row_chunks(len(points)):
         diffs = np.empty((rows.stop - rows.start, ws.n_points, ws.n_numeric))
         for j in range(ws.n_numeric):
@@ -178,8 +179,8 @@ def test_the_run_cases_hold_what_they_are_named_for():
 def test_cross_correlations_equal_the_per_row_oracle(case):
     model, points = RUN_CASES[case]()
     ws, theta = model._workspace, model.theta_star
-    blocks = list(ws.cross_correlations(theta.kind, theta.flat, points))
-    expected = list(per_row_cross_correlations(ws, theta.kind, theta.flat, points))
+    blocks = list(ws.cross_correlations(theta.flat, points))
+    expected = list(per_row_cross_correlations(ws, theta.flat, points))
     assert [rows for rows, _ in blocks] == [rows for rows, _ in expected]
     for (rows, got), (_, want) in zip(blocks, expected):
         assert np.array_equal(got, want), rows

@@ -91,7 +91,7 @@ def bits(column):
 
 def outcome(read, space, path, expect_target):
     try:
-        columns, targets = read(space, path, expect_target)
+        columns, targets = read(space, path, expect_target)[:2]  # the oracle gives no lines
     except ParseError as exc:
         return str(exc)
     return [bits(c) for c in columns], None if targets is None else bits(targets)
@@ -106,7 +106,7 @@ def test_column_reader_gives_what_the_row_reader_gives(tmp_path_factory, file, e
     got = outcome(_read_csv, space, path, expect_target)
     assert got == outcome(oracles._read_csv, space, path, expect_target)
     if not isinstance(got, str):
-        columns, targets = _read_csv(space, path, expect_target)
+        columns, targets, _ = _read_csv(space, path, expect_target)
         assert all(isinstance(c, np.ndarray) and c.dtype == np.float64
                    for c in columns + ([] if targets is None else [targets]))
 

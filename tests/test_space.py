@@ -238,6 +238,24 @@ def test_space_file_errors(tmp_path):
         load_space(empty)
 
 
+@pytest.mark.parametrize("text, where, match", [
+    ("continuous x 0 1 7\n", ":1", "two bounds, got 'x 0 1 7'"),
+    ("# a comment\ncategorical c a b\ninteger n 0 3 junk\n", ":3", "two bounds, got 'n 0 3 junk'"),
+    ("continuous x 0 1\n\ncategorical x a b\n", "", "variable names must be unique"),
+], ids=["continuous-extra-field", "integer-extra-field", "duplicate-name"])
+def test_space_file_is_read_strictly(tmp_path, capsys, text, where, match):
+    path = tmp_path / "bad.space"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match) as info:
+        load_space(path)
+    assert str(info.value).startswith(f"{path}{where}: ")
+    from mixedgp.cli import main
+
+    assert main(["doe", str(path), "--n", "5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_dataset_file_roundtrip(tmp_path, mixed_space):
     points = (
         MixedPoint((0.25,), (2,), (1,)),

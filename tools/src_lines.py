@@ -1,6 +1,8 @@
 """Count the lines of the package source: non-blank, and non-blank outside docstrings.
 
 Run as ``python tools/src_lines.py``; it counts the repository's ``src/``.
+It prints one line per module (its path under ``src/``, then both counts),
+then the two totals.
 
 A docstring is the leading string statement of a module, class or function,
 as ``ast`` finds it; its lines run from the statement's first to its last
@@ -40,7 +42,9 @@ def count(path: Path) -> tuple[int, int]:
 def main() -> int:
     totals = [0, 0]
     for path in sorted(SRC.rglob("*.py")):
-        for i, n in enumerate(count(path)):
+        counts = count(path)
+        print(f"{path.relative_to(SRC)}: {counts[0]} non-blank, {counts[1]} outside docstrings")
+        for i, n in enumerate(counts):
             totals[i] += n
     print(f"src non-blank lines: {totals[0]}")
     print(f"src non-blank lines outside docstrings: {totals[1]}")
