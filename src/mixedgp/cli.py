@@ -63,7 +63,7 @@ _PROBLEMS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; every default of every flag is set here."""
+    """The parser, built once per process; every flag's default is set here but ``doe --n``'s."""
     parser = argparse.ArgumentParser(
         prog="mixedgp",
         description="Gaussian-process surrogates over mixed continuous/integer/categorical inputs.",
@@ -72,13 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_doe = sub.add_parser("doe", help="generate a design of experiments")
     p_doe.add_argument("space_file")
-    p_doe.add_argument("--n", type=int, default=10, help="number of LHS points")
     p_doe.add_argument("--seed", type=int, default=0)
     p_doe.add_argument("--method", choices=["lhs", "grid"], default="lhs")
-    p_doe.add_argument(
+    size = p_doe.add_mutually_exclusive_group()
+    size.add_argument("--n", type=int, default=None,
+                      help="LHS points, or grid count per continuous/integer variable (default 10)")
+    size.add_argument(
         "--grid-counts",
         default=None,
-        help="comma list, one count per continuous/integer variable (grid method; defaults to --n each)",
+        help="comma list, one count per continuous/integer variable (grid method only)",
     )
     p_doe.add_argument("--out", required=True)
 
@@ -151,9 +153,13 @@ def _write_trace(records, path) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_doe(args) -> int:
+    if args.method == "lhs" and args.grid_counts is not None:
+        print("error: --grid-counts is read by --method grid only", file=sys.stderr)
+        return EXIT_PARSE
     space = load_space(args.space_file)
-    counts = (args.n,) * (space.n_continuous + space.n_integer)
-    if args.grid_counts:
+    n = 10 if args.n is None else args.n  # None, not 10, so that the parser sees "--n 10" as given
+    counts = (n,) * (space.n_continuous + space.n_integer)
+    if args.grid_counts is not None:
         try:
             counts = tuple(int(c) for c in args.grid_counts.split(","))
         except ValueError:
@@ -161,7 +167,7 @@ def _cmd_doe(args) -> int:
                   f"got {args.grid_counts!r}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        points = lhs(space, args.n, args.seed) if args.method == "lhs" else grid(space, counts)
+        points = lhs(space, n, args.seed) if args.method == "lhs" else grid(space, counts)
     except (SizeOverflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATION

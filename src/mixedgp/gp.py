@@ -27,8 +27,10 @@ multiplies them straight into one Fortran-order n x n buffer per
 workspace, writes 1 + jitter on its diagonal and factors it there with
 ``dpotrf``.  Scoring never allocates or copies R; an evaluation's
 factor is that buffer, valid until the next evaluation on the workspace.
-The kept factors, the buffer and the pairwise distances live for one
-fit: ``forget`` frees them.  ``_Workspace.evaluate_block`` scores many
+A workspace, with its kept factors, buffer and pairwise distances, lives
+for one fit, model build or one-off score; no model keeps one, and
+prediction reads only the model (:func:`_cross_correlations`).
+``_Workspace.evaluate_block`` scores many
 vectors at once with the same code as ``evaluate``; a fit passes it each
 search stencil, whose rows share the centre's factors and whose level
 matrices are built as one stack, so every row keeps the bits of a
@@ -123,13 +125,13 @@ class FitConfig:
 # ---------------------------------------------------------------------------
 
 class _Evaluation(NamedTuple):
-    """One likelihood evaluation and the factors a model keeps from it.
+    """One likelihood evaluation, and what a model is built from.
 
     ``chol`` is the lower Cholesky factor of R + jitter*I in its lower
     triangle; its upper triangle holds R's (the factorization does not
     clear it, and every solve reads the lower triangle only).  It is the
     workspace's scoring buffer itself, so it stays valid only until the
-    next evaluation on that workspace: copy what must outlive it.
+    next evaluation on that workspace: a model keeps a clean copy.
     """
 
     log_likelihood: float
@@ -143,15 +145,15 @@ class _Evaluation(NamedTuple):
 class _Workspace:
     """The likelihood evaluator of one kernel kind, exponent and starting jitter on one dataset.
 
-    Holds the normalized numeric coordinates, the 0-based level index
-    column and the slice of the flat vector (``variables``) per categorical
-    variable, and the targets with their variance floor.  An evaluation
-    builds what it needs: ``pair_powers`` (|x_r - x_s|^p, one row per
-    continuous/integer dimension over the n*n pairs); ``_memo``, per factor
-    block of R (-1 for the rates, i for categorical variable i), the bytes
-    of the slice it was last built at and the n x n factor; and ``_buffer``,
-    the Fortran-order n x n array R is built and factored in.
-    :meth:`forget` drops all three.
+    Built for one fit, one model build or one one-off score, and dropped
+    when that call returns.  Holds ``pair_powers`` (|x_r - x_s|^p, one row
+    per continuous/integer dimension over the n*n pairs), the 0-based
+    level index column and the slice of the flat vector (``variables``)
+    per categorical variable, the targets with their variance floor,
+    ``_buffer``, the Fortran-order n x n array R is built and factored in,
+    and ``_memo``: per factor block of R (-1 for the rates, i for
+    categorical variable i), the bytes of the slice it was last built at
+    and the n x n factor.
     """
 
     def __init__(self, points: PointBatch, kind: kr.CategoricalKernelKind, p: int,
@@ -163,7 +165,8 @@ class _Workspace:
         XZ = np.hstack([X, Z])
         self.n_points = n = XZ.shape[0]
         self.n_numeric = XZ.shape[1]
-        self.numeric = XZ
+        diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
+        self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0)).reshape(-1, n * n)
         self.levels = C - 1
         self.level_counts = points.space.level_counts
         self.layout = (self.n_numeric, self.level_counts)
@@ -177,7 +180,7 @@ class _Workspace:
             self.variables.append((i, L, slice(pos, pos + k)))
             pos += k
         self._memo: dict[int, tuple] = {}
-        self._buffer = self.pair_powers = None
+        self._buffer = np.empty((n, n), order="F")
 
     def flat(self, theta: kr.HyperparameterSet) -> np.ndarray:
         """theta's natural-units vector, once its kind and layout are checked against the workspace."""
@@ -224,14 +227,10 @@ class _Workspace:
 
     def _rates_factor(self, rates: np.ndarray) -> np.ndarray:
         """exp(-theta . D), n x n: one product over the pairs, negated and exponentiated in place."""
-        n, XZ = self.n_points, self.numeric
-        if self.pair_powers is None:
-            diffs = np.abs(XZ[:, None, :] - XZ[None, :, :]) ** self.p
-            self.pair_powers = np.ascontiguousarray(np.moveaxis(diffs, 2, 0)).reshape(-1, n * n)
         E = np.dot(rates, self.pair_powers)
         np.negative(E, out=E)
         np.exp(E, out=E)
-        return E.reshape(n, n)
+        return E.reshape(self.n_points, self.n_points)
 
     def _gathered(self, i: int, level_matrix: np.ndarray) -> np.ndarray:
         """R_i[c_s, c_r] at [r, s], the level factor of variable i transposed.
@@ -241,14 +240,6 @@ class _Workspace:
         """
         c = self.levels[:, i]
         return level_matrix.take(c, axis=0).T.take(c, axis=0)
-
-    def forget(self) -> None:
-        """Drop the evaluation state: ``pair_powers``, the kept factors and the scoring buffer.
-
-        A later evaluation builds it again; a model's workspace holds none of it.
-        """
-        self._memo.clear()
-        self._buffer = self.pair_powers = None
 
     def _assemble(self, factors: list[np.ndarray], out: np.ndarray, diagonal: float) -> None:
         """((E o G_1) o G_2) ... of the transposed factors into ``out`` (C order), and ``diagonal``.
@@ -270,46 +261,6 @@ class _Workspace:
         self._assemble(self._factors(flat), R_T, 1.0)
         return R_T.T.copy()
 
-    def cross_correlations(self, flat: np.ndarray, points):
-        """Yield (rows, k(new[rows], train)) over the row chunks of ``points``.
-
-        Each block has shape (len(rows), n_train).  Within a chunk, a run of
-        consecutive rows with equal numeric coordinates (a grid whose
-        categorical variables come last) shares one numeric factor
-        exp(-theta . |x_new - x_train|^p): it is built for the run's first
-        row and gathered to the others, before the level-matrix tables
-        multiply in.  Every row keeps the bits of its own factor.  A chunk's
-        first row always starts a run.  The |x_new - x_train|^p work array
-        is allocated once, so memory is O(chunk * n_train * d).
-        """
-        X, Z, C = points.normalized()
-        XZ = np.hstack([X, Z])
-        theta = flat[:self.n_numeric]
-        tables = [(i, kr.categorical_matrix(self.kind, L, flat[cut])[:, self.levels[:, i]])
-                  for i, L, cut in self.variables]
-        work = np.empty((min(len(points), _PREDICT_CHUNK + 1), self.n_points, self.n_numeric))
-        for rows in _row_chunks(len(points)):
-            block = XZ[rows]
-            # rows equal by value share a run: -0.0 and 0.0 give |x - x_train|^p
-            # the same bits against every training coordinate
-            first = np.ones(len(block), dtype=bool)
-            np.any(block[1:] != block[:-1], axis=1, out=first[1:])
-            block = block[first]
-            diffs = work[:len(block)]
-            for j in range(self.n_numeric):
-                column = diffs[:, :, j]
-                np.subtract(block[:, j, None], self.numeric[:, j], out=column)
-                if self.p == 1:
-                    np.abs(column, out=column)
-                else:  # the square of -x and of |x| have the same bits
-                    np.square(column, out=column)
-            K = np.exp(-(diffs @ theta))
-            if len(K) < len(first):
-                K = K.take(np.cumsum(first) - 1, axis=0)
-            for i, table in tables:
-                K *= table.take(C[rows, i] - 1, axis=0)
-            yield rows, K
-
     def _score(self, factors: list[np.ndarray]) -> _Evaluation:
         """Profiled likelihood of the workspace targets under the R of ``factors``.
 
@@ -319,8 +270,6 @@ class _Workspace:
         JITTER_MAX.  Raises NumericalFailure when even that fails.
         """
         n = self.n_points
-        if self._buffer is None:
-            self._buffer = np.empty((n, n), order="F")
         j = float(self.jitter)
         while True:
             self._assemble(factors, self._buffer.T, 1.0 + j)
@@ -437,7 +386,9 @@ class GpModel:
     factor L of R + jitter*I, with a zero upper triangle.  The model also
     keeps L^-1 (``_chol_inv``, n_train^2 floats), computed once from ``chol``
     so that a reloaded model rebuilds it bit for bit; :func:`predict` takes
-    the variance from it by one triangular multiply.
+    the variance from it by one triangular multiply.  It keeps no likelihood
+    evaluator: :func:`predict` reads the training points of ``dataset``,
+    ``kind``, ``p`` and ``theta_star``.
     """
 
     dataset: Dataset
@@ -453,7 +404,6 @@ class GpModel:
     y_scale: float
     fit_seconds: float = 0.0
     start_log: tuple = ()
-    _workspace: _Workspace = field(repr=False, default=None)
     _alpha: np.ndarray = field(repr=False, default=None)
     _r_inv_ones: np.ndarray = field(repr=False, default=None)
     _chol_inv: np.ndarray = field(repr=False, default=None)
@@ -508,7 +458,6 @@ def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet,
     chol_inv, info = dtrtri(chol, lower=1)
     if info != 0:
         raise NumericalFailure(f"the Cholesky factor cannot be inverted (dtrtri info {info})")
-    ws.forget()  # a model keeps no evaluation state
     return GpModel(
         dataset=dataset,
         kind=theta.kind,
@@ -522,7 +471,6 @@ def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet,
         y_mean=y_mean,
         y_scale=y_scale,
         fit_seconds=fit_seconds,
-        _workspace=ws,
         _alpha=alpha,
         _r_inv_ones=r_inv_ones,
         _chol_inv=chol_inv,
@@ -605,6 +553,48 @@ def _row_chunks(n: int) -> list[slice]:
     return chunks
 
 
+def _cross_correlations(model: GpModel, points: PointBatch):
+    """Yield (rows, k(new[rows], train)) over the row chunks of ``points``, from the model alone.
+
+    Each block has shape (len(rows), n_train).  Within a chunk, a run of
+    consecutive rows with equal numeric coordinates (a grid whose
+    categorical variables come last) shares one numeric factor
+    exp(-theta . |x_new - x_train|^p): it is built for the run's first
+    row and gathered to the others, before the level-matrix tables
+    multiply in.  Every row keeps the bits of its own factor.  A chunk's
+    first row always starts a run.  The |x_new - x_train|^p work array
+    is allocated once, so memory is O(chunk * n_train * d).
+    """
+    X, Z, C = points.normalized()
+    XZ = np.hstack([X, Z])
+    training, theta = model.dataset.points, model.theta_star
+    train = np.hstack(training.normalized()[:2])
+    tables = [(i, kr.categorical_matrix(model.kind, L, theta.variable(i))[:, training.C[:, i] - 1])
+              for i, L in enumerate(training.space.level_counts)]
+    work = np.empty((min(len(points), _PREDICT_CHUNK + 1), *train.shape))
+    for rows in _row_chunks(len(points)):
+        block = XZ[rows]
+        # rows equal by value share a run: -0.0 and 0.0 give |x - x_train|^p
+        # the same bits against every training coordinate
+        first = np.ones(len(block), dtype=bool)
+        np.any(block[1:] != block[:-1], axis=1, out=first[1:])
+        block = block[first]
+        diffs = work[:len(block)]
+        for j in range(train.shape[1]):
+            column = diffs[:, :, j]
+            np.subtract(block[:, j, None], train[:, j], out=column)
+            if model.p == 1:
+                np.abs(column, out=column)
+            else:  # the square of -x and of |x| have the same bits
+                np.square(column, out=column)
+        K = np.exp(-(diffs @ theta.rates))
+        if len(K) < len(first):
+            K = K.take(np.cumsum(first) - 1, axis=0)
+        for i, table in tables:
+            K *= table.take(C[rows, i] - 1, axis=0)
+        yield rows, K
+
+
 def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at a batch or MixedPoints (original units, variance >= 0).
 
@@ -613,7 +603,7 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     the batch size.  The quadratic term of the variance is |L^-1 k|^2, one
     ``dtrmm`` with the model's kept L^-1 per chunk.  Consecutive points with
     equal numeric coordinates share the numeric factor of k
-    (:meth:`_Workspace.cross_correlations`), so a grid whose categorical
+    (:func:`_cross_correlations`), so a grid whose categorical
     variables come last builds it once per numeric point.  A mean has the bits of
     the whole-batch formula, chunked or not.  A variance's last bits depend
     on the chunk it falls in (a triangular multiply rounds a column by the
@@ -626,7 +616,7 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     batch = PointBatch.of(model.dataset.space, points)
     means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
-    for rows, K in model._workspace.cross_correlations(model.theta_star.flat, batch):
+    for rows, K in _cross_correlations(model, batch):
         mean_std = model.mu_std + K @ model._alpha
         means[rows] = model.y_mean + model.y_scale * mean_std
         v = dtrmm(1.0, model._chol_inv, K.T, lower=1)

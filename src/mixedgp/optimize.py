@@ -242,7 +242,6 @@ def _search(objective, bounds, start, max_evals, batch_objective,
                 direction = grad / gnorm
                 line_u, line_f = None, best_f
                 t = delta
-                improving_run = False
                 for _ in range(12):
                     trial = np.clip(best_u + t * direction, 0.0, 1.0)
                     if np.array_equal(trial, best_u):
@@ -250,10 +249,9 @@ def _search(objective, bounds, start, max_evals, batch_objective,
                     [f_t] = score(trial)
                     if f_t > line_f:
                         line_u, line_f = trial, f_t
-                        improving_run = True
                         t *= 2.0  # expand while the step keeps paying off
                     else:
-                        if improving_run:
+                        if line_u is not None:
                             break
                         t *= 0.5  # backtrack until the first improvement
                         if t < 0.25 * FINAL_STEP:
@@ -321,5 +319,5 @@ def multistart(
         if best is None or result.value > best.value:
             best = result
     if best is None:
-        raise failures[-1] if failures else RuntimeError("no starts were run")
+        raise failures[-1]
     return MultistartResult(best.point, best.value, tuple(records))

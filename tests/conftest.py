@@ -68,14 +68,14 @@ VARIANCE_TOL = gp.JITTER_DEFAULT
 
 def one_shot_predict(model, batch):
     """The whole-batch formula: one (n_new, n_train, d) difference array, one triangular solve."""
-    ws, flat = model._workspace, model.theta_star.flat
+    theta = model.theta_star
     X, Z, C = batch.normalized()
-    XZ = np.hstack([X, Z])
-    diffs = np.abs(XZ[:, None, :] - ws.numeric[None, :, :]) ** ws.p
-    k = np.exp(-(diffs @ flat[:ws.n_numeric]))
-    for i, L, cut in ws.variables:
-        Ri = kr.categorical_matrix(ws.kind, L, flat[cut])
-        k *= Ri[np.ix_(C[:, i] - 1, ws.levels[:, i])]
+    X_train, Z_train, C_train = model.dataset.points.normalized()
+    diffs = np.abs(np.hstack([X, Z])[:, None, :] - np.hstack([X_train, Z_train])) ** model.p
+    k = np.exp(-(diffs @ theta.rates))
+    for i, L in enumerate(model.dataset.space.level_counts):
+        Ri = kr.categorical_matrix(model.kind, L, theta.variable(i))
+        k *= Ri[np.ix_(C[:, i] - 1, C_train[:, i] - 1)]
     means = model.y_mean + model.y_scale * (model.mu_std + k @ model._alpha)
     v = dtrtrs(model.chol, k.T, lower=1)[0]
     quad = np.sum(v * v, axis=0)

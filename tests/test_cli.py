@@ -101,6 +101,37 @@ def test_doe_grid_count_below_one_is_a_generation_error(tmp_path, cosine_files, 
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["lhs", "grid"])
+@pytest.mark.parametrize("n", ["5", "7", "10"])  # 10 is --n's default
+def test_doe_n_with_grid_counts_is_a_usage_error(tmp_path, cosine_files, capsys, method, n):
+    _, space_file, _ = cosine_files
+    with pytest.raises(SystemExit) as info:
+        main(["doe", str(space_file), "--method", method, "--grid-counts", "3", "--n", n,
+              "--out", str(tmp_path / "d.csv")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--grid-counts" in err and "--n" in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_doe_lhs_refuses_grid_counts(tmp_path, cosine_files, capsys):
+    _, space_file, _ = cosine_files
+    code = main(["doe", str(space_file), "--method", "lhs", "--grid-counts", "3",
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "--grid-counts" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("n, rows", [(None, 10 * 13), ("7", 7 * 13)])
+def test_doe_grid_n_counts_every_numeric_variable(tmp_path, cosine_files, n, rows):
+    space, space_file, _ = cosine_files
+    out = tmp_path / "g.csv"
+    size = [] if n is None else ["--n", n]
+    assert main(["doe", str(space_file), "--method", "grid", *size, "--out", str(out)]) == 0
+    assert len(load_points(space, out)) == rows
+
+
 def test_doe_grid_over_the_byte_cap_exits_3(tmp_path, capsys):
     space_file = tmp_path / "wide.space"
     save_space(DesignSpace(tuple(Continuous(f"x{i}", 0, 1) for i in range(14))), space_file)

@@ -13,8 +13,11 @@ C-order R.  The property tests check R, the likelihood and saved models
 over random spaces without looking inside the evaluator.
 """
 
+import dataclasses
+import gc
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +166,7 @@ def test_fit_equals_a_fit_on_fresh_workspaces(kind, monkeypatch):
     data = dataset(SPACES["integer-two-categorical"], n=16)
     config = FitConfig(n_starts=2, max_evals=60, seed=1)
     kept = fit(data, kind, 2, config)
-    # a model keeps no evaluation state: no factors, no scoring buffer, no distances
-    ws = kept._workspace
-    assert ws._memo == {} and ws._buffer is None and ws.pair_powers is None
+    assert not holds_a_workspace(kept)
 
     evaluate, evaluate_block = gp._Workspace.evaluate, gp._Workspace.evaluate_block
 
@@ -187,13 +188,47 @@ def test_fit_equals_a_fit_on_fresh_workspaces(kind, monkeypatch):
     assert kept.chol.tobytes() == fresh.chol.tobytes()
 
 
+def holds_a_workspace(model) -> bool:
+    return any(isinstance(getattr(model, f.name), gp._Workspace)
+               for f in dataclasses.fields(model))
+
+
 def test_built_model_keeps_no_factors():
     data = dataset(SPACES["cosine"])
     lower, upper, _ = search_bounds(data.space, K.CR)
     theta = set_from_search_vector(data.space, K.CR, 0.5 * (lower + upper))
-    workspace = build_model(data, theta)._workspace
-    assert workspace._memo == {} and workspace._buffer is None
-    assert workspace.pair_powers is None  # only an evaluation reads the pairwise distances
+    assert not holds_a_workspace(build_model(data, theta))
+
+
+@pytest.mark.parametrize("call", ["fit", "build_model", "load_model",
+                                  "concentrated_log_likelihood", "correlation_matrix"])
+def test_a_workspace_lives_for_one_call(call, monkeypatch, tmp_path):
+    """Every workspace a call builds is collected once the call has returned: its result keeps none."""
+    data = dataset(SPACES["cosine"], n=16)
+    lower, upper, _ = search_bounds(data.space, K.CR)
+    theta = set_from_search_vector(data.space, K.CR, 0.5 * (lower + upper))
+    path = tmp_path / "model.json"
+    save_model(build_model(data, theta), path)
+    calls = {
+        "fit": lambda: fit(data, K.CR, 2, FitConfig(n_starts=2, max_evals=40)),
+        "build_model": lambda: build_model(data, theta),
+        "load_model": lambda: load_model(path),
+        "concentrated_log_likelihood": lambda: concentrated_log_likelihood(data, theta),
+        "correlation_matrix": lambda: correlation_matrix(data, theta),
+    }
+    built = []
+    init = gp._Workspace.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(gp._Workspace, "__init__", recording_init)
+    result = calls[call]()
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
+    if call in ("fit", "build_model", "load_model"):
+        assert predict(result, data.points)[0].shape == (16,)  # the result is alive and predicts
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ that a batch predicts what its chunks predict one by one.
 
 Within a chunk, consecutive rows with equal numeric coordinates share one
 numeric factor of k; the per-row loop below is the oracle every block of
-``cross_correlations`` must equal bit for bit.
+``gp._cross_correlations`` must equal bit for bit.
 """
 
 import tracemalloc
@@ -102,22 +102,25 @@ def test_predict_memory_does_not_grow_with_the_batch(case):
 # runs of rows sharing their numeric coordinates
 # ---------------------------------------------------------------------------
 
-def per_row_cross_correlations(ws, flat, points):
+def per_row_cross_correlations(model, points):
     """The oracle: (rows, k) per chunk, every row building its own numeric factor."""
+    theta = model.theta_star
     X, Z, C = points.normalized()
     XZ = np.hstack([X, Z])
-    tables = [(i, kr.categorical_matrix(ws.kind, L, flat[cut])[:, ws.levels[:, i]])
-              for i, L, cut in ws.variables]
+    X_train, Z_train, C_train = model.dataset.points.normalized()
+    train = np.hstack([X_train, Z_train])
+    tables = [(i, kr.categorical_matrix(model.kind, L, theta.variable(i))[:, C_train[:, i] - 1])
+              for i, L in enumerate(model.dataset.space.level_counts)]
     for rows in gp._row_chunks(len(points)):
-        diffs = np.empty((rows.stop - rows.start, ws.n_points, ws.n_numeric))
-        for j in range(ws.n_numeric):
+        diffs = np.empty((rows.stop - rows.start, *train.shape))
+        for j in range(train.shape[1]):
             column = diffs[:, :, j]
-            np.subtract(XZ[rows, j, None], ws.numeric[:, j], out=column)
-            if ws.p == 1:
+            np.subtract(XZ[rows, j, None], train[:, j], out=column)
+            if model.p == 1:
                 np.abs(column, out=column)
             else:
                 np.square(column, out=column)
-        K = np.exp(-(diffs @ flat[:ws.n_numeric]))
+        K = np.exp(-(diffs @ theta.rates))
         for i, table in tables:
             K *= table.take(C[rows, i] - 1, axis=0)
         yield rows, K
@@ -178,9 +181,8 @@ def test_the_run_cases_hold_what_they_are_named_for():
 @pytest.mark.parametrize("case", RUN_CASES)
 def test_cross_correlations_equal_the_per_row_oracle(case):
     model, points = RUN_CASES[case]()
-    ws, theta = model._workspace, model.theta_star
-    blocks = list(ws.cross_correlations(theta.flat, points))
-    expected = list(per_row_cross_correlations(ws, theta.flat, points))
+    blocks = list(gp._cross_correlations(model, points))
+    expected = list(per_row_cross_correlations(model, points))
     assert [rows for rows, _ in blocks] == [rows for rows, _ in expected]
     for (rows, got), (_, want) in zip(blocks, expected):
         assert np.array_equal(got, want), rows

@@ -6,15 +6,17 @@
 
 It fits cosine seeds 0-2 (GD, CR, then EHH, n = 98, ``max_evals=100``,
 each kind warm-started from the kinds before it as the benchmark runner
-does) and beam seed 0 (CR, p = 2, the same budget), and prints one line
-per fit:
+does) and beam seed 0 (CR with p = 2, then CR with p = 1, the same
+budget), and prints one line per fit:
 
-- the problem, seed and kind;
+- the problem, seed, kind and exponent p;
 - ``repr`` of the log-likelihood;
 - a sha256 of ``theta_star.flat``;
 - the ``StartRecord`` tuples of every start;
 - a sha256 of the saved model file, written with ``fit_seconds`` set to 0;
-- sha256s of the means and of the variances on the validation grid.
+- sha256s of the means and of the variances on the validation grid;
+- the same two sha256s from the model that ``load_model`` reads back from
+  that file.
 
 The bits depend on the CPU's BLAS kernels and on the BLAS thread count, so
 compare outputs from one machine with one thread setting.  The script
@@ -53,21 +55,22 @@ def beam(points):
                                     points.X[:, 1])
 
 
+# (problem, space, truth, validation grid counts, seed, exponent p, kinds)
 PROBLEMS = [
-    ("cosine", bm.cosine_space(), cosine, (1000,), seed, (K.GD, K.CR, K.EHH))
+    ("cosine", bm.cosine_space(), cosine, (1000,), seed, 2, (K.GD, K.CR, K.EHH))
     for seed in range(3)
-] + [("beam", bm.beam_space(), beam, (30, 30), 0, (K.CR,))]
+] + [("beam", bm.beam_space(), beam, (30, 30), 0, p, (K.CR,)) for p in (2, 1)]
 
 
-def model_sha(model, directory: Path) -> str:
-    path = directory / "model.json"
-    gp.save_model(replace(model, fit_seconds=0.0), path)
-    return sha(path.read_bytes())
+def prediction_shas(model, points, prefix: str = "") -> str:
+    means, variances = gp.predict(model, points)
+    return f"{prefix}means={sha(means.tobytes())} {prefix}variances={sha(variances.tobytes())}"
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, space, truth, grid_points, seed, kinds in PROBLEMS:
+        path = Path(tmp) / "model.json"
+        for name, space, truth, grid_points, seed, p, kinds in PROBLEMS:
             points = lhs(space, N_POINTS, seed)
             data = Dataset(space, points, truth(points))
             validation = grid(space, grid_points)
@@ -75,13 +78,14 @@ def main() -> int:
             for kind in kinds:
                 config = gp.FitConfig(seed=seed, max_evals=MAX_EVALS,
                                       extra_starts=bm._warm_starts(kind, fitted))
-                model = fitted[kind] = gp.fit(data, kind, 2, config)
-                means, variances = gp.predict(model, validation)
+                model = fitted[kind] = gp.fit(data, kind, p, config)
+                gp.save_model(replace(model, fit_seconds=0.0), path)
                 starts = [tuple(record) for record in model.start_log]
-                print(f"{name} seed={seed} {kind.value} ll={model.log_likelihood!r} "
+                print(f"{name} seed={seed} {kind.value} p={p} ll={model.log_likelihood!r} "
                       f"theta={sha(model.theta_star.flat.tobytes())} starts={starts} "
-                      f"model={model_sha(model, Path(tmp))} means={sha(means.tobytes())} "
-                      f"variances={sha(variances.tobytes())}", flush=True)
+                      f"model={sha(path.read_bytes())} {prediction_shas(model, validation)} "
+                      f"{prediction_shas(gp.load_model(path), validation, 'reloaded_')}",
+                      flush=True)
     return 0
 
 
