@@ -13,7 +13,12 @@ One evaluator, ``_Workspace.evaluate``, maps a natural-units
 hyperparameter vector to R and its likelihood; fitting, model building,
 :func:`concentrated_log_likelihood` and :func:`correlation_matrix` all go
 through it, on a workspace built for one kernel kind and one starting
-jitter.  R is the product of one factor per block of the vector,
+jitter.  Building a workspace checks that jitter (:func:`_check_jitter`:
+positive and finite, else ValueError), so every entry that takes one
+refuses a bad one.  There is one way to make a model, :func:`build_model`
+on a fresh workspace: :func:`fit` returns it at the optimum theta* and
+:func:`load_model` at the saved theta*, so a reloaded model has a fitted
+one's bits.  R is the product of one factor per block of the vector,
 
     R = exp(-sum_j theta_j D_j) o R_1[c_r, c_s] o R_2[c_r, c_s] o ...
 
@@ -28,7 +33,7 @@ workspace, writes 1 + jitter on its diagonal and factors it there with
 ``dpotrf``.  Scoring never allocates or copies R; an evaluation's
 factor is that buffer, valid until the next evaluation on the workspace.
 A workspace, with its kept factors, buffer and pairwise distances, lives
-for one fit, model build or one-off score; no model keeps one, and
+for one search, model build or one-off score; no model keeps one, and
 prediction reads only the model (:func:`_cross_correlations`).
 ``_Workspace.evaluate_block`` scores many
 vectors at once with the same code as ``evaluate``; a fit passes it each
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -89,6 +95,12 @@ JITTER_MAX = 1e-4
 _PREDICT_CHUNK = 256
 
 
+def _check_jitter(jitter: float) -> None:
+    """Raise ValueError unless ``jitter``, R's starting nugget, is positive and finite."""
+    if not (math.isfinite(jitter) and jitter > 0):
+        raise ValueError(f"jitter must be positive and finite, got {jitter!r}")
+
+
 def _solve(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 b (trans=0) or L^-T b (trans=1) for a lower Cholesky factor L."""
     return dtrtrs(chol, b, lower=1, trans=trans)[0]
@@ -103,6 +115,9 @@ class FitConfig:
     warm starts appended after the evenly spaced diagonal starts.  The
     search draws nothing at random: ``seed`` is carried for provenance only,
     the seed of the design a fit was run on (``mixedgp fit --seed``).
+    ``n_starts`` and ``max_evals`` must be whole numbers (TypeError
+    otherwise) of at least 1, and ``jitter``, the starting nugget, must be
+    positive and finite (ValueError otherwise).
     """
 
     n_starts: int = 10
@@ -112,12 +127,11 @@ class FitConfig:
     extra_starts: tuple = ()
 
     def __post_init__(self):
-        if self.n_starts < 1:
+        if operator.index(self.n_starts) < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.max_evals is not None and self.max_evals < 1:
+        if self.max_evals is not None and operator.index(self.max_evals) < 1:
             raise ValueError("max_evals must be None or >= 1")
-        if not (math.isfinite(self.jitter) and self.jitter > 0):
-            raise ValueError(f"jitter must be positive and finite, got {self.jitter!r}")
+        _check_jitter(self.jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +159,23 @@ class _Evaluation(NamedTuple):
 class _Workspace:
     """The likelihood evaluator of one kernel kind, exponent and starting jitter on one dataset.
 
-    Built for one fit, one model build or one one-off score, and dropped
-    when that call returns.  Holds ``pair_powers`` (|x_r - x_s|^p, one row
-    per continuous/integer dimension over the n*n pairs), the 0-based
-    level index column and the slice of the flat vector (``variables``)
-    per categorical variable, the targets with their variance floor,
-    ``_buffer``, the Fortran-order n x n array R is built and factored in,
-    and ``_memo``: per factor block of R (-1 for the rates, i for
-    categorical variable i), the bytes of the slice it was last built at
-    and the n x n factor.
+    Built for one search, one model build or one one-off score, and
+    dropped when that call returns; its constructor refuses a jitter that
+    is not positive and finite (ValueError).  Holds ``pair_powers``
+    (|x_r - x_s|^p, one row per continuous/integer dimension over the n*n
+    pairs), the 0-based level index column and the slice of the flat
+    vector (``variables``) per categorical variable, the targets with their
+    variance floor, ``_buffer``, the Fortran-order n x n array R is built
+    and factored in, and ``_memo``: per factor block of R (-1 for the
+    rates, i for categorical variable i), the bytes of the slice it was
+    last built at and the n x n factor.
     """
 
     def __init__(self, points: PointBatch, kind: kr.CategoricalKernelKind, p: int,
                  targets: np.ndarray, jitter: float = JITTER_DEFAULT):
         self.kind = kind
         self.p = kr.check_exponent(p)
+        _check_jitter(jitter)
         self.jitter = jitter
         X, Z, C = points.normalized()
         XZ = np.hstack([X, Z])
@@ -278,7 +294,7 @@ class _Workspace:
                 break
             if j >= JITTER_MAX:
                 raise NumericalFailure(f"Cholesky failed even with jitter {j:g}")
-            j = min(j * 10.0, JITTER_MAX) if j > 0 else JITTER_DEFAULT
+            j = min(j * 10.0, JITTER_MAX)
         a = _solve(chol, self.y)
         b = _solve(chol, self.ones)
         mu = float((b @ a) / (b @ b))
@@ -447,9 +463,22 @@ def _refined_weights(R_raw: np.ndarray, chol: np.ndarray, target: np.ndarray) ->
     return best_alpha
 
 
-def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet,
-           y_mean: float, y_scale: float, fit_seconds: float) -> GpModel:
-    """The model at theta, on a workspace holding the standardized targets."""
+def build_model(
+    dataset: Dataset,
+    theta: kr.HyperparameterSet,
+    p: int = 2,
+    jitter: float = JITTER_DEFAULT,
+) -> GpModel:
+    """The model at fixed hyperparameters (no optimization), on a fresh evaluator.
+
+    Every model is made here: :func:`fit` returns this call at its optimum
+    and :func:`load_model` at the saved hyperparameters, so a reloaded model
+    has a fitted one's bits.  ``jitter`` is the starting nugget; the model
+    keeps the one its factorization needed.  Raises ValueError when
+    ``jitter`` is not positive and finite, or ``p`` is not 1 or 2.
+    """
+    ds_std, y_mean, y_scale = standardize_targets(dataset)
+    ws = _Workspace(dataset.points, theta.kind, p, ds_std.targets, jitter)
     flat = ws.flat(theta)
     ev = ws.evaluate(flat)
     alpha = _refined_weights(ws.correlation(flat), ev.chol, ws.y - ev.mu)
@@ -470,44 +499,18 @@ def _model(ws: _Workspace, dataset: Dataset, theta: kr.HyperparameterSet,
         log_likelihood=ev.log_likelihood,
         y_mean=y_mean,
         y_scale=y_scale,
-        fit_seconds=fit_seconds,
         _alpha=alpha,
         _r_inv_ones=r_inv_ones,
         _chol_inv=chol_inv,
     )
 
 
-def build_model(
-    dataset: Dataset,
-    theta: kr.HyperparameterSet,
-    p: int = 2,
-    jitter: float = JITTER_DEFAULT,
-    fit_seconds: float = 0.0,
-) -> GpModel:
-    """Assemble a GpModel at fixed hyperparameters (no optimization)."""
-    ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(dataset.points, theta.kind, p, ds_std.targets, jitter)
-    return _model(ws, dataset, theta, y_mean, y_scale, fit_seconds)
-
-
-def fit(
-    dataset: Dataset,
-    kind: kr.CategoricalKernelKind,
-    p: int = 2,
-    config: FitConfig = FitConfig(),
-) -> GpModel:
-    """Maximum-likelihood fit via deterministic multistart derivative-free search.
-
-    Starts are evenly spaced along the diagonal of the flat hyperparameter
-    box (log-theta and angle coordinates); ``config.extra_starts`` adds warm
-    starts.  The best hyperparameters over all searches define the model.
-    """
-    t0 = time.perf_counter()
-    space = dataset.space
-    ds_std, y_mean, y_scale = standardize_targets(dataset)
-    ws = _Workspace(dataset.points, kind, p, ds_std.targets, config.jitter)
-
-    lower, upper, log_mask = kr.search_bounds(space, kind)
+def _maximize(dataset: Dataset, kind: kr.CategoricalKernelKind, p: int,
+              config: FitConfig) -> MultistartResult:
+    """:func:`fit`'s multistart search, on a workspace dropped when it returns."""
+    ws = _Workspace(dataset.points, kind, p, standardize_targets(dataset)[0].targets,
+                    config.jitter)
+    lower, upper, log_mask = kr.search_bounds(dataset.space, kind)
     bounds = BoxBounds(lower, upper)
 
     def objective(v: np.ndarray) -> float:
@@ -520,19 +523,37 @@ def fit(
         return ws.evaluate_block(kr.natural_from_search(V, log_mask))
 
     extra = tuple(kr.search_from_natural(ws.flat(hp), log_mask) for hp in config.extra_starts)
-    result: MultistartResult = multistart(
-        objective, bounds, config.n_starts, config.max_evals, extra_starts=extra,
-        batch_objective=batch_objective,
-    )
-    theta_star = kr.set_from_search_vector(space, kind, result.point)
-    model = _model(ws, dataset, theta_star, y_mean, y_scale,
-                   fit_seconds=time.perf_counter() - t0)
+    return multistart(objective, bounds, config.n_starts, config.max_evals, extra_starts=extra,
+                      batch_objective=batch_objective)
+
+
+def fit(
+    dataset: Dataset,
+    kind: kr.CategoricalKernelKind,
+    p: int = 2,
+    config: FitConfig = FitConfig(),
+) -> GpModel:
+    """Maximum-likelihood fit via deterministic multistart derivative-free search.
+
+    Starts are evenly spaced along the diagonal of the flat hyperparameter
+    box (log-theta and angle coordinates); ``config.extra_starts`` adds warm
+    starts.  The best hyperparameters over all searches, theta*, define the
+    model: it is ``build_model(dataset, theta*, p, config.jitter)``, the call
+    :func:`load_model` makes, with ``fit_seconds`` and ``start_log`` set.
+    The search's workspace is dropped before the model is built.  Raises
+    NumericalFailure when that model's likelihood is not the search's
+    value, and ValueError when ``p`` is not 1 or 2.
+    """
+    t0 = time.perf_counter()
+    result = _maximize(dataset, kind, p, config)
+    theta_star = kr.set_from_search_vector(dataset.space, kind, result.point)
+    model = build_model(dataset, theta_star, p, config.jitter)
     # sanity: the model stores exactly the value the optimizer maximized
     if model.log_likelihood != result.value:
         raise NumericalFailure(
             "likelihood at the returned optimum does not reproduce the search value"
         )
-    return replace(model, start_log=result.starts)
+    return replace(model, fit_seconds=time.perf_counter() - t0, start_log=result.starts)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +704,11 @@ def load_model(path) -> GpModel:
 
     Raises ParseError when the file is not a model file, misses a key, holds
     a value of the wrong type, its ``version`` is not 1, its ``epsilon`` is
-    not :data:`~mixedgp.kernels.EPSILON`, or its hyperparameters are not
-    finite or violate their domain (negative rates, say).
+    not :data:`~mixedgp.kernels.EPSILON`, its jitter is not positive and
+    finite, or its hyperparameters are not finite or violate their domain
+    (negative rates, say).  The model is ``build_model`` at the saved
+    hyperparameters and jitter, the call :func:`fit` makes, with the saved
+    ``fit_seconds``.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -710,13 +734,12 @@ def load_model(path) -> GpModel:
         dataset = Dataset(space, PointBatch(space, *rows.values()), doc["targets"])
         kind = kr.CategoricalKernelKind.parse(doc["kernel"])
         p = kr.check_exponent(doc["p"])
-        if not (math.isfinite(doc["jitter"]) and doc["jitter"] > 0):
-            raise ValueError(f"jitter must be positive, got {doc['jitter']!r}")
+        _check_jitter(doc["jitter"])
         if doc["epsilon"] != kr.EPSILON:
             raise ValueError(f"epsilon must be {kr.EPSILON!r}, the kernel's constant; "
                              f"got {doc['epsilon']!r}")
         theta = kr.HyperparameterSet.from_flat(space, kind, doc["theta_flat"])
     except (KeyError, TypeError, ValueError, MixedGpError) as exc:
         raise ParseError(f"{path}: invalid model file: {exc}") from exc
-    return build_model(dataset, theta, p, float(doc["jitter"]),
-                       fit_seconds=float(doc["fit_seconds"]))
+    return replace(build_model(dataset, theta, p, float(doc["jitter"])),
+                   fit_seconds=float(doc["fit_seconds"]))

@@ -39,6 +39,7 @@ results; nothing is drawn at random.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -136,9 +137,9 @@ def local_search(
 
     Returns (best_point, best_value, n_evals) with best_point inside the
     bounds exactly and best_value >= objective(start).  ``max_evals``
-    defaults to 500 * dim when None, and must be at least 1.  Exceptions
-    from the objective are re-raised as ObjectiveFailure with the point
-    attached.
+    defaults to 500 * dim when None, and must be a whole number (TypeError
+    otherwise) of at least 1.  Exceptions from the objective are re-raised
+    as ObjectiveFailure with the point attached.
 
     ``batch_objective(points)``, given, scores each stencil as one block:
     it takes an (m, dim) array of points and returns their m values, each
@@ -165,7 +166,7 @@ def _search(objective, bounds, start, max_evals, batch_objective,
         raise ValueError(f"start has length {start.size}, bounds expect {bounds.dim}")
     if not bounds.contains(start):
         raise ValueError("start must lie within the bounds")
-    if max_evals is not None and max_evals < 1:
+    if max_evals is not None and operator.index(max_evals) < 1:
         raise ValueError("max_evals must be None or >= 1")
 
     lo, hi = bounds.lower, bounds.upper
@@ -284,8 +285,10 @@ def multistart(
     Start i sits at fraction (i + 1/2) / n_starts along the box diagonal.
     ``extra_starts`` appends caller-supplied warm starts (clipped to the
     box) after the diagonal ones.  ``max_evals`` (each start's budget) and
-    ``batch_objective`` are passed to every :func:`local_search`.  Per-start
-    failures are tolerated; the call fails only if every start fails.
+    ``batch_objective`` are passed to every :func:`local_search`, which
+    checks ``max_evals`` before any objective call; ``n_starts`` must be a
+    whole number (TypeError otherwise) of at least 1.  Per-start failures
+    are tolerated; the call fails only if every start fails.
 
     The objective must be a deterministic function of the point: the
     starts share one record of the values scored per search state (see
@@ -294,7 +297,7 @@ def multistart(
     ``StartRecord`` but its ``replayed`` count equal those of independent
     :func:`local_search` calls.  The record is dropped on return.
     """
-    if n_starts < 1:
+    if operator.index(n_starts) < 1:
         raise ValueError("n_starts must be >= 1")
     starts = [
         bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)

@@ -64,6 +64,14 @@ def test_pva_values():
         pva([1.0], [0.0], [0.0])
 
 
+@pytest.mark.parametrize("lengths", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (0, 0, 0)], ids=repr)
+def test_pva_refuses_vectors_of_unequal_or_zero_length(lengths):
+    predictions, variances, truths = (np.ones(n) for n in lengths)
+    with pytest.raises(DimensionMismatch,
+                       match="predictions, variances and truths must have equal length"):
+        pva(predictions, variances, truths)
+
+
 def test_metrics_permutation_invariant():
     rng = np.random.default_rng(0)
     preds, var, truth = rng.random(30), rng.random(30) + 0.1, rng.random(30)

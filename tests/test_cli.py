@@ -12,7 +12,9 @@ import pytest
 
 from mixedgp import gp
 from mixedgp.cli import _write_trace, main
+from mixedgp.errors import NumericalFailure
 from mixedgp.kernels import CategoricalKernelKind as K
+from mixedgp.kernels import HyperparameterSet
 from mixedgp.optimize import StartRecord
 from mixedgp.space import (
     Categorical,
@@ -265,6 +267,24 @@ def test_benchmark_with_no_kernel_kind_exits_2(kernels, capsys):
     assert "names no kernel kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strict, code", [(True, 6), (False, 0)])
+def test_benchmark_with_a_failed_fit_exits_6_under_strict(monkeypatch, capsys, strict, code):
+    fit = gp.fit
+
+    def failing_for_cr(dataset, kind, *args, **kwargs):
+        if kind is K.CR:
+            raise NumericalFailure("Cholesky failed even with jitter 0.0001")
+        return fit(dataset, kind, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "fit", failing_for_cr)
+    args = ["benchmark", "--problem", "cosine", "--kernels", "gd,cr", "--doe-size", "10",
+            "--starts", "1", "--budget", "10"]
+    assert main(args + ["--strict"] * strict) == code
+    captured = capsys.readouterr()
+    assert "cr: failed (Cholesky failed even with jitter 0.0001)" in captured.err
+    assert captured.out.startswith("gd: n_hyper=2 ")
+
+
 def test_kernel_info(tmp_path, cosine_files, capsys):
     _, space_file, _ = cosine_files
     assert main(["kernel-info", str(space_file)]) == 0
@@ -297,6 +317,19 @@ def test_export_corr_rejects_continuous_variable(tmp_path, cosine_files):
     code = main(["export-corr", str(model_file), "--variable", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 5
+
+
+def test_export_corr_on_a_space_without_a_categorical_variable_exits_5(tmp_path, capsys):
+    space = DesignSpace((Continuous("x", 0.0, 1.0), Integer("z", 0, 4)))
+    points = lhs(space, 8, seed=0)
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0, 2.0])
+    model_file = tmp_path / "model.json"
+    gp.save_model(gp.build_model(Dataset(space, points, points.X[:, 0] + points.Z[:, 0]),
+                                 theta), model_file)
+    out = tmp_path / "corr.csv"
+    assert main(["export-corr", str(model_file), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == "error: model space has no categorical variable\n"
+    assert not out.exists()
 
 
 def test_an_environment_variable_does_not_change_a_design(tmp_path, cosine_files, monkeypatch):

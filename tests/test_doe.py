@@ -130,6 +130,22 @@ def test_grid_counts_must_match():
         grid(space, (0,))
 
 
+@pytest.mark.parametrize("call", [
+    lambda space: lhs(space, 2.5),
+    lambda space: lhs(space, np.float64(3.0)),
+    lambda space: grid(space, (2.7,)),
+    lambda space: grid(space, (3.0,)),
+], ids=["lhs-2.5", "lhs-float64", "grid-2.7", "grid-3.0"])
+def test_counts_must_be_whole_numbers(cosine_like, call):
+    with pytest.raises(TypeError):
+        call(cosine_like)
+
+
+def test_numpy_integer_counts_are_counts(cosine_like):
+    assert lhs(cosine_like, np.int64(7), 3) == lhs(cosine_like, 7, 3)
+    assert grid(cosine_like, (np.int32(4),)) == grid(cosine_like, (4,))
+
+
 # ---------------------------------------------------------------------------
 # LHS properties over random spaces, sizes and seeds
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,53 @@ def test_log_det_identity_on_random_matrices():
 def test_fit_config_refuses_values_outside_its_domain(values):
     with pytest.raises(ValueError):
         FitConfig(**values)
+
+
+@pytest.mark.parametrize("values", [{"n_starts": 2.5}, {"max_evals": 20.5}, {"n_starts": 2.0},
+                                    {"max_evals": np.float64(20.0)}], ids=repr)
+def test_fit_config_counts_must_be_whole_numbers(values):
+    with pytest.raises(TypeError):
+        FitConfig(**values)
+
+
+def test_fit_config_takes_numpy_integer_counts():
+    config = FitConfig(n_starts=np.int64(2), max_evals=np.int32(20))
+    model = fit(mixed_dataset(8), K.GD, 2, config)
+    assert [record.n_evals <= 20 for record in model.start_log] == [True, True]
+
+
+@pytest.mark.parametrize("call", ["fit", "build_model"])
+@pytest.mark.parametrize("p", [0, 3])
+def test_an_exponent_other_than_1_or_2_is_refused(call, p):
+    ds = mixed_dataset(8)
+    theta = random_theta(ds.space, K.CR, np.random.default_rng(0))
+    calls = {"fit": lambda: fit(ds, K.CR, p, FitConfig(n_starts=1, max_evals=10)),
+             "build_model": lambda: build_model(ds, theta, p)}
+    with pytest.raises(ValueError, match=f"exponent p must be 1 or 2, got {p}"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("entry", ["build_model", "concentrated_log_likelihood", "load_model"])
+@pytest.mark.parametrize("jitter", [0.0, -1e-12, math.nan, math.inf], ids=repr)
+def test_a_jitter_that_is_not_positive_and_finite_is_refused_at_every_entry(tmp_path, entry,
+                                                                           jitter):
+    from mixedgp.errors import ParseError
+
+    ds = mixed_dataset(8)
+    theta = random_theta(ds.space, K.CR, np.random.default_rng(1))
+    message = f"jitter must be positive and finite, got {jitter!r}"
+    if entry == "load_model":
+        path = tmp_path / "model.json"
+        save_model(build_model(ds, theta), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "jitter": jitter}))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: invalid model file: {message}")):
+            load_model(path)
+        return
+    calls = {"build_model": lambda: build_model(ds, theta, 2, jitter),
+             "concentrated_log_likelihood":
+                 lambda: concentrated_log_likelihood(ds, theta, 2, jitter)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        calls[entry]()
 
 
 def test_fit_interpolates_every_kind():

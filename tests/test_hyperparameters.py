@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedgp.doe import lhs
-from mixedgp.errors import NumericalFailure, ParseError
+from mixedgp.errors import NumericalFailure, ParseError, ShapeMismatch
 from mixedgp.gp import build_model, correlation_matrix, load_model, save_model
 from mixedgp.kernels import (
     CategoricalKernelKind,
@@ -27,11 +27,20 @@ from mixedgp.kernels import (
     search_from_natural,
     set_from_search_vector,
 )
-from mixedgp.space import Dataset
+from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace
 
 from conftest import spaces
 
 K = CategoricalKernelKind
+
+
+@pytest.mark.parametrize("decode", [HyperparameterSet.from_flat, set_from_search_vector],
+                         ids=["from_flat", "set_from_search_vector"])
+@pytest.mark.parametrize("length", [3, 5])
+def test_a_vector_of_the_wrong_length_is_refused(decode, length):
+    space = DesignSpace((Continuous("x", 0.0, 1.0), Categorical("c", ("a", "b", "c"))))
+    with pytest.raises(ShapeMismatch, match=f"length {length}"):  # CR on it takes 1 + 3
+        decode(space, K.CR, np.ones(length))
 
 
 @st.composite

@@ -303,6 +303,21 @@ def test_recover_rejects_out_of_range():
         recover_angles_from_correlation(np.array([[1.0, 0.5], [0.5, 0.9]]))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: gram_to_angles(np.ones((2, 3))), ShapeMismatch,
+     r"expected a square matrix, got \(2, 3\)"),
+    (lambda: gram_to_angles(np.array([[1.0, 0.5], [0.5, 0.9]])), NotRepresentable,
+     "Gram matrix must have unit diagonal"),
+    (lambda: recover_angles_from_correlation(np.ones((3, 2))), ShapeMismatch,
+     r"expected a square matrix, got \(3, 2\)"),
+    (lambda: recover_angles_from_correlation(np.array([[1.0, 0.5], [0.4, 1.0]])), ShapeMismatch,
+     "correlation matrix must be symmetric"),
+], ids=["gram-not-square", "gram-diagonal", "correlation-not-square", "correlation-asymmetric"])
+def test_entry_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_embed_into_gd_needs_a_constant_diagonal():
     # GD packs one theta shared by every level (Theta_jj = theta/2)
     assert np.array_equal(embed_hyper_matrix(K.GD, K.CR, 3, [2.0, 2.0, 2.0]), [4.0])

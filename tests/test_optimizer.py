@@ -30,6 +30,31 @@ def test_bounds_validation():
             multistart(lambda x: 0.0, unit_box(2), 2, max_evals)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: local_search(lambda x: 0.0, unit_box(2), np.full(3, 0.5)), ValueError,
+     "start has length 3, bounds expect 2"),
+    (lambda: local_search(lambda x: 0.0, unit_box(2), np.array([0.5, 1.5])), ValueError,
+     "start must lie within the bounds"),
+    (lambda: multistart(lambda x: 0.0, unit_box(2), 0), ValueError, "n_starts must be >= 1"),
+    (lambda: local_search(lambda x: 0.0, unit_box(2), np.full(2, 0.5), 2.5), TypeError, "float"),
+    (lambda: multistart(lambda x: 0.0, unit_box(2), 2, 20.5), TypeError, "float"),
+    (lambda: multistart(lambda x: 0.0, unit_box(2), 2.5), TypeError, "float"),
+], ids=["start-length", "start-outside", "no-starts", "local-budget-float",
+        "multistart-budget-float", "multistart-starts-float"])
+def test_entry_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_numpy_integer_counts_are_whole_numbers():
+    bounds = unit_box(2)
+    objective = lambda x: -float(np.sum((x - 0.3) ** 2))
+    numpy, plain = multistart(objective, bounds, np.int64(3), np.int32(40)), multistart(
+        objective, bounds, 3, 40)
+    assert numpy.point.tobytes() == plain.point.tobytes() and numpy.starts == plain.starts
+    assert local_search(objective, bounds, np.full(2, 0.5), np.int64(17)).n_evals <= 17
+
+
 def test_quadratic_recovery():
     result = local_search(
         lambda x: -np.sum((x - 0.3) ** 2), unit_box(3), np.full(3, 0.5)

@@ -22,6 +22,7 @@ from mixedgp.space import (
     DesignSpace,
     Integer,
     MixedPoint,
+    PointBatch,
     load_dataset,
     load_points,
     load_space,
@@ -295,6 +296,26 @@ def test_dataset_header_required(tmp_path, mixed_space):
 def test_dataset_validates_points(mixed_space):
     with pytest.raises(LevelOutOfRange):
         Dataset(mixed_space, (MixedPoint((0.5,), (2,), (9,)),), np.array([0.0]))
+
+
+def empty_file(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("")
+    return path
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda space, tmp: Dataset(space, (), []), ValueError, "a dataset needs at least one point"),
+    (lambda space, tmp: Dataset(space, lhs(space, 3, 0), [0.0, 1.0]), DimensionMismatch,
+     "3 points but 2 targets"),
+    (lambda space, tmp: PointBatch(space, np.zeros((3, 1)), np.ones((2, 1)), np.ones((3, 1))),
+     DimensionMismatch, r"X, Z and C hold \[3, 2, 3\] rows"),
+    (lambda space, tmp: load_points(space, empty_file(tmp)), ParseError,
+     "points.csv: empty file, header row required"),
+], ids=["dataset-without-points", "dataset-target-count", "batch-row-counts", "empty-points-file"])
+def test_entry_refusals(mixed_space, tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(mixed_space, tmp_path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,10 +6,11 @@
 
 It fits cosine seeds 0-2 (GD, CR, then EHH, n = 98, ``max_evals=100``,
 each kind warm-started from the kinds before it as the benchmark runner
-does) and beam seed 0 (CR with p = 2, then CR with p = 1, the same
-budget), and prints one line per fit:
+does) and beam seed 0 (CR with p = 2, then CR with p = 1, then CR with
+p = 2 from a starting jitter of 1e-12, the same budget), and prints one
+line per fit:
 
-- the problem, seed, kind and exponent p;
+- the problem, seed, kind, exponent p and the model's jitter;
 - ``repr`` of the log-likelihood;
 - a sha256 of ``theta_star.flat``;
 - the ``StartRecord`` tuples of every start;
@@ -55,11 +56,13 @@ def beam(points):
                                     points.X[:, 1])
 
 
-# (problem, space, truth, validation grid counts, seed, exponent p, kinds)
+# (problem, space, truth, validation grid counts, seed, exponent p, kinds, starting jitter)
 PROBLEMS = [
-    ("cosine", bm.cosine_space(), cosine, (1000,), seed, 2, (K.GD, K.CR, K.EHH))
+    ("cosine", bm.cosine_space(), cosine, (1000,), seed, 2, (K.GD, K.CR, K.EHH),
+     gp.JITTER_DEFAULT)
     for seed in range(3)
-] + [("beam", bm.beam_space(), beam, (30, 30), 0, p, (K.CR,)) for p in (2, 1)]
+] + [("beam", bm.beam_space(), beam, (30, 30), 0, p, (K.CR,), jitter)
+     for p, jitter in ((2, gp.JITTER_DEFAULT), (1, gp.JITTER_DEFAULT), (2, 1e-12))]
 
 
 def prediction_shas(model, points, prefix: str = "") -> str:
@@ -70,18 +73,19 @@ def prediction_shas(model, points, prefix: str = "") -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        for name, space, truth, grid_points, seed, p, kinds in PROBLEMS:
+        for name, space, truth, grid_points, seed, p, kinds, jitter in PROBLEMS:
             points = lhs(space, N_POINTS, seed)
             data = Dataset(space, points, truth(points))
             validation = grid(space, grid_points)
             fitted = {}
             for kind in kinds:
-                config = gp.FitConfig(seed=seed, max_evals=MAX_EVALS,
+                config = gp.FitConfig(seed=seed, max_evals=MAX_EVALS, jitter=jitter,
                                       extra_starts=bm._warm_starts(kind, fitted))
                 model = fitted[kind] = gp.fit(data, kind, p, config)
                 gp.save_model(replace(model, fit_seconds=0.0), path)
                 starts = [tuple(record) for record in model.start_log]
-                print(f"{name} seed={seed} {kind.value} p={p} ll={model.log_likelihood!r} "
+                print(f"{name} seed={seed} {kind.value} p={p} jitter={model.jitter!r} "
+                      f"ll={model.log_likelihood!r} "
                       f"theta={sha(model.theta_star.flat.tobytes())} starts={starts} "
                       f"model={sha(path.read_bytes())} {prediction_shas(model, validation)} "
                       f"{prediction_shas(gp.load_model(path), validation, 'reloaded_')}",
