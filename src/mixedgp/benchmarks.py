@@ -273,7 +273,9 @@ def _run_problem(
     fit_config: gp.FitConfig,
 ):
     """Sample, fit every kind and score on the validation grid; ``truth`` maps a batch to values."""
-    kinds = [kr.CategoricalKernelKind.parse(k) if isinstance(k, str) else k for k in kinds]
+    # a kind named twice is fitted and reported once, where it is first named
+    kinds = list(dict.fromkeys(kr.CategoricalKernelKind.parse(k) if isinstance(k, str) else k
+                               for k in kinds))
     train_points = lhs(space, doe_size, seed)
     dataset = Dataset(space, train_points, truth(train_points))
     y_valid = truth(validation_points)
@@ -283,7 +285,7 @@ def _run_problem(
     errors: dict = {}
     fitted: dict = {}
     # stable sort: kinds of one nesting rank are fitted in the caller's order
-    for kind in sorted(dict.fromkeys(kinds), key=lambda k: kr.KINDS[k].nesting_rank):
+    for kind in sorted(kinds, key=lambda k: kr.KINDS[k].nesting_rank):
         config = replace(
             fit_config,
             extra_starts=fit_config.extra_starts + _warm_starts(kind, fitted),

@@ -11,12 +11,11 @@ each categorical variable one permutation and one shuffle.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .errors import SizeOverflow
-from .space import Categorical, Continuous, DesignSpace, Integer, PointBatch
+from .space import Categorical, Continuous, DesignSpace, Integer, PointBatch, _count
 
 __all__ = ["lhs", "grid", "GRID_SIZE_CAP", "GRID_BYTES_CAP"]
 
@@ -34,9 +33,10 @@ def lhs(space: DesignSpace, n_points: int, seed: int = 0) -> PointBatch:
     sample, jittered uniformly inside its bin (integers are rounded after
     unscaling).  Categorical coordinates cycle a random permutation of the
     levels and are then shuffled, so level counts differ by at most one.
-    ``n_points`` must be a whole number (TypeError otherwise) of at least 1.
+    ``n_points`` must be a whole number, not a bool (TypeError otherwise), of
+    at least 1.
     """
-    if operator.index(n_points) < 1:
+    if _count(n_points) < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     columns: list[np.ndarray] = []
@@ -63,12 +63,12 @@ def grid(space: DesignSpace, points_per_dim) -> PointBatch:
     ``points_per_dim`` lists one count per continuous/integer variable (in
     space order); categorical variables always contribute all their levels.
     Continuous axes are linspace(lower, upper, count); integer axes use the
-    rounded linspace.  A count must be a whole number (TypeError otherwise)
-    of at least 1.  A grid of more than GRID_SIZE_CAP points, or whose
-    coordinate arrays would take more than GRID_BYTES_CAP bytes, raises
-    SizeOverflow before anything is allocated.
+    rounded linspace.  A count must be a whole number, not a bool (TypeError
+    otherwise), of at least 1.  A grid of more than GRID_SIZE_CAP points, or
+    whose coordinate arrays would take more than GRID_BYTES_CAP bytes,
+    raises SizeOverflow before anything is allocated.
     """
-    counts = [operator.index(c) for c in points_per_dim]
+    counts = [_count(c) for c in points_per_dim]
     n_numeric = space.n_continuous + space.n_integer
     if len(counts) != n_numeric:
         raise ValueError(

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -68,7 +67,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 from . import kernels as kr
 from .errors import MixedGpError, NumericalFailure, ParseError, ShapeMismatch
 from .optimize import BoxBounds, MultistartResult, multistart
-from .space import Categorical, Continuous, Dataset, DesignSpace, Integer, PointBatch
+from .space import Categorical, Continuous, Dataset, DesignSpace, Integer, PointBatch, _count
 
 __all__ = [
     "JITTER_DEFAULT",
@@ -111,13 +110,15 @@ class FitConfig:
     """Multistart fitting configuration.
 
     ``max_evals`` is the optimizer budget per start (500 * dim when None).
-    ``extra_starts`` may carry :class:`~mixedgp.kernels.HyperparameterSet`
-    warm starts appended after the evenly spaced diagonal starts.  The
-    search draws nothing at random: ``seed`` is carried for provenance only,
-    the seed of the design a fit was run on (``mixedgp fit --seed``).
-    ``n_starts`` and ``max_evals`` must be whole numbers (TypeError
-    otherwise) of at least 1, and ``jitter``, the starting nugget, must be
-    positive and finite (ValueError otherwise).
+    ``extra_starts``, stored as a tuple, holds
+    :class:`~mixedgp.kernels.HyperparameterSet` warm starts appended after
+    the evenly spaced diagonal starts; an entry of another type, or a bare
+    set, raises TypeError.  The search draws nothing at random: ``seed`` is
+    carried for provenance only, the seed of the design a fit was run on
+    (``mixedgp fit --seed``).  ``n_starts`` and ``max_evals`` must be whole
+    numbers, not bools (TypeError otherwise), of at least 1, and
+    ``jitter``, the starting nugget, must be positive and finite
+    (ValueError otherwise).
     """
 
     n_starts: int = 10
@@ -127,11 +128,16 @@ class FitConfig:
     extra_starts: tuple = ()
 
     def __post_init__(self):
-        if operator.index(self.n_starts) < 1:
+        if _count(self.n_starts) < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.max_evals is not None and operator.index(self.max_evals) < 1:
+        if self.max_evals is not None and _count(self.max_evals) < 1:
             raise ValueError("max_evals must be None or >= 1")
         _check_jitter(self.jitter)
+        if isinstance(self.extra_starts, kr.HyperparameterSet):
+            raise TypeError("extra_starts must be a sequence of HyperparameterSet, got a bare one")
+        object.__setattr__(self, "extra_starts", tuple(self.extra_starts))
+        if not all(isinstance(hp, kr.HyperparameterSet) for hp in self.extra_starts):
+            raise TypeError("extra_starts must hold HyperparameterSet warm starts only")
 
 
 # ---------------------------------------------------------------------------

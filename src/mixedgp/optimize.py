@@ -16,21 +16,18 @@ scores them as one block (the likelihood evaluator shares their factors);
 it must return, row by row, what ``objective`` returns, so the search, its
 evaluation count and its result do not depend on whether it is given.
 
-Within one :func:`multistart` call, starts that meet share their path.
-One iteration of the search is fixed by its state, the centre and the
-radius (the value at the centre is the objective there), so multistart
-keeps, per state, the values that iteration scored, in call order; a
-start's first point is a state of its own.  A later start that reaches a
-recorded state replays those values instead of scoring them again, and
-calls the objective only where the record ends (an earlier start ran out
-of budget or failed there), extending it.  Replayed values pass the same
-budget check and count in ``n_evals`` as scored ones, so every result and
-count equals that of independent searches; ``StartRecord.replayed`` says
-how many were replayed.  This relies on the objective being a
-deterministic function of the point.  The record lives for one
-multistart call; :func:`local_search` keeps one of its own, which never
-replays: one search never returns to a state, because the centre moves
-only on a strict improvement and otherwise the radius halves.
+A search looks up what it scores in a record first.  A stencil is fixed
+by its centre and radius, so its values are recorded under
+``(centre bytes, radius)``; a start or line-search point under its own
+bytes.  A key already in the record is replayed instead of scored again.
+Replayed values pass the same budget check and count in ``n_evals`` as
+scored ones, so every result and count equals that of searches that never
+replay; ``StartRecord.replayed`` says how many were replayed.  This relies
+on the objective being a deterministic function of the point.  One
+:func:`multistart` call shares one record among its starts, so starts
+that meet share their path; :func:`local_search` keeps one of its own,
+which replays the points one search repeats (a line search whose
+expansion clips onto the box twice scores that corner once).
 
 Everything here is deterministic: identical inputs give bit-identical
 results; nothing is drawn at random.
@@ -39,13 +36,13 @@ results; nothing is drawn at random.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ObjectiveFailure
+from .space import _count
 
 __all__ = [
     "INITIAL_STEP",
@@ -137,9 +134,9 @@ def local_search(
 
     Returns (best_point, best_value, n_evals) with best_point inside the
     bounds exactly and best_value >= objective(start).  ``max_evals``
-    defaults to 500 * dim when None, and must be a whole number (TypeError
-    otherwise) of at least 1.  Exceptions from the objective are re-raised
-    as ObjectiveFailure with the point attached.
+    defaults to 500 * dim when None, and must be a whole number, not a bool
+    (TypeError otherwise), of at least 1.  Exceptions from the objective
+    are re-raised as ObjectiveFailure with the point attached.
 
     ``batch_objective(points)``, given, scores each stencil as one block:
     it takes an (m, dim) array of points and returns their m values, each
@@ -156,17 +153,16 @@ def _search(objective, bounds, start, max_evals, batch_objective,
             record: dict) -> tuple[SearchResult, int, str]:
     """:func:`local_search`, how many of its values came from ``record``, and why it stopped.
 
-    ``record`` maps a search state ``(centre bytes, radius)`` (radius None
-    for the start's own point) to the values its iteration scored, one
-    list per scoring call.  The search replays the calls a state holds and
-    appends the ones it has to score.
+    ``record`` maps what was scored to its values: a stencil's
+    ``(centre bytes, radius)`` or a point's bytes (see the module docstring).
+    The search replays the keys it holds and adds the ones it scores.
     """
     start = np.asarray(start, dtype=float).reshape(-1)
     if start.size != bounds.dim:
         raise ValueError(f"start has length {start.size}, bounds expect {bounds.dim}")
     if not bounds.contains(start):
         raise ValueError("start must lie within the bounds")
-    if max_evals is not None and operator.index(max_evals) < 1:
+    if max_evals is not None and _count(max_evals) < 1:
         raise ValueError("max_evals must be None or >= 1")
 
     lo, hi = bounds.lower, bounds.upper
@@ -174,33 +170,26 @@ def _search(objective, bounds, start, max_evals, batch_objective,
     dim = bounds.dim
     budget = max_evals if max_evals is not None else 500 * dim
     n_evals = replayed = 0
-    calls, cursor = [], 0  # the current state's scoring calls, and how many were made
-
-    def enter(state) -> None:
-        nonlocal calls, cursor
-        calls = record.setdefault(state, [])
-        cursor = 0
 
     def to_x(u: np.ndarray) -> np.ndarray:
         # final min/max guards against 1-ulp overshoot of the affine map
         return np.minimum(np.maximum(lo + u * width, lo), hi)
 
-    def score(U: np.ndarray) -> list[float]:
-        """Values at the rows of the stencil U, or at the one point U.
+    def score(U: np.ndarray, key) -> list[float]:
+        """Values at the rows of the stencil U, or at the one point U, recorded under ``key``.
 
         Raises _BudgetExhausted, and scores nothing, when the remaining
         budget cannot cover every point.
         """
-        nonlocal n_evals, replayed, cursor
+        nonlocal n_evals, replayed
         X = to_x(U)
         rows = X.reshape(-1, dim)
         if len(rows) > budget - n_evals:
             raise _BudgetExhausted
         n_evals += len(rows)
-        cursor += 1
-        if cursor <= len(calls):
+        if key in record:
             replayed += len(rows)
-            return calls[cursor - 1]
+            return record[key]
         values = []
         try:
             if X.ndim == 2 and len(X) and batch_objective is not None:
@@ -211,23 +200,22 @@ def _search(objective, bounds, start, max_evals, batch_objective,
                     values.append(float(objective(x)))
         except Exception as exc:
             raise ObjectiveFailure(x) from exc
-        calls.append([_finite(v) for v in values])
-        return calls[-1]
+        values = [_finite(v) for v in values]
+        record[key] = values
+        return values
 
     best_u = np.clip((start - lo) / width, 0.0, 1.0)
-    enter((best_u.tobytes(), None))
-    [best_f] = score(best_u)
+    [best_f] = score(best_u, best_u.tobytes())
 
     delta = INITIAL_STEP
     try:
         while delta >= FINAL_STEP and n_evals < budget:
-            enter((best_u.tobytes(), delta))
             # one-sided coordinate stencil, stepping away from the near bound
             coords = np.clip(best_u + np.where(best_u + delta <= 1.0, delta, -delta), 0.0, 1.0)
             moved = np.flatnonzero(coords != best_u)
             stencil = np.repeat(best_u[None, :], len(moved), axis=0)
             stencil[np.arange(len(moved)), moved] = coords[moved]
-            values = score(stencil)
+            values = score(stencil, (best_u.tobytes(), delta))
             f = np.array(values)
             h = coords[moved] - best_u[moved]
             slope = np.copysign(1.0, h) if best_f == -math.inf else (f - best_f) / h
@@ -247,7 +235,7 @@ def _search(objective, bounds, start, max_evals, batch_objective,
                     trial = np.clip(best_u + t * direction, 0.0, 1.0)
                     if np.array_equal(trial, best_u):
                         break
-                    [f_t] = score(trial)
+                    [f_t] = score(trial, trial.tobytes())
                     if f_t > line_f:
                         line_u, line_f = trial, f_t
                         t *= 2.0  # expand while the step keeps paying off
@@ -287,17 +275,18 @@ def multistart(
     box) after the diagonal ones.  ``max_evals`` (each start's budget) and
     ``batch_objective`` are passed to every :func:`local_search`, which
     checks ``max_evals`` before any objective call; ``n_starts`` must be a
-    whole number (TypeError otherwise) of at least 1.  Per-start failures
-    are tolerated; the call fails only if every start fails.
+    whole number, not a bool (TypeError otherwise), of at least 1.
+    Per-start failures are tolerated; the call fails only if every start
+    fails.
 
     The objective must be a deterministic function of the point: the
-    starts share one record of the values scored per search state (see
-    the module docstring), and a start that reaches a recorded state
-    replays them instead of calling the objective.  The result and every
+    starts share one record of the values scored (see the module
+    docstring), and a start that reaches a recorded stencil or point
+    replays it instead of calling the objective.  The result and every
     ``StartRecord`` but its ``replayed`` count equal those of independent
-    :func:`local_search` calls.  The record is dropped on return.
+    searches that never replay.  The record is dropped on return.
     """
-    if operator.index(n_starts) < 1:
+    if _count(n_starts) < 1:
         raise ValueError("n_starts must be >= 1")
     starts = [
         bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)

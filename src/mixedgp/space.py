@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,13 @@ def _check_name(name: str, what: str) -> None:
     """A name must be one whitespace-free token: the space file splits its lines on whitespace."""
     if not isinstance(name, str) or name.split() != [name]:
         raise ValueError(f"{what} {name!r} must be a non-empty name without whitespace")
+
+
+def _count(value) -> int:
+    """``value`` as an int; TypeError unless it is a whole number, and for a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"a count must be a whole number, got {value!r}")
+    return operator.index(value)
 
 
 def _set_bounds(var, whole: bool) -> None:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mixedgp import gp
 from mixedgp.benchmarks import (
     BenchmarkResult,
     CantileverConfig,
@@ -213,6 +214,31 @@ def test_benchmark_results_keep_input_order():
     fast = FitConfig(n_starts=1, max_evals=100)
     results, _, _ = run_cosine_benchmark(["ehh", "gd"], doe_size=5, seed=1, fit_config=fast)
     assert [r.kind for r in results] == [K.EHH, K.GD]
+
+
+def test_a_kind_named_twice_is_fitted_and_reported_once(monkeypatch):
+    fitted = []
+    real_fit = gp.fit
+
+    def counting_fit(dataset, kind, p, config):
+        fitted.append(kind)
+        return real_fit(dataset, kind, p, config)
+
+    monkeypatch.setattr(gp, "fit", counting_fit)
+    fast = FitConfig(n_starts=1, max_evals=100)
+    results, corr, _ = run_cosine_benchmark(["gd", "ehh", "GD", K.EHH], doe_size=5, seed=1,
+                                            fit_config=fast, grid_points=5)
+    assert fitted == [K.GD, K.EHH]
+    assert [r.kind for r in results] == [K.GD, K.EHH] and list(corr) == [K.GD, K.EHH]
+
+
+def test_a_list_of_warm_starts_reaches_the_benchmark():
+    # FitConfig stores the list as a tuple, so the runner can append its own warm starts
+    theta = set_from_search_vector(cosine_space(), K.GD, np.zeros(2))
+    results, _, errors = run_cosine_benchmark(
+        ["gd"], doe_size=5, seed=1, grid_points=5,
+        fit_config=FitConfig(n_starts=1, max_evals=20, extra_starts=[theta]))
+    assert not errors and [r.kind for r in results] == [K.GD]
 
 
 @pytest.mark.slow

@@ -247,6 +247,18 @@ def test_benchmark_cosine_rows(tmp_path):
     assert lines[1].startswith("gd,") and lines[2].startswith("cr,")
 
 
+def test_benchmark_reports_a_kind_named_twice_once(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = main(["benchmark", "--problem", "cosine", "--kernels", "gd,GD",
+                 "--doe-size", "6", "--seed", "0", "--starts", "1", "--budget", "50",
+                 "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["gd"]
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("gd,")
+
+
 def test_benchmark_unknown_problem():
     with pytest.raises(SystemExit) as info:
         main(["benchmark", "--problem", "rosenbrock"])

@@ -141,6 +141,16 @@ def test_counts_must_be_whole_numbers(cosine_like, call):
         call(cosine_like)
 
 
+@pytest.mark.parametrize("call", [
+    lambda space: lhs(space, True),
+    lambda space: grid(space, (True,)),
+], ids=["lhs-True", "grid-True"])
+def test_counts_refuse_bools(cosine_like, call):
+    # operator.index(True) is 1: without the check, grid would build 13 rows
+    with pytest.raises(TypeError, match="got True"):
+        call(cosine_like)
+
+
 def test_numpy_integer_counts_are_counts(cosine_like):
     assert lhs(cosine_like, np.int64(7), 3) == lhs(cosine_like, 7, 3)
     assert grid(cosine_like, (np.int32(4),)) == grid(cosine_like, (4,))

@@ -228,6 +228,24 @@ def test_fit_config_counts_must_be_whole_numbers(values):
         FitConfig(**values)
 
 
+@pytest.mark.parametrize("values", [{"n_starts": True}, {"max_evals": True},
+                                    {"max_evals": False}], ids=repr)
+def test_fit_config_counts_refuse_bools(values):
+    with pytest.raises(TypeError, match="whole number"):
+        FitConfig(**values)
+
+
+def test_fit_config_extra_starts_are_a_tuple_of_hyperparameter_sets():
+    space = mixed_space()
+    theta = random_theta(space, K.CR, np.random.default_rng(0))
+    assert FitConfig(extra_starts=[theta]).extra_starts == (theta,)
+    assert FitConfig(extra_starts=iter([theta, theta])).extra_starts == (theta, theta)
+    for starts, match in [(theta, "bare"), ([theta.flat], "only"), (np.zeros((1, 3)), "only"),
+                          ([theta, None], "only")]:
+        with pytest.raises(TypeError, match=match):
+            FitConfig(extra_starts=starts)
+
+
 def test_fit_config_takes_numpy_integer_counts():
     config = FitConfig(n_starts=np.int64(2), max_evals=np.int32(20))
     model = fit(mixed_dataset(8), K.GD, 2, config)

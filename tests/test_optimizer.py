@@ -1,9 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixedgp import gp
+from mixedgp.doe import lhs
 from mixedgp.errors import ObjectiveFailure
+from mixedgp.kernels import CategoricalKernelKind, search_bounds, set_from_search_vector
 from mixedgp.optimize import (
     FINAL_STEP,
     INITIAL_STEP,
@@ -12,6 +18,9 @@ from mixedgp.optimize import (
     local_search,
     multistart,
 )
+from mixedgp.space import Dataset
+
+from conftest import spaces
 
 
 def unit_box(dim):
@@ -43,6 +52,16 @@ def test_bounds_validation():
         "multistart-budget-float", "multistart-starts-float"])
 def test_entry_refusals(call, error, match):
     with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: local_search(lambda x: 0.0, unit_box(2), np.full(2, 0.5), True),
+    lambda: multistart(lambda x: 0.0, unit_box(2), 2, True),
+    lambda: multistart(lambda x: 0.0, unit_box(2), True),
+], ids=["local-budget", "multistart-budget", "multistart-starts"])
+def test_counts_refuse_bools(call):
+    with pytest.raises(TypeError, match="got True"):
         call()
 
 
@@ -282,22 +301,39 @@ def test_search_equals_the_coordinate_loop_reference(objective, dim, upper):
 # ---------------------------------------------------------------------------
 
 class Counting:
-    """An objective that counts the rows it scores, one by one or as a block."""
+    """An objective that counts the rows it scores, one by one or as a block.
 
-    def __init__(self, f):
-        self.f, self.rows = f, 0
+    ``block`` scores a block through ``batch`` when given, else row by row.
+    """
+
+    def __init__(self, f, batch=None):
+        self.f, self.batch, self.rows = f, batch, 0
 
     def __call__(self, x):
         self.rows += 1
         return self.f(x)
 
     def block(self, X):
-        return np.array([self(x) for x in X])
+        if self.batch is None:
+            return np.array([self(x) for x in X])
+        self.rows += len(X)
+        return self.batch(X)
 
 
-def independent_starts(objective, bounds, n_starts, max_evals, extra_starts=(), batched=False):
-    """multistart's reference: one search per start, no state shared between them."""
-    batch = (lambda X: np.array([objective(x) for x in X])) if batched else None
+class NeverStored(dict):
+    """A record that keeps nothing: a search on it scores every value it charges."""
+
+    def __setitem__(self, key, values):
+        pass
+
+
+def row_by_row(objective):
+    return lambda X: np.array([objective(x) for x in X])
+
+
+def independent_starts(objective, bounds, n_starts, max_evals, extra_starts=(),
+                       batch_objective=None):
+    """multistart's reference: one search per start, none of them replaying a value."""
     starts = [bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)
               for i in range(n_starts)]
     starts += [np.minimum(np.maximum(np.asarray(e, dtype=float), bounds.lower), bounds.upper)
@@ -305,10 +341,12 @@ def independent_starts(objective, bounds, n_starts, max_evals, extra_starts=(), 
     best, records, failures = None, [], []
     for index, start in enumerate(starts):
         try:
-            result, _, stop = _search(objective, bounds, start, max_evals, batch, {})
+            result, replayed, stop = _search(objective, bounds, start, max_evals,
+                                             batch_objective, NeverStored())
         except ObjectiveFailure as exc:
             failures.append(exc)
             continue
+        assert replayed == 0
         records.append((index, result.n_evals, repr(result.value), stop))
         if best is None or result.value > best.value:
             best = result
@@ -332,14 +370,18 @@ def fails_at_the_corner(x):
     return corner(x)
 
 
-def assert_multistart_is_independent(objective, bounds, n_starts, max_evals, batched,
+def assert_multistart_is_independent(objective, bounds, n_starts, max_evals, batch_objective,
                                      extra_starts=()):
-    """multistart equals independent searches; returns its records."""
+    """multistart equals independent searches; returns its records.
+
+    Every row that reaches ``objective`` or ``batch_objective`` is one a
+    start charged and did not replay.
+    """
     best, expected, failures = independent_starts(objective, bounds, n_starts, max_evals,
-                                                  extra_starts, batched)
-    counting = Counting(objective)
+                                                  extra_starts, batch_objective)
+    counting = Counting(objective, batch_objective)
     kwargs = dict(extra_starts=extra_starts,
-                  batch_objective=counting.block if batched else None)
+                  batch_objective=None if batch_objective is None else counting.block)
     if best is None:
         with pytest.raises(ObjectiveFailure) as info:
             multistart(counting, bounds, n_starts, max_evals, **kwargs)
@@ -361,6 +403,7 @@ def assert_multistart_is_independent(objective, bounds, n_starts, max_evals, bat
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_multistart_equals_independent_searches(objective, dim, batched):
     bounds = unit_box(dim)
+    batch = row_by_row(objective) if batched else None
     replayed = 0
     for max_evals in (*range(1, 25), 40, None):
         for n_starts in (1, 3, 6):
@@ -368,7 +411,7 @@ def test_multistart_equals_independent_searches(objective, dim, batched):
             # states that nearer starts extended: its budget must still stop it
             for extra_starts in ((), (np.full(dim, 0.5 / n_starts),)):
                 starts = assert_multistart_is_independent(
-                    objective, bounds, n_starts, max_evals, batched, extra_starts)
+                    objective, bounds, n_starts, max_evals, batch, extra_starts)
                 replayed += sum(r.replayed for r in starts)
     if objective is not awkward:
         assert replayed > 0  # the starts meet, and the test sees them share their path
@@ -381,7 +424,7 @@ def test_an_extra_start_on_a_diagonal_start_replays_its_whole_path(batched):
     for objective in (corner, floor, awkward):
         for max_evals in (1, 5, 40, None):
             starts = assert_multistart_is_independent(
-                objective, bounds, 3, max_evals, batched,
+                objective, bounds, 3, max_evals, row_by_row(objective) if batched else None,
                 extra_starts=(diagonal,))
             assert starts[-1].start_index == 3
             assert starts[-1].replayed == starts[-1].n_evals == starts[0].n_evals
@@ -390,15 +433,17 @@ def test_an_extra_start_on_a_diagonal_start_replays_its_whole_path(batched):
 @pytest.mark.parametrize("batched", [False, True])
 def test_a_start_extends_a_record_the_budget_cut(batched):
     # Both starts clip to the corner in their first line search, then halve
-    # their radius there, 2 evaluations per state.  The diagonal start
+    # their radius there, 2 evaluations per stencil.  The diagonal start
     # (index 0, at 0.5) reaches the corner after 1 + 2 + 4 evaluations (its
-    # line search scores the clipped corner twice) and scores 7 corner
-    # states; the 8th's stencil does not fit its budget.  The warm start
-    # (index 1, at 0.9) reaches it after 1 + 2 + 2, replays those 7 states
+    # line search charges the clipped corner twice and replays the second)
+    # and scores 7 corner stencils; the 8th does not fit its budget.  The
+    # warm start (index 1, at 0.9) reaches it after 1 + 2 + 2 (both line
+    # search trials clip to the recorded corner), replays those 7 stencils
     # and scores the 8th.
     bounds = unit_box(2)
     near = (np.full(2, 0.9),)
-    best, expected, _ = independent_starts(corner, bounds, 1, 22, near, batched)
+    batch = row_by_row(corner) if batched else None
+    best, expected, _ = independent_starts(corner, bounds, 1, 22, near, batch)
     counting = Counting(corner)
     result = multistart(counting, bounds, 1, 22, extra_starts=near,
                         batch_objective=counting.block if batched else None)
@@ -406,12 +451,75 @@ def test_a_start_extends_a_record_the_budget_cut(batched):
             for r in result.starts] == expected
     cut, extended = result.starts
     assert cut.stop == extended.stop == "budget"
-    assert (cut.n_evals, cut.replayed) == (21, 0)
-    assert (extended.n_evals, extended.replayed) == (21, 14)
-    assert counting.rows == 21 + 7
+    assert (cut.n_evals, cut.replayed) == (21, 1)
+    assert (extended.n_evals, extended.replayed) == (21, 16)
+    assert counting.rows == 20 + 5
 
 
-def test_local_search_alone_replays_nothing():
-    counting = Counting(corner)
-    result = local_search(counting, unit_box(2), np.full(2, 0.3))
-    assert counting.rows == result.n_evals
+def test_a_clipped_corner_is_charged_twice_and_scored_once():
+    # From (0.5, 0.5) toward the maximum outside the box, the line search's
+    # trials at t = 1 and t = 2 both clip to the corner (1, 1).
+    seen = []
+
+    def objective(x):
+        seen.append(x.tobytes())
+        return corner(x)
+
+    bounds, start = unit_box(2), np.full(2, 0.5)
+    result, replayed, stop = _search(objective, bounds, start, 7, None, {})
+    assert (result.n_evals, replayed, stop) == (7, 1, "budget")  # 1 + 2 + 4 trials
+    assert seen.count(np.ones(2).tobytes()) == 1 and len(seen) == 6
+    assert result.point.tobytes() == np.ones(2).tobytes()
+    point, value, n_evals = loop_search(corner, bounds, start, 7)  # charges every trial
+    assert (point.tobytes(), value, n_evals) == (result.point.tobytes(), result.value, 7)
+
+
+# on a multiple of 1/8 a start meets the diagonal starts' stencils and corners
+COORDINATES = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(np.linspace(-0.25, 1.25, 13)))
+
+
+@st.composite
+def plain_searches(draw):
+    """A multistart of a plain objective on the unit box, with 0-2 extra starts."""
+    objective = draw(st.sampled_from([corner, floor, fails_at_the_corner, awkward]))
+    dim = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.lists(COORDINATES, min_size=dim, max_size=dim), max_size=2))
+    return (objective, unit_box(dim), draw(st.integers(1, 6)),
+            draw(st.one_of(st.none(), st.integers(1, 60))),
+            row_by_row(objective) if draw(st.booleans()) else None,
+            tuple(np.array(e) for e in extra))
+
+
+@st.composite
+def likelihood_searches(draw):
+    """The multistart a likelihood fit runs, of any kind, with an optional warm start."""
+    space = draw(spaces())
+    kind = draw(st.sampled_from(list(CategoricalKernelKind)))
+    n, seed = draw(st.integers(3, 10)), draw(st.integers(0, 2**16))
+    points = lhs(space, n, seed)
+    data = Dataset(space, points, np.cos(2.3 * np.arange(n)) + 0.2 * np.arange(n))
+    lower, upper, _ = search_bounds(space, kind)
+    warm = tuple(set_from_search_vector(space, kind, lower + f * (upper - lower))
+                 for f in draw(st.lists(st.sampled_from([0.25, 0.5, 0.7]), max_size=1)))
+    config = gp.FitConfig(n_starts=draw(st.integers(1, 4)), extra_starts=warm,
+                          max_evals=draw(st.integers(1, 12)) * (lower.size + 1))
+    calls = []
+
+    def recording(objective, bounds, n_starts, max_evals, **kwargs):
+        calls.append((objective, bounds, n_starts, max_evals, kwargs["batch_objective"],
+                      kwargs["extra_starts"]))
+        return multistart(objective, bounds, n_starts, max_evals, **kwargs)
+
+    with mock.patch.object(gp, "multistart", recording):
+        gp._maximize(data, kind, draw(st.sampled_from([1, 2])), config)
+    return calls[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(plain_searches(), likelihood_searches()))
+def test_multistart_replays_only_what_independent_searches_score(search):
+    """multistart's result and records equal searches on a record that stores nothing,
+    and every row charged and not replayed, and no other, reaches the objective."""
+    objective, bounds, n_starts, max_evals, batch_objective, extra_starts = search
+    assert_multistart_is_independent(objective, bounds, n_starts, max_evals, batch_objective,
+                                     extra_starts)

@@ -15,7 +15,8 @@ from the parent's by more than the parent's interquartile range.
 ``--seeds`` takes a range ``421-430`` or a list ``1,5,9``.  ``--out``
 appends every run's result line, tagged with its side and seed, to a JSON
 lines file.  A run that exits nonzero or prints no result counts as
-failed and is left out of its pair.  Only the standard library is used,
+failed and is left out of its pair; the summary then covers the complete
+pairs, and the script exits 1.  Only the standard library is used,
 and nothing under ``perfbench/`` is changed.
 """
 
@@ -98,12 +99,11 @@ def main(argv=None) -> int:
             pairs.append((results["parent"], results["change"]))
         else:
             failed += 1
+    if pairs:
+        print("\n".join(summary(pairs, better)))
     if failed:
         print(f"{failed} pair(s) left out: a run failed", file=sys.stderr)
-    if not pairs:
-        return 1
-    print("\n".join(summary(pairs, better)))
-    return 0
+    return 1 if failed or not pairs else 0
 
 
 if __name__ == "__main__":
