@@ -272,7 +272,13 @@ def _run_problem(
     p: int,
     fit_config: gp.FitConfig,
 ):
-    """Sample, fit every kind and score on the validation grid; ``truth`` maps a batch to values."""
+    """Sample, fit every kind and score on the validation grid; ``truth`` maps a batch to values.
+
+    Each warm start of ``fit_config.extra_starts`` goes only to the fit of
+    its own kind, ahead of the starts embedded from the kinds already
+    fitted.  ``p`` must be 1 or 2 (ValueError, before any fit).
+    """
+    p = kr.check_exponent(p)
     # a kind named twice is fitted and reported once, where it is first named
     kinds = list(dict.fromkeys(kr.CategoricalKernelKind.parse(k) if isinstance(k, str) else k
                                for k in kinds))
@@ -286,10 +292,8 @@ def _run_problem(
     fitted: dict = {}
     # stable sort: kinds of one nesting rank are fitted in the caller's order
     for kind in sorted(kinds, key=lambda k: kr.KINDS[k].nesting_rank):
-        config = replace(
-            fit_config,
-            extra_starts=fit_config.extra_starts + _warm_starts(kind, fitted),
-        )
+        own = tuple(hp for hp in fit_config.extra_starts if hp.kind is kind)
+        config = replace(fit_config, extra_starts=own + _warm_starts(kind, fitted))
         try:
             model = gp.fit(dataset, kind, p, config)
             means, variances = gp.predict(model, validation_points)
@@ -326,7 +330,9 @@ def run_cosine_benchmark(
     """Cosine problem: LHS training set, 13 x grid_points validation grid.
 
     Returns (results, correlation_matrices, errors); fit errors of one kind
-    do not abort the others.
+    do not abort the others.  A warm start in ``fit_config.extra_starts``
+    seeds only the fit of its own kind; one on another layout makes that
+    kind's fit fail.  ``p`` must be the integer 1 or 2 (ValueError).
     """
     space = cosine_space()
     validation = grid(space, (grid_points,))
@@ -347,7 +353,8 @@ def run_cantilever_benchmark(
 ):
     """Cantilever beam: LHS training set, 12 x 30 x 30 validation grid.
 
-    Deflections (and hence RMSE) are in meters.
+    Deflections (and hence RMSE) are in meters.  Returns, warm-starts and
+    checks ``p`` as :func:`run_cosine_benchmark` does.
     """
     space = beam_space()
     validation = grid(space, grid_points)

@@ -35,11 +35,12 @@ factor is that buffer, valid until the next evaluation on the workspace.
 A workspace, with its kept factors, buffer and pairwise distances, lives
 for one search, model build or one-off score; no model keeps one, and
 prediction reads only the model (:func:`_cross_correlations`).
-``_Workspace.evaluate_block`` scores many
-vectors at once with the same code as ``evaluate``; a fit passes it each
-search stencil, whose rows share the centre's factors and whose level
-matrices are built as one stack, so every row keeps the bits of a
-one-vector evaluation.  All solves go through one Cholesky factor L of
+``_Workspace.evaluate_block`` scores many vectors at once; a fit passes
+it each search stencil.  It builds the level matrices of all its rows as
+one stack per categorical variable, then scores the rows in order
+through the same memo and scorer as ``evaluate``, so every row keeps the
+bits of a one-vector evaluation and leaves the memo as that evaluation
+would.  All solves go through one Cholesky factor L of
 R + jitter*I, read from its lower triangle (the search leaves R's upper
 triangle in place; a model stores the clean lower factor, and L^-1 for
 the predictive variance); the jitter escalates by factors of 10 (up to
@@ -55,7 +56,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -95,7 +95,9 @@ _PREDICT_CHUNK = 256
 
 
 def _check_jitter(jitter: float) -> None:
-    """Raise ValueError unless ``jitter``, R's starting nugget, is positive and finite."""
+    """Raise ValueError unless ``jitter``, R's starting nugget, is a positive finite number."""
+    if isinstance(jitter, (bool, np.bool_)):
+        raise ValueError(f"jitter must be a number, not a bool, got {jitter!r}")
     if not (math.isfinite(jitter) and jitter > 0):
         raise ValueError(f"jitter must be positive and finite, got {jitter!r}")
 
@@ -174,7 +176,8 @@ class _Workspace:
     variance floor, ``_buffer``, the Fortran-order n x n array R is built
     and factored in, and ``_memo``: per factor block of R (-1 for the
     rates, i for categorical variable i), the bytes of the slice it was
-    last built at and the n x n factor.
+    last built at and the n x n factor.  Every evaluation, of one vector
+    or of one row of a block, leaves there the factors it used.
     """
 
     def __init__(self, points: PointBatch, kind: kr.CategoricalKernelKind, p: int,
@@ -211,40 +214,32 @@ class _Workspace:
                                 f"the workspace's {self.kind.value} kernel on {self.layout}")
         return theta.flat
 
-    def _memoized(self, block: int, key: bytes, once, build) -> np.ndarray:
-        """Block ``block``'s factor at ``key``, built only when the key changed.
-
-        A factor whose ``(block, key)`` is in ``once`` is built without
-        entering the memo: no other row of the caller's block needs it.
-        """
+    def _memoized(self, block: int, key: bytes, build) -> np.ndarray:
+        """Block ``block``'s factor at ``key``, built only when the key changed, and kept."""
         entry = self._memo.get(block)
         if entry is not None and entry[0] == key:
             return entry[1]
         factor = build()
-        if (block, key) not in once:
-            factor.flags.writeable = False  # shared by every later evaluation
-            self._memo[block] = (key, factor)
+        factor.flags.writeable = False  # shared by every later evaluation
+        self._memo[block] = (key, factor)
         return factor
 
-    def _factors(self, flat, levels=None, once=()) -> list[np.ndarray]:
+    def _factors(self, flat, levels=None) -> list[np.ndarray]:
         """R's n x n factors, transposed: exp(-theta . D), then R_i[c_s, c_r] per variable.
 
         exp(-theta . D) is symmetric bit for bit, as |x_r - x_s|^p is; a
         level matrix need not be (``kappa`` adds d_r and d_s in either
         order), so its factor is gathered transposed.  A factor is keyed by
-        the bytes of its slice of ``flat``.  ``levels`` and ``once`` come from
-        :meth:`evaluate_block`: the level matrices it built, by (variable,
-        key), and the factors only one of its rows needs (see
-        :meth:`_memoized`).
+        the bytes of its slice of ``flat``.  ``levels``, from
+        :meth:`evaluate_block`, holds the row's level matrices, one per
+        categorical variable; without it a rebuilt factor builds its own.
         """
         rates = flat[:self.n_numeric]
-        factors = [self._memoized(-1, rates.tobytes(), once, lambda: self._rates_factor(rates))]
+        factors = [self._memoized(-1, rates.tobytes(), lambda: self._rates_factor(rates))]
         for i, L, cut in self.variables:
             values = flat[cut]
-            key = values.tobytes()
-            factors.append(self._memoized(i, key, once, lambda: self._gathered(
-                i, levels[i, key] if levels is not None
-                else kr.categorical_matrix(self.kind, L, values))))
+            factors.append(self._memoized(i, values.tobytes(), lambda: self._gathered(
+                i, levels[i] if levels is not None else kr.categorical_matrix(self.kind, L, values))))
         return factors
 
     def _rates_factor(self, rates: np.ndarray) -> np.ndarray:
@@ -321,32 +316,20 @@ class _Workspace:
     def evaluate_block(self, flats: np.ndarray) -> np.ndarray:
         """Log-likelihoods at the rows of ``flats`` (m, size), -inf where R cannot be factored.
 
-        Row by row, the value has the bits of :meth:`evaluate` at that row:
-        the rows go through the same factors and scorer.  Each
-        categorical variable builds the level matrices of the block's
-        distinct slices as one stack, and each block of R builds one n x n
-        factor per distinct slice: one the memo holds is reused, and a
-        factor only one row needs stays out of the memo, so the factors the
-        rows share (a search stencil's centre) stay in it.  The n x n work
-        is done row by row in the one scoring buffer; no (m, n, n) stack is
-        held.
+        Row by row, the value has the bits of :meth:`evaluate` at that row.
+        Each categorical variable builds the level matrices of all m rows
+        as one stack; the rows are then scored in order through the same
+        memo and scorer as one-vector evaluations, so a block of R is
+        rebuilt only when its slice differs from the row before.  The
+        n x n work is done row by row in the one scoring buffer; no
+        (m, n, n) stack is held.
         """
-        keys = {-1: [rates.tobytes() for rates in flats[:, :self.n_numeric]]}
-        levels = {}
-        for i, L, cut in self.variables:
-            values = flats[:, cut]
-            keys[i] = [row.tobytes() for row in values]
-            first = {}
-            for row, key in enumerate(keys[i]):
-                first.setdefault(key, row)
-            stack = kr.categorical_matrix(self.kind, L, values[list(first.values())])
-            levels.update(((i, key), level) for key, level in zip(first, stack))
-        once = {(block, key) for block, column in keys.items()
-                for key, count in Counter(column).items() if count == 1}
+        stacks = [kr.categorical_matrix(self.kind, L, flats[:, cut]) for _, L, cut in self.variables]
         lls = np.empty(len(flats))
         for row, flat in enumerate(flats):
+            levels = [stack[row] for stack in stacks]
             try:
-                lls[row] = self._score(self._factors(flat, levels, once)).log_likelihood
+                lls[row] = self._score(self._factors(flat, levels)).log_likelihood
             except NumericalFailure:
                 lls[row] = -math.inf
         return lls

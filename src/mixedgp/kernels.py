@@ -78,13 +78,14 @@ __all__ = [
 ]
 
 # Correlation floor of the exponential hypersphere map, a constant of the
-# kernel: exp(-20) ~ 2.06e-9, the correlation the lower bound of
-# THETA_LOG_BOUNDS gives a rate over a unit normalized distance.
+# kernel: exp(-20) ~ 2.06e-9, the smallest rate the lower bound of
+# THETA_LOG_BOUNDS allows.
 EPSILON = float(np.exp(-20.0))
 
-# Default search box for exponential-scale hyperparameters, in log space.
-# log theta in [-20, 3] keeps correlations over a unit normalized distance
-# roughly inside [2.06e-9, 0.999999]; the upper bound is a tuning knob.
+# Search box for exponential-scale hyperparameters, in log space, the same
+# for every kind and fit (no option changes it).  log theta in [-20, 3]
+# keeps the correlation over a unit normalized distance, exp(-theta),
+# inside [exp(-e^3), exp(-e^-20)], about [1.89e-9, 1 - 2.06e-9].
 THETA_LOG_BOUNDS = (-20.0, 3.0)
 
 
@@ -107,11 +108,15 @@ class CategoricalKernelKind(enum.Enum):
 
 
 def check_exponent(p: int) -> int:
-    """Validate the exponential kernel exponent (1 absolute, 2 squared)."""
-    p = int(p)
-    if p not in (1, 2):
-        raise ValueError(f"exponent p must be 1 or 2, got {p}")
-    return p
+    """The exponential kernel exponent (1 absolute, 2 squared) as an int.
+
+    Raises ValueError unless ``p`` is a Python or numpy integer, not a
+    bool, equal to 1 or 2: a float such as 2.0 or 2.5 is refused, not
+    rounded.
+    """
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p not in (1, 2):
+        raise ValueError(f"exponent p must be 1 or 2, got {p!r}")
+    return int(p)
 
 
 # ---------------------------------------------------------------------------

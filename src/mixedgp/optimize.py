@@ -297,7 +297,7 @@ def multistart(
         starts.append(np.minimum(np.maximum(extra, bounds.lower), bounds.upper))
 
     best: SearchResult | None = None
-    shared: dict = {}  # search state -> the values its iteration scored
+    shared: dict = {}  # what was scored (a stencil or a point) -> its values
     records: list[StartRecord] = []
     failures: list[ObjectiveFailure] = []
     for index, start in enumerate(starts):

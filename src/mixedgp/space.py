@@ -8,8 +8,9 @@ checked once, with vectorised tests, when it enters the program.
 :class:`MixedPoint` is its row view, taken by the single-point helpers.
 
 Integer coordinates are whole numbers kept as floats: the kernels treat
-integers through continuous relaxation, and normalized points reuse the
-same container.
+integers through continuous relaxation.  :meth:`PointBatch.normalized`
+returns the continuous and integer columns mapped onto [0, 1] as plain
+arrays.
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ class MixedPoint:
 
     ``categorical`` holds 1-based level indices, as ints; a value that is
     not a whole number stays a float, for :func:`validate_point` to refuse.
-    ``integer`` holds numbers (floats are accepted so normalized points
-    reuse the container).
+    ``integer`` holds floats; one that is not a whole number is kept, for
+    :func:`validate_point` to refuse.
     """
 
     continuous: tuple[float, ...] = ()

@@ -21,12 +21,13 @@ from mixedgp.benchmarks import (
     dragon_space_audit,
     pva,
     rmse,
+    run_cantilever_benchmark,
     run_cosine_benchmark,
     write_benchmark_report,
     _warm_starts,
 )
 from mixedgp.doe import grid, lhs
-from mixedgp.errors import DimensionMismatch
+from mixedgp.errors import DimensionMismatch, ShapeMismatch
 from mixedgp.gp import FitConfig, concentrated_log_likelihood, fit, standardize_targets
 from mixedgp.kernels import (
     EPSILON,
@@ -239,6 +240,45 @@ def test_a_list_of_warm_starts_reaches_the_benchmark():
         ["gd"], doe_size=5, seed=1, grid_points=5,
         fit_config=FitConfig(n_starts=1, max_evals=20, extra_starts=[theta]))
     assert not errors and [r.kind for r in results] == [K.GD]
+
+
+def test_a_warm_start_seeds_only_the_fit_of_its_own_kind(monkeypatch):
+    models = {}
+    real_fit = gp.fit
+
+    def recording_fit(dataset, kind, p, config):
+        models[kind] = real_fit(dataset, kind, p, config)
+        return models[kind]
+
+    monkeypatch.setattr(gp, "fit", recording_fit)
+    theta = set_from_search_vector(cosine_space(), K.GD, np.zeros(2))
+    results, _, errors = run_cosine_benchmark(
+        ["gd", "cr"], doe_size=10, seed=1, grid_points=5,
+        fit_config=FitConfig(n_starts=2, max_evals=20, extra_starts=[theta]))
+    assert not errors and [r.kind for r in results] == [K.GD, K.CR]
+    # GD: two diagonal starts and the caller's; CR: two diagonal starts and GD's embedded
+    assert {kind: len(model.start_log) for kind, model in models.items()} == {K.GD: 3, K.CR: 3}
+
+
+def test_a_warm_start_on_another_layout_fails_its_own_kinds_fit():
+    space = beam_space()  # 12 levels, where the cosine problem has 13
+    theta = set_from_search_vector(space, K.CR, np.zeros(hyperparameter_count(space, K.CR)))
+    results, _, errors = run_cosine_benchmark(
+        ["gd", "cr"], doe_size=10, seed=1, grid_points=5,
+        fit_config=FitConfig(n_starts=1, max_evals=10, extra_starts=[theta]))
+    assert [r.kind for r in results] == [K.GD] and list(errors) == [K.CR]
+    assert isinstance(errors[K.CR], ShapeMismatch)
+
+
+@pytest.mark.parametrize("runner, grid_points", [(run_cosine_benchmark, 5),
+                                                 (run_cantilever_benchmark, (3, 3))])
+@pytest.mark.parametrize("p", [2.5, 1.9, 2.0, True], ids=repr)
+def test_the_runners_refuse_an_exponent_they_would_have_to_coerce(runner, grid_points, p,
+                                                                    monkeypatch):
+    monkeypatch.setattr(gp, "fit", lambda *args: pytest.fail("a fit ran"))
+    with pytest.raises(ValueError, match=f"^exponent p must be 1 or 2, got {p!r}$"):
+        runner(["gd"], doe_size=5, p=p, fit_config=FitConfig(n_starts=1, max_evals=5),
+               grid_points=grid_points)
 
 
 @pytest.mark.slow

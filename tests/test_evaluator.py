@@ -4,9 +4,10 @@
 factor of R (the rates, then each categorical variable) and rebuilds only
 the blocks whose slice of the vector changed.  The oracle runs scripted
 sequences of evaluations on one workspace per kind and compares every
-outcome with ``==`` against a fresh workspace.  ``evaluate_block`` scores many rows at once, sharing their
-factors; its values are compared with ``==`` against one evaluation per
-row, and searches and fits with and without it against each other.  The
+outcome with ``==`` against a fresh workspace.  ``evaluate_block`` scores
+many rows at once, with one level-matrix stack per categorical variable;
+its values are compared with ``==`` against one evaluation per row, and
+searches and fits with and without it against each other.  The
 scorer, which builds R in its factorization buffer, is compared bit for
 bit with ``oracles.profiled_likelihood``, which factors a fresh copy of a
 C-order R.  The property tests check R, the likelihood and saved models
@@ -320,20 +321,43 @@ def test_block_scores_equal_one_evaluation_per_row(space_name, p):
     assert failed == set(K) - ({K.EHH, K.HH} if space_name == "categorical-only" else set())
 
 
-def test_block_keeps_the_shared_factors_in_the_memo():
+def test_block_leaves_the_last_rows_factors_in_the_memo():
     data = dataset(SPACES["integer-two-categorical"])
     ws = gp._Workspace(data.points, K.CR, 2, data.targets)
     lower, upper, mask = search_bounds(data.space, K.CR)
     centre = lower + 0.5 * (upper - lower)
     stencil = np.repeat(centre[None, :], centre.size, axis=0)
     stencil[np.arange(centre.size), np.arange(centre.size)] += 0.1 * (upper - lower)
-    ws.evaluate_block(natural_from_search(stencil, mask))
+    flats = natural_from_search(stencil, mask)
+    ws.evaluate_block(flats)
+    last = flats[-1]
+    slices = {-1: last[:ws.n_numeric], **{i: last[cut] for i, _, cut in ws.variables}}
     fresh = gp._Workspace(data.points, K.CR, 2, data.targets)
-    fresh.evaluate(natural_from_search(centre, mask))
+    fresh.evaluate(last)
     assert ws._memo.keys() == fresh._memo.keys() == {-1, 0, 1}
     for block, (key, factor) in fresh._memo.items():
-        assert ws._memo[block][0] == key
+        assert ws._memo[block][0] == key == slices[block].tobytes()
         assert ws._memo[block][1].tobytes() == factor.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(K))
+def test_block_builds_one_level_matrix_stack_per_variable(kind, monkeypatch):
+    space = SPACES["integer-two-categorical"]
+    data = dataset(space)
+    ws = gp._Workspace(data.points, kind, 2, data.targets)
+    flats = np.array(script(space, kind, 0))  # holds repeated rows: each is stacked again
+    calls = []
+
+    def counting(kind_, L, values):
+        calls.append((L, np.array(values)))
+        return categorical_matrix(kind_, L, values)
+
+    monkeypatch.setattr(gp.kr, "categorical_matrix", counting)
+    ws.evaluate_block(flats)
+    assert len(calls) == len(ws.variables) == 2
+    for (L, values), (_, level_count, cut) in zip(calls, ws.variables):
+        assert L == level_count
+        assert values.tobytes() == flats[:, cut].tobytes() and values.shape == flats[:, cut].shape
 
 
 @pytest.mark.parametrize("L", [2, 3, 5, 13, 20])

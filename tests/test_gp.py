@@ -263,6 +263,34 @@ def test_an_exponent_other_than_1_or_2_is_refused(call, p):
         calls[call]()
 
 
+@pytest.mark.parametrize("call", ["fit", "build_model", "concentrated_log_likelihood",
+                                  "correlation_matrix"])
+@pytest.mark.parametrize("p", [2.5, 1.9, 2.0, True, np.float64(1.0)], ids=repr)
+def test_an_exponent_that_is_not_an_integer_is_refused_not_rounded(call, p):
+    ds = mixed_dataset(8)
+    theta = random_theta(ds.space, K.CR, np.random.default_rng(0))
+    calls = {"fit": lambda: fit(ds, K.CR, p, FitConfig(n_starts=1, max_evals=10)),
+             "build_model": lambda: build_model(ds, theta, p),
+             "concentrated_log_likelihood": lambda: concentrated_log_likelihood(ds, theta, p),
+             "correlation_matrix": lambda: correlation_matrix(ds, theta, p)}
+    with pytest.raises(ValueError, match=f"^exponent p must be 1 or 2, got {re.escape(repr(p))}$"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("entry", ["FitConfig", "build_model", "concentrated_log_likelihood"])
+@pytest.mark.parametrize("jitter", [True, np.True_], ids=repr)
+def test_a_bool_jitter_is_refused_at_every_entry(entry, jitter):
+    ds = mixed_dataset(8)
+    theta = random_theta(ds.space, K.CR, np.random.default_rng(1))
+    calls = {"FitConfig": lambda: FitConfig(jitter=jitter),
+             "build_model": lambda: build_model(ds, theta, 2, jitter),
+             "concentrated_log_likelihood":
+                 lambda: concentrated_log_likelihood(ds, theta, 2, jitter)}
+    with pytest.raises(ValueError, match=f"^jitter must be a number, not a bool, "
+                                         f"got {re.escape(repr(jitter))}$"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("entry", ["build_model", "concentrated_log_likelihood", "load_model"])
 @pytest.mark.parametrize("jitter", [0.0, -1e-12, math.nan, math.inf], ids=repr)
 def test_a_jitter_that_is_not_positive_and_finite_is_refused_at_every_entry(tmp_path, entry,

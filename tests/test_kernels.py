@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mixedgp.kernels import (
     HyperparameterSet,
     categorical_matrix,
     categorical_param_count,
+    check_exponent,
     embed_hyper_matrix,
     gram_to_angles,
     hyperparameter_count,
@@ -63,6 +65,18 @@ def test_continuous_kernel_errors():
         continuous_kernel([0.0], [1.0], [-1.0], 2)
     with pytest.raises(ValueError):
         continuous_kernel([0.0], [1.0], [1.0], 3)
+
+
+@pytest.mark.parametrize("p", [1, 2, np.int64(1), np.int32(2)], ids=repr)
+def test_check_exponent_returns_an_int(p):
+    assert check_exponent(p) == p and type(check_exponent(p)) is int
+
+
+@pytest.mark.parametrize("p", [2.5, 1.9, 2.0, True, False, np.True_, np.float64(2.0), 0, 3,
+                               np.int64(3), "2", None], ids=repr)
+def test_check_exponent_refuses_what_it_would_have_to_coerce(p):
+    with pytest.raises(ValueError, match=f"^exponent p must be 1 or 2, got {re.escape(repr(p))}$"):
+        check_exponent(p)
 
 
 def test_integer_kernel_values():
