@@ -14,7 +14,10 @@ Benchmark runners draw an LHS training set, fit the requested kernel kinds,
 and score RMSE and predictive variance adequacy on dense validation grids.
 Kinds are fitted in nesting order (GD, CR, then the hypersphere kinds) so
 each richer kernel can warm-start from the correlation structure of the
-last fitted simpler one, on top of the usual evenly spaced starts.
+simpler ones already fitted.  GD and CR run those warm starts on top of the
+usual evenly spaced diagonal starts; a kind with angles (HH, EHH, FE) that
+gets one runs its warm starts alone, because they outscore its diagonal
+starts (each warm start already scores its source kind's optimum).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from . import gp
 from . import kernels as kr
 from .doe import grid, lhs
 from .errors import DimensionMismatch, MixedGpError
-from .space import Categorical, Continuous, Dataset, DesignSpace
+from .space import Categorical, Continuous, Dataset, DesignSpace, _count
 
 __all__ = [
     "BenchmarkResult",
@@ -262,6 +265,21 @@ def _warm_starts(kind, previous: dict) -> tuple:
     return tuple(starts)
 
 
+def _config_for(kind, fit_config: gp.FitConfig, previous: dict) -> gp.FitConfig:
+    """``fit_config`` for ``kind``'s fit after the kinds of ``previous`` were fitted.
+
+    Its warm starts are those of ``fit_config.extra_starts`` of ``kind``,
+    then the starts embedded from ``previous`` (:func:`_warm_starts`).  A
+    kind with angles that gets an embedded start runs its warm starts and
+    no diagonal starts (``n_starts=0``); every other fit keeps
+    ``fit_config.n_starts``.
+    """
+    own = tuple(hp for hp in fit_config.extra_starts if hp.kind is kind)
+    embedded = _warm_starts(kind, previous)
+    n_starts = 0 if embedded and kr.KINDS[kind].angle_upper else fit_config.n_starts
+    return replace(fit_config, n_starts=n_starts, extra_starts=own + embedded)
+
+
 def _run_problem(
     space: DesignSpace,
     truth,
@@ -274,11 +292,16 @@ def _run_problem(
 ):
     """Sample, fit every kind and score on the validation grid; ``truth`` maps a batch to values.
 
-    Each warm start of ``fit_config.extra_starts`` goes only to the fit of
-    its own kind, ahead of the starts embedded from the kinds already
-    fitted.  ``p`` must be 1 or 2 (ValueError, before any fit).
+    Each kind's fit runs :func:`_config_for`'s config: each warm start of
+    ``fit_config.extra_starts`` goes only to the fit of its own kind, ahead
+    of the starts embedded from the kinds already fitted, and a kind with
+    angles (HH, EHH, FE) that gets an embedded start runs no diagonal
+    starts, whatever ``fit_config.n_starts`` says.  ``p`` must be 1 or 2
+    and ``doe_size`` at least 2 (ValueError, before any fit).
     """
     p = kr.check_exponent(p)
+    if _count(doe_size) < 2:
+        raise ValueError(f"doe_size must be >= 2, got {doe_size!r}")
     # a kind named twice is fitted and reported once, where it is first named
     kinds = list(dict.fromkeys(kr.CategoricalKernelKind.parse(k) if isinstance(k, str) else k
                                for k in kinds))
@@ -292,10 +315,8 @@ def _run_problem(
     fitted: dict = {}
     # stable sort: kinds of one nesting rank are fitted in the caller's order
     for kind in sorted(kinds, key=lambda k: kr.KINDS[k].nesting_rank):
-        own = tuple(hp for hp in fit_config.extra_starts if hp.kind is kind)
-        config = replace(fit_config, extra_starts=own + _warm_starts(kind, fitted))
         try:
-            model = gp.fit(dataset, kind, p, config)
+            model = gp.fit(dataset, kind, p, _config_for(kind, fit_config, fitted))
             means, variances = gp.predict(model, validation_points)
         except MixedGpError as exc:
             errors[kind] = exc
@@ -332,7 +353,10 @@ def run_cosine_benchmark(
     Returns (results, correlation_matrices, errors); fit errors of one kind
     do not abort the others.  A warm start in ``fit_config.extra_starts``
     seeds only the fit of its own kind; one on another layout makes that
-    kind's fit fail.  ``p`` must be the integer 1 or 2 (ValueError).
+    kind's fit fail.  ``fit_config.n_starts`` does not apply to a kind with
+    angles that gets a warm start embedded from GD or CR: that fit runs its
+    warm starts alone.  ``p`` must be the integer 1 or 2 and ``doe_size``
+    at least 2 (ValueError, before any fit).
     """
     space = cosine_space()
     validation = grid(space, (grid_points,))
@@ -353,8 +377,9 @@ def run_cantilever_benchmark(
 ):
     """Cantilever beam: LHS training set, 12 x 30 x 30 validation grid.
 
-    Deflections (and hence RMSE) are in meters.  Returns, warm-starts and
-    checks ``p`` as :func:`run_cosine_benchmark` does.
+    Deflections (and hence RMSE) are in meters.  Returns, warm-starts,
+    sets each kind's diagonal starts and checks ``p`` and ``doe_size`` as
+    :func:`run_cosine_benchmark` does.
     """
     space = beam_space()
     validation = grid(space, grid_points)

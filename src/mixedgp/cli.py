@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--doe-size", type=int, default=98)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--p", type=int, choices=[1, 2], default=2)
-    p_bench.add_argument("--starts", type=int, default=10)
+    p_bench.add_argument("--starts", type=int, default=10,
+                         help="diagonal starts per fit; a kind with angles (hh, ehh, fe) "
+                              "warm-started from gd or cr runs its warm starts alone")
     p_bench.add_argument("--budget", type=int, default=None)
     p_bench.add_argument("--strict", action="store_true", help="exit 6 if any kernel fit fails")
     p_bench.add_argument("--export-corr-dir", default=None,

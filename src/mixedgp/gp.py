@@ -111,16 +111,18 @@ def _solve(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 class FitConfig:
     """Multistart fitting configuration.
 
-    ``max_evals`` is the optimizer budget per start (500 * dim when None).
+    ``n_starts`` is the number of evenly spaced diagonal starts, and
+    ``max_evals`` the optimizer budget per start (500 * dim when None).
     ``extra_starts``, stored as a tuple, holds
     :class:`~mixedgp.kernels.HyperparameterSet` warm starts appended after
-    the evenly spaced diagonal starts; an entry of another type, or a bare
-    set, raises TypeError.  The search draws nothing at random: ``seed`` is
-    carried for provenance only, the seed of the design a fit was run on
-    (``mixedgp fit --seed``).  ``n_starts`` and ``max_evals`` must be whole
-    numbers, not bools (TypeError otherwise), of at least 1, and
-    ``jitter``, the starting nugget, must be positive and finite
-    (ValueError otherwise).
+    the diagonal starts; an entry of another type, or a bare set, raises
+    TypeError.  The search draws nothing at random: ``seed`` is carried for
+    provenance only, the seed of the design a fit was run on (``mixedgp fit
+    --seed``).  ``n_starts`` and ``max_evals`` must be whole numbers, not
+    bools (TypeError otherwise), of at least 1, but ``n_starts`` may be 0
+    when ``extra_starts`` holds a warm start (the fit then runs the warm
+    starts alone), and ``jitter``, the starting nugget, must be positive
+    and finite (ValueError otherwise).
     """
 
     n_starts: int = 10
@@ -130,16 +132,17 @@ class FitConfig:
     extra_starts: tuple = ()
 
     def __post_init__(self):
-        if _count(self.n_starts) < 1:
-            raise ValueError("n_starts must be >= 1")
-        if self.max_evals is not None and _count(self.max_evals) < 1:
-            raise ValueError("max_evals must be None or >= 1")
-        _check_jitter(self.jitter)
         if isinstance(self.extra_starts, kr.HyperparameterSet):
             raise TypeError("extra_starts must be a sequence of HyperparameterSet, got a bare one")
         object.__setattr__(self, "extra_starts", tuple(self.extra_starts))
         if not all(isinstance(hp, kr.HyperparameterSet) for hp in self.extra_starts):
             raise TypeError("extra_starts must hold HyperparameterSet warm starts only")
+        minimum = 0 if self.extra_starts else 1
+        if _count(self.n_starts) < minimum:
+            raise ValueError(f"n_starts must be >= {minimum}")
+        if self.max_evals is not None and _count(self.max_evals) < 1:
+            raise ValueError("max_evals must be None or >= 1")
+        _check_jitter(self.jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +527,20 @@ def fit(
 ) -> GpModel:
     """Maximum-likelihood fit via deterministic multistart derivative-free search.
 
-    Starts are evenly spaced along the diagonal of the flat hyperparameter
-    box (log-theta and angle coordinates); ``config.extra_starts`` adds warm
-    starts.  The best hyperparameters over all searches, theta*, define the
-    model: it is ``build_model(dataset, theta*, p, config.jitter)``, the call
+    ``config.n_starts`` starts are evenly spaced along the diagonal of the
+    flat hyperparameter box (log-theta and angle coordinates), none when it
+    is 0; ``config.extra_starts`` adds warm starts after them.  The best
+    hyperparameters over all searches, theta*, define the model: it is
+    ``build_model(dataset, theta*, p, config.jitter)``, the call
     :func:`load_model` makes, with ``fit_seconds`` and ``start_log`` set.
     The search's workspace is dropped before the model is built.  Raises
     NumericalFailure when that model's likelihood is not the search's
-    value, and ValueError when ``p`` is not 1 or 2.
+    value, and ValueError, before any evaluation, when ``p`` is not 1 or 2
+    or the dataset has fewer than 2 points (one point's likelihood is the
+    same at every theta).
     """
+    if len(dataset) < 2:
+        raise ValueError(f"a fit needs at least 2 points, the dataset has {len(dataset)}")
     t0 = time.perf_counter()
     result = _maximize(dataset, kind, p, config)
     theta_star = kr.set_from_search_vector(dataset.space, kind, result.point)

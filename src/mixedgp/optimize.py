@@ -268,16 +268,17 @@ def multistart(
     extra_starts: tuple = (),
     batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MultistartResult:
-    """Best of ``n_starts`` local searches from evenly spaced diagonal points.
+    """Best of the local searches from ``n_starts`` diagonal points and from the extra starts.
 
     Start i sits at fraction (i + 1/2) / n_starts along the box diagonal.
-    ``extra_starts`` appends caller-supplied warm starts (clipped to the
-    box) after the diagonal ones.  ``max_evals`` (each start's budget) and
-    ``batch_objective`` are passed to every :func:`local_search`, which
-    checks ``max_evals`` before any objective call; ``n_starts`` must be a
-    whole number, not a bool (TypeError otherwise), of at least 1.
-    Per-start failures are tolerated; the call fails only if every start
-    fails.
+    ``extra_starts``, a sequence, appends caller-supplied warm starts
+    (clipped to the box) after the diagonal ones.  ``max_evals`` (each
+    start's budget) and ``batch_objective`` are passed to every
+    :func:`local_search`, which checks ``max_evals`` before any objective
+    call; ``n_starts`` must be a whole number, not a bool (TypeError
+    otherwise), of at least 1, or of at least 0 when an extra start is
+    given: ``n_starts=0`` runs the extra starts alone.  Per-start failures
+    are tolerated; the call fails only if every start fails.
 
     The objective must be a deterministic function of the point: the
     starts share one record of the values scored (see the module
@@ -286,8 +287,9 @@ def multistart(
     ``StartRecord`` but its ``replayed`` count equal those of independent
     searches that never replay.  The record is dropped on return.
     """
-    if _count(n_starts) < 1:
-        raise ValueError("n_starts must be >= 1")
+    minimum = 0 if len(extra_starts) else 1
+    if _count(n_starts) < minimum:
+        raise ValueError(f"n_starts must be >= {minimum}")
     starts = [
         bounds.lower + (i + 0.5) / n_starts * (bounds.upper - bounds.lower)
         for i in range(n_starts)

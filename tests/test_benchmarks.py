@@ -2,13 +2,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mixedgp import gp
+from mixedgp import benchmarks, gp
 from mixedgp.benchmarks import (
     BenchmarkResult,
     CantileverConfig,
@@ -258,6 +259,69 @@ def test_a_warm_start_seeds_only_the_fit_of_its_own_kind(monkeypatch):
     assert not errors and [r.kind for r in results] == [K.GD, K.CR]
     # GD: two diagonal starts and the caller's; CR: two diagonal starts and GD's embedded
     assert {kind: len(model.start_log) for kind, model in models.items()} == {K.GD: 3, K.CR: 3}
+
+
+def recorded_cosine_fits(monkeypatch, kinds, fit_config, seed=1):
+    """kind -> (dataset, config, model) of each fit of a 10-point cosine benchmark run."""
+    fits = {}
+    real_fit = gp.fit
+
+    def recording_fit(dataset, kind, p, config):
+        fits[kind] = (dataset, config, real_fit(dataset, kind, p, config))
+        return fits[kind][2]
+
+    monkeypatch.setattr(gp, "fit", recording_fit)
+    _, _, errors = run_cosine_benchmark(kinds, doe_size=10, seed=seed, grid_points=5,
+                                        fit_config=fit_config)
+    assert not errors
+    return fits
+
+
+@pytest.mark.parametrize("kind", [K.HH, K.EHH, K.FE])
+def test_an_angle_kind_runs_its_embedded_warm_starts_alone(kind, monkeypatch):
+    fits = recorded_cosine_fits(monkeypatch, ["gd", "cr", kind],
+                                FitConfig(n_starts=3, max_evals=30))
+    # GD: three diagonal starts; CR: three diagonal starts and GD's embedded
+    assert len(fits[K.GD][2].start_log) == 3 and len(fits[K.CR][2].start_log) == 4
+    _, config, model = fits[kind]
+    embedded = _warm_starts(kind, {k: fits[k][2] for k in (K.GD, K.CR)})
+    assert config.n_starts == 0 and config.extra_starts == embedded and embedded
+    assert [r.start_index for r in model.start_log] == list(range(len(embedded)))
+
+
+def test_an_angle_kind_with_no_embedded_warm_start_keeps_its_diagonal_starts(monkeypatch):
+    real_warm_starts = _warm_starts
+    monkeypatch.setattr(benchmarks, "_warm_starts",
+                        lambda kind, previous: () if kind is K.EHH
+                        else real_warm_starts(kind, previous))
+    fits = recorded_cosine_fits(monkeypatch, ["gd", "cr", "ehh"],
+                                FitConfig(n_starts=3, max_evals=30))
+    _, config, model = fits[K.EHH]
+    assert config.n_starts == 3 and config.extra_starts == ()
+    assert [r.start_index for r in model.start_log] == [0, 1, 2]
+
+
+def test_a_runners_ehh_fit_equals_one_from_its_diagonal_and_warm_starts(monkeypatch):
+    fit_config = FitConfig(n_starts=3, max_evals=30)
+    dataset, config, model = recorded_cosine_fits(monkeypatch, ["gd", "cr", "ehh"],
+                                                  fit_config)[K.EHH]
+    both = fit(dataset, K.EHH, 2, replace(fit_config, extra_starts=config.extra_starts))
+    # on this seed a warm start beats the three diagonal starts, so they change nothing
+    best = max(both.start_log, key=lambda r: r.best_value)
+    assert best.start_index >= fit_config.n_starts
+    assert both.theta_star.flat.tobytes() == model.theta_star.flat.tobytes()
+    assert repr(both.log_likelihood) == repr(model.log_likelihood)
+
+
+@pytest.mark.parametrize("runner, grid_points", [(run_cosine_benchmark, 5),
+                                                 (run_cantilever_benchmark, (3, 3))])
+@pytest.mark.parametrize("doe_size", [1, 0])
+def test_the_runners_refuse_a_design_of_fewer_than_2_points(runner, grid_points, doe_size,
+                                                              monkeypatch):
+    monkeypatch.setattr(gp, "fit", lambda *args: pytest.fail("a fit ran"))
+    with pytest.raises(ValueError, match=f"^doe_size must be >= 2, got {doe_size}$"):
+        runner(["gd"], doe_size=doe_size, fit_config=FitConfig(n_starts=1, max_evals=5),
+               grid_points=grid_points)
 
 
 def test_a_warm_start_on_another_layout_fails_its_own_kinds_fit():

@@ -399,6 +399,26 @@ def test_main_called_twice_gives_what_two_fresh_processes_give(tmp_path, cosine_
     assert without_fit_seconds(here / "report.csv") == without_fit_seconds(fresh / "report.csv")
 
 
+def test_fit_with_no_start_exits_2(tmp_path, cosine_files, capsys):
+    # the command passes no warm starts, so a fit needs a diagonal start
+    _, space_file, data_file = cosine_files
+    code = main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "0",
+                 "--out-model", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "n_starts must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fit_on_a_one_row_file_exits_2(tmp_path, cosine_files, capsys):
+    _, space_file, data_file = cosine_files
+    data_file.write_text("\n".join(data_file.read_text().splitlines()[:2]) + "\n")
+    code = main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "5", "--out-model", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "a fit needs at least 2 points, the dataset has 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_rejects_nan_target(tmp_path, cosine_files, capsys):
     space, space_file, data_file = cosine_files
     lines = data_file.read_text().splitlines()

@@ -246,6 +246,36 @@ def test_fit_config_extra_starts_are_a_tuple_of_hyperparameter_sets():
             FitConfig(extra_starts=starts)
 
 
+def test_fit_config_takes_no_diagonal_start_only_with_a_warm_start():
+    theta = random_theta(mixed_space(), K.CR, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^n_starts must be >= 1$"):
+        FitConfig(n_starts=0)
+    # the check runs on the stored tuple, so an iterator of sets counts as a warm start
+    config = FitConfig(n_starts=0, extra_starts=iter([theta]))
+    assert (config.n_starts, config.extra_starts) == (0, (theta,))
+    with pytest.raises(ValueError, match="^n_starts must be >= 0$"):
+        FitConfig(n_starts=-1, extra_starts=[theta])
+
+
+def test_a_fit_with_no_diagonal_start_searches_from_its_warm_starts_alone():
+    ds = mixed_dataset(10)
+    warm = random_theta(ds.space, K.CR, np.random.default_rng(1))
+    model = fit(ds, K.CR, 2, FitConfig(n_starts=0, max_evals=40, extra_starts=(warm,)))
+    [record] = model.start_log
+    assert record.start_index == 0 and record.best_value == model.log_likelihood
+    with_diagonal = fit(ds, K.CR, 2, FitConfig(n_starts=2, max_evals=40, extra_starts=(warm,)))
+    assert tuple(with_diagonal.start_log[2])[1:3] == tuple(record)[1:3]
+
+
+def test_fit_refuses_a_one_point_dataset(monkeypatch):
+    # a dataset holds at least one point; a fit needs two
+    space = mixed_space()
+    ds = Dataset(space, lhs(space, 1, seed=0), [0.5])
+    monkeypatch.setattr(gp, "_Workspace", lambda *args: pytest.fail("a likelihood was built"))
+    with pytest.raises(ValueError, match="^a fit needs at least 2 points, the dataset has 1$"):
+        fit(ds, K.GD, 2, FitConfig(n_starts=1, max_evals=5))
+
+
 def test_fit_config_takes_numpy_integer_counts():
     config = FitConfig(n_starts=np.int64(2), max_evals=np.int32(20))
     model = fit(mixed_dataset(8), K.GD, 2, config)

@@ -45,10 +45,12 @@ def test_bounds_validation():
     (lambda: local_search(lambda x: 0.0, unit_box(2), np.array([0.5, 1.5])), ValueError,
      "start must lie within the bounds"),
     (lambda: multistart(lambda x: 0.0, unit_box(2), 0), ValueError, "n_starts must be >= 1"),
+    (lambda: multistart(lambda x: 0.0, unit_box(2), -1, extra_starts=(np.full(2, 0.5),)),
+     ValueError, "n_starts must be >= 0"),
     (lambda: local_search(lambda x: 0.0, unit_box(2), np.full(2, 0.5), 2.5), TypeError, "float"),
     (lambda: multistart(lambda x: 0.0, unit_box(2), 2, 20.5), TypeError, "float"),
     (lambda: multistart(lambda x: 0.0, unit_box(2), 2.5), TypeError, "float"),
-], ids=["start-length", "start-outside", "no-starts", "local-budget-float",
+], ids=["start-length", "start-outside", "no-starts", "negative-starts", "local-budget-float",
         "multistart-budget-float", "multistart-starts-float"])
 def test_entry_refusals(call, error, match):
     with pytest.raises(error, match=match):
@@ -413,8 +415,27 @@ def test_multistart_equals_independent_searches(objective, dim, batched):
                 starts = assert_multistart_is_independent(
                     objective, bounds, n_starts, max_evals, batch, extra_starts)
                 replayed += sum(r.replayed for r in starts)
+        # no diagonal start: the extra start alone
+        assert_multistart_is_independent(objective, bounds, 0, max_evals, batch,
+                                         (np.full(dim, 0.3),))
     if objective is not awkward:
         assert replayed > 0  # the starts meet, and the test sees them share their path
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_multistart_with_no_diagonal_start_is_the_search_from_its_extra_start(batched):
+    bounds = BoxBounds(np.full(3, -1.0), np.array([1.0, 2.0, 3.0]))
+    start = np.array([0.1, 0.7, -0.4])
+    for objective in (corner, floor, awkward):
+        batch = row_by_row(objective) if batched else None
+        for max_evals in (1, 5, 40, None):
+            result = multistart(objective, bounds, 0, max_evals, extra_starts=(start,),
+                                batch_objective=batch)
+            alone = local_search(objective, bounds, start, max_evals, batch_objective=batch)
+            assert result.point.tobytes() == alone.point.tobytes()
+            assert repr(result.value) == repr(alone.value)
+            [record] = result.starts
+            assert (record.start_index, record.n_evals) == (0, alone.n_evals)
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -480,11 +501,14 @@ COORDINATES = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(np.linspace(-0.25,
 
 @st.composite
 def plain_searches(draw):
-    """A multistart of a plain objective on the unit box, with 0-2 extra starts."""
+    """A multistart of a plain objective on the unit box, with 0-2 extra starts.
+
+    With an extra start it may run no diagonal start.
+    """
     objective = draw(st.sampled_from([corner, floor, fails_at_the_corner, awkward]))
     dim = draw(st.integers(1, 4))
     extra = draw(st.lists(st.lists(COORDINATES, min_size=dim, max_size=dim), max_size=2))
-    return (objective, unit_box(dim), draw(st.integers(1, 6)),
+    return (objective, unit_box(dim), draw(st.integers(0 if extra else 1, 6)),
             draw(st.one_of(st.none(), st.integers(1, 60))),
             row_by_row(objective) if draw(st.booleans()) else None,
             tuple(np.array(e) for e in extra))
@@ -492,7 +516,10 @@ def plain_searches(draw):
 
 @st.composite
 def likelihood_searches(draw):
-    """The multistart a likelihood fit runs, of any kind, with an optional warm start."""
+    """The multistart a likelihood fit runs, of any kind, with an optional warm start.
+
+    With the warm start it may run no diagonal start.
+    """
     space = draw(spaces())
     kind = draw(st.sampled_from(list(CategoricalKernelKind)))
     n, seed = draw(st.integers(3, 10)), draw(st.integers(0, 2**16))
@@ -501,7 +528,7 @@ def likelihood_searches(draw):
     lower, upper, _ = search_bounds(space, kind)
     warm = tuple(set_from_search_vector(space, kind, lower + f * (upper - lower))
                  for f in draw(st.lists(st.sampled_from([0.25, 0.5, 0.7]), max_size=1)))
-    config = gp.FitConfig(n_starts=draw(st.integers(1, 4)), extra_starts=warm,
+    config = gp.FitConfig(n_starts=draw(st.integers(0 if warm else 1, 4)), extra_starts=warm,
                           max_evals=draw(st.integers(1, 12)) * (lower.size + 1))
     calls = []
 

@@ -2,8 +2,8 @@
 
     python tools/evalcounts.py > counts.txt
 
-It runs the fits of ``fitbits.PROBLEMS`` (the same data, budget, warm
-starts and starting jitter) and prints, for each, the problem, seed, kind
+It runs the fits of ``fitbits.PROBLEMS`` (the same data, budget, starts
+and starting jitter) and prints, for each, the problem, seed, kind
 and exponent p, then:
 
 - ``charged``: evaluations charged to the starts' budgets, the sum of
@@ -79,8 +79,8 @@ def main() -> int:
         data = Dataset(space, points, truth(points))
         fitted = {}
         for kind in kinds:
-            config = gp.FitConfig(seed=seed, max_evals=fitbits.MAX_EVALS, jitter=jitter,
-                                  extra_starts=bm._warm_starts(kind, fitted))
+            config = bm._config_for(kind, gp.FitConfig(seed=seed, max_evals=fitbits.MAX_EVALS,
+                                                       jitter=jitter), fitted)
             with counting() as counts:
                 model = fitted[kind] = gp.fit(data, kind, p, config)
             charged = sum(record.n_evals for record in model.start_log)

@@ -5,8 +5,9 @@
     diff before.txt after.txt
 
 It fits cosine seeds 0-2 (GD, CR, then EHH, n = 98, ``max_evals=100``,
-each kind warm-started from the kinds before it as the benchmark runner
-does) and beam seed 0 (CR with p = 2, then CR with p = 1, then CR with
+each kind's starts those the benchmark runner gives it, by
+``benchmarks._config_for``: warm starts from the kinds before it, and for
+EHH no diagonal starts) and beam seed 0 (CR with p = 2, then CR with p = 1, then CR with
 p = 2 from a starting jitter of 1e-12, the same budget), and prints one
 line per fit:
 
@@ -79,8 +80,8 @@ def main() -> int:
             validation = grid(space, grid_points)
             fitted = {}
             for kind in kinds:
-                config = gp.FitConfig(seed=seed, max_evals=MAX_EVALS, jitter=jitter,
-                                      extra_starts=bm._warm_starts(kind, fitted))
+                config = bm._config_for(kind, gp.FitConfig(seed=seed, max_evals=MAX_EVALS,
+                                                           jitter=jitter), fitted)
                 model = fitted[kind] = gp.fit(data, kind, p, config)
                 gp.save_model(replace(model, fit_seconds=0.0), path)
                 starts = [tuple(record) for record in model.start_log]
