@@ -102,6 +102,12 @@ def _check_jitter(jitter: float) -> None:
         raise ValueError(f"jitter must be positive and finite, got {jitter!r}")
 
 
+def _check_design(dataset: Dataset) -> None:
+    """Raise ValueError unless ``dataset`` has 2 points: one point scores alike at every theta."""
+    if len(dataset) < 2:
+        raise ValueError(f"a fit needs at least 2 points, the dataset has {len(dataset)}")
+
+
 def _solve(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 b (trans=0) or L^-T b (trans=1) for a lower Cholesky factor L."""
     return dtrtrs(chol, b, lower=1, trans=trans)[0]
@@ -364,8 +370,10 @@ def concentrated_log_likelihood(
     pass ``standardize_targets(dataset)[0]`` to compare with them.
 
     Raises NumericalFailure when R + jitter*I cannot be factored even after
-    jitter escalation.
+    jitter escalation, and ValueError, before any evaluation, when the
+    dataset has fewer than 2 points, as :func:`fit` does.
     """
+    _check_design(dataset)
     ws = _Workspace(dataset.points, theta.kind, p, dataset.targets, jitter)
     return ws.evaluate(ws.flat(theta)).log_likelihood
 
@@ -467,8 +475,10 @@ def build_model(
     and :func:`load_model` at the saved hyperparameters, so a reloaded model
     has a fitted one's bits.  ``jitter`` is the starting nugget; the model
     keeps the one its factorization needed.  Raises ValueError when
-    ``jitter`` is not positive and finite, or ``p`` is not 1 or 2.
+    ``jitter`` is not positive and finite, ``p`` is not 1 or 2, or the
+    dataset has fewer than 2 points (as :func:`fit` does).
     """
+    _check_design(dataset)
     ds_std, y_mean, y_scale = standardize_targets(dataset)
     ws = _Workspace(dataset.points, theta.kind, p, ds_std.targets, jitter)
     flat = ws.flat(theta)
@@ -539,8 +549,7 @@ def fit(
     or the dataset has fewer than 2 points (one point's likelihood is the
     same at every theta).
     """
-    if len(dataset) < 2:
-        raise ValueError(f"a fit needs at least 2 points, the dataset has {len(dataset)}")
+    _check_design(dataset)
     t0 = time.perf_counter()
     result = _maximize(dataset, kind, p, config)
     theta_star = kr.set_from_search_vector(dataset.space, kind, result.point)
@@ -705,7 +714,8 @@ def load_model(path) -> GpModel:
     finite, or its hyperparameters are not finite or violate their domain
     (negative rates, say).  The model is ``build_model`` at the saved
     hyperparameters and jitter, the call :func:`fit` makes, with the saved
-    ``fit_seconds``.
+    ``fit_seconds``; so a file of one point raises :func:`fit`'s
+    ValueError, before any evaluation.
     """
     try:
         doc = json.loads(Path(path).read_text())

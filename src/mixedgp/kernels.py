@@ -133,35 +133,19 @@ def _identity_kappa(a, b, c):
     return a * b * c
 
 
-def _fill_diagonal(M, value) -> None:
-    """Set the diagonal of each L x L matrix of the C-contiguous stack ``M`` (..., L, L).
-
-    ``value`` is a scalar or one (..., L) row per matrix; like
-    ``np.fill_diagonal``, without its per-call checks.
-    """
-    L = M.shape[-1]
-    M.reshape(M.shape[:-2] + (L * L,))[..., ::L + 1] = value
-
-
 def _diagonal_phi(gram, diagonal):
     """GD/CR: Theta's diagonal, zero off the diagonal."""
-    phi = np.zeros(diagonal.shape + diagonal.shape[-1:])
-    _fill_diagonal(phi, diagonal)
-    return phi
+    return 0.0, diagonal
 
 
 def _exponential_sphere_phi(gram, diagonal):
     """EHH/FE: (log eps)/2 (G - 1) off the diagonal, Theta's diagonal on it."""
-    phi = 0.5 * math.log(EPSILON) * (gram - 1.0)
-    _fill_diagonal(phi, diagonal)
-    return phi
+    return 0.5 * math.log(EPSILON) * (gram - 1.0), diagonal
 
 
 def _sphere_phi(gram, diagonal):
     """HH: G/2 off the diagonal and 1 on it, so the diagonal kappa factors are 1."""
-    phi = 0.5 * gram
-    _fill_diagonal(phi, 1.0)
-    return phi
+    return 0.5 * gram, np.ones_like(diagonal)
 
 
 def _ehh_angles(R):
@@ -179,11 +163,15 @@ class KindRule:
     Theta's diagonal is packed: "shared" (one theta, Theta_jj = theta/2),
     "per-level" (one theta_jj per level) or "zero"; packed diagonal values
     are searched in log space.  The angles, Theta's strict lower triangle,
-    are searched in [0, angle_upper]; 0 means the kind has none.  ``phi``
-    builds Phi from the hypersphere Gram matrix (None without angles) and
-    Theta's diagonal.  ``angles_from_correlation`` gives packed angles
-    reproducing a level correlation matrix; kinds without it take a warm
-    start's diagonal instead.  ``nesting_rank`` orders warm starts.
+    are searched in [0, angle_upper]; 0 means the kind has none.
+    ``phi(gram, diagonal)`` builds Phi from the hypersphere Gram matrix
+    (None without angles) and Theta's diagonal (..., L), as the pair (Phi
+    off the diagonal, Phi's diagonal (..., L)); the first is an (..., L, L)
+    stack whose own diagonal is never read, or the scalar 0.0 when Phi is
+    diagonal, so GD and CR build no L x L Phi.  ``angles_from_correlation``
+    gives packed angles reproducing a level correlation matrix; kinds
+    without it take a warm start's diagonal instead.  ``nesting_rank``
+    orders warm starts.
     """
 
     kappa: Callable
@@ -217,10 +205,12 @@ class _Packing(NamedTuple):
     Theta_jj is ``scale * values[diagonal[j]]`` (0 when ``diagonal`` is None);
     the strict lower triangle, row by row, is ``values[angles]``, at the
     row-major cells ``angle_cells`` of an L x L matrix.  ``strict`` and
-    ``lower`` mask the strict and the full lower triangle.  Every array is
-    read-only: one packing is shared by every caller.
+    ``lower`` mask the strict and the full lower triangle.  ``rule`` is the
+    kind's :class:`KindRule`, so one cached lookup gives both.  Every array
+    is read-only: one packing is shared by every caller.
     """
 
+    rule: KindRule
     size: int
     diagonal: np.ndarray | None
     scale: float
@@ -249,7 +239,7 @@ def _packing(kind: CategoricalKernelKind, L: int) -> _Packing:
         log_mask[diagonal] = True
     angle_kept = ~on_diag & kept
     strict = np.tri(L, L, -1, dtype=bool)
-    pack = _Packing(size, diagonal, scale, slot[angle_kept], log_mask,
+    pack = _Packing(rule, size, diagonal, scale, slot[angle_kept], log_mask,
                     (rows * L + cols)[angle_kept], strict, strict | np.eye(L, dtype=bool))
     for array in pack:
         if isinstance(array, np.ndarray):
@@ -418,15 +408,15 @@ def categorical_matrix(
     count of ``values`` is checked.
     """
     L, pack, values = _packed(kind, n_levels, values, stack=True)
-    rule = KINDS[kind]
+    rule = pack.rule
     gram = None
     if rule.angle_upper > 0:
         C = _hypersphere(pack, L, values)
         gram = C @ np.swapaxes(C, -1, -2)
-    phi = rule.phi(gram, _theta_diagonal(pack, L, values))
-    d = np.diagonal(phi, axis1=-2, axis2=-1)
-    R = rule.kappa(2.0 * phi, d[..., :, None], d[..., None, :])
-    _fill_diagonal(R, 1.0)
+    off, d = rule.phi(gram, _theta_diagonal(pack, L, values))
+    R = rule.kappa(2.0 * off, d[..., :, None], d[..., None, :])
+    # a unit diagonal in every matrix of the C-contiguous stack, as np.fill_diagonal does
+    R.reshape(R.shape[:-2] + (L * L,))[..., ::L + 1] = 1.0
     return R
 
 

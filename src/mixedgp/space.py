@@ -209,7 +209,9 @@ class MixedPoint:
     ``categorical`` holds 1-based level indices, as ints; a value that is
     not a whole number stays a float, for :func:`validate_point` to refuse.
     ``integer`` holds floats; one that is not a whole number is kept, for
-    :func:`validate_point` to refuse.
+    :func:`validate_point` to refuse.  A row of a :class:`PointBatch` is
+    made from the batch's checked arrays as it stands, without these
+    conversions: its floats and ints are already of these types.
     """
 
     continuous: tuple[float, ...] = ()
@@ -221,6 +223,15 @@ class MixedPoint:
         object.__setattr__(self, "integer", tuple(map(float, self.integer)))
         object.__setattr__(self, "categorical", tuple(
             int(c) if float(c).is_integer() else float(c) for c in self.categorical))
+
+
+def _row(continuous: tuple, integer: tuple, categorical: tuple) -> MixedPoint:
+    """A MixedPoint of a checked batch's row: the tuples are stored as given, unconverted."""
+    point = object.__new__(MixedPoint)
+    fields = point.__dict__
+    fields["continuous"], fields["integer"] = continuous, integer
+    fields["categorical"] = categorical
+    return point
 
 
 def validate_point(space: DesignSpace, point: MixedPoint) -> None:
@@ -254,6 +265,10 @@ def validate_point(space: DesignSpace, point: MixedPoint) -> None:
             raise LevelOutOfRange(i, c, spec.n_levels)
 
 
+# Rows a batch converts to Python numbers at a time while it is iterated.
+_ROW_BLOCK = 1024
+
+
 @dataclass(frozen=True, eq=False)
 class PointBatch:
     """Points of one space as read-only raw-unit arrays, checked on construction.
@@ -261,7 +276,10 @@ class PointBatch:
     ``X`` is (n, n_continuous) float, ``Z`` (n, n_integer) float and ``C``
     (n, n_categorical) int with 1-based levels.  An integer index and
     iteration yield :class:`MixedPoint` rows; a slice, an index array or a
-    boolean mask yields a batch of those rows, in that order.
+    boolean mask yields a batch of those rows, in that order.  Rows are
+    made straight from the checked arrays and are not checked again:
+    iteration converts ``_ROW_BLOCK`` rows at a time to Python numbers, so
+    it never holds a whole-batch copy of them.
     """
 
     space: DesignSpace
@@ -302,12 +320,15 @@ class PointBatch:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return MixedPoint(self.X[index], self.Z[index], self.C[index])
+            return _row(*(tuple(A[index].tolist()) for A in (self.X, self.Z, self.C)))
         return PointBatch(self.space, self.X[index], self.Z[index], self.C[index])
 
     def __iter__(self):
-        for x, z, c in zip(self.X.tolist(), self.Z.tolist(), self.C.tolist()):
-            yield MixedPoint(x, z, c)
+        for start in range(0, len(self), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            for x, z, c in zip(self.X[rows].tolist(), self.Z[rows].tolist(),
+                               self.C[rows].tolist()):
+                yield _row(tuple(x), tuple(z), tuple(c))
 
     def __eq__(self, other):
         return isinstance(other, PointBatch) and self.space == other.space and all(

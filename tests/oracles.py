@@ -8,7 +8,10 @@ point at a time, what the vectorised code computes.
 The kernel functions share no categorical code with the package:
 :func:`phi_transform` unpacks Theta_i, builds the hypersphere rows and
 fills Phi in plain Python loops from the paper's definitions, so a slip in
-the package's vectorised Phi shows as a disagreement here.  From the
+the package's vectorised Phi shows as a disagreement here.
+:func:`dense_level_matrix` builds the whole Phi of every kind with numpy,
+in the package's floating-point steps, so the level matrices of kinds
+whose Phi the package leaves implicit can be compared bit for bit.  From the
 kernel module they take only the kernel's constant ``EPSILON``, the kind
 names, the hyperparameter vector and the parameter count.
 
@@ -117,18 +120,8 @@ def hamming_score(level_r: int, level_s: int) -> int:
     return 0 if int(level_r) == int(level_s) else 1
 
 
-def phi_transform(kind: CategoricalKernelKind, n_levels: int, values) -> np.ndarray:
-    """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values.
-
-    Theta_i is packed row-major over its lower triangle, each kind keeping
-    some of its entries: GD one theta with Theta_jj = theta/2, CR the
-    diagonal, EHH and HH the angles (the strict lower triangle), FE both.
-    Row k of the hypersphere factor C holds the spherical coordinates
-    (cos a_k1, sin a_k1 cos a_k2, ..., prod_j sin a_kj) of the angles a_k
-    of row k, and G = C C^T.  Phi then follows the kind table of the
-    ``mixedgp.kernels`` docstring.
-    """
-    L = int(n_levels)
+def _theta_matrix(kind: CategoricalKernelKind, L: int, values) -> list[list[float]]:
+    """Theta_i as L lists, its lower triangle unpacked row-major from the kind's packed values."""
     values = [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]
     if len(values) != categorical_param_count(kind, L):
         raise ShapeMismatch(f"{kind.value} with {L} levels expects "
@@ -143,6 +136,22 @@ def phi_transform(kind: CategoricalKernelKind, n_levels: int, values) -> np.ndar
                 theta[k][k] = values[0] / 2.0
             elif (j == k and keeps_diagonal) or (j < k and keeps_angles):
                 theta[k][j] = next(packed)
+    return theta
+
+
+def phi_transform(kind: CategoricalKernelKind, n_levels: int, values) -> np.ndarray:
+    """The (L, L) matrix Phi(Theta_i) of ``kind`` from packed values.
+
+    Theta_i is packed row-major over its lower triangle, each kind keeping
+    some of its entries: GD one theta with Theta_jj = theta/2, CR the
+    diagonal, EHH and HH the angles (the strict lower triangle), FE both.
+    Row k of the hypersphere factor C holds the spherical coordinates
+    (cos a_k1, sin a_k1 cos a_k2, ..., prod_j sin a_kj) of the angles a_k
+    of row k, and G = C C^T.  Phi then follows the kind table of the
+    ``mixedgp.kernels`` docstring.
+    """
+    L = int(n_levels)
+    theta = _theta_matrix(kind, L, values)
     C = [[0.0] * L for _ in range(L)]
     for k in range(L):
         sines = 1.0
@@ -161,6 +170,46 @@ def phi_transform(kind: CategoricalKernelKind, n_levels: int, values) -> np.ndar
             elif kind in (K.EHH, K.FE):
                 phi[r, s] = math.log(EPSILON) / 2.0 * (G[r][s] - 1.0)
     return phi
+
+
+def dense_level_matrix(kind: CategoricalKernelKind, n_levels: int, values) -> np.ndarray:
+    """R_i(Theta_i) through the whole (L, L) Phi of the paper, for every kind.
+
+    Where :func:`phi_transform` restates the paper in plain Python,
+    this takes each floating-point step the package takes, so the two
+    agree bit for bit: the angles' sines and cosines come from np.sin and
+    np.cos of the whole angle matrix, G = C @ C.T, and kappa(2 Phi_rs)
+    kappa(Phi_rr) kappa(Phi_ss) is exp(-((2 Phi_rs + Phi_rr) + Phi_ss)),
+    one exponential of the sum, for the exponential kinds and the product
+    in that order for HH.  Phi is built dense also where it is diagonal
+    (GD, CR), so it checks that skipping Phi keeps every bit.
+    """
+    L = int(n_levels)
+    theta = np.array(_theta_matrix(kind, L, values))
+    angles = np.tril(theta, -1)
+    cosines, sines = np.cos(angles), np.sin(angles)
+    C = np.zeros((L, L))
+    for k in range(L):
+        prefix = 1.0
+        for j in range(k):
+            C[k, j] = cosines[k, j] * prefix
+            prefix *= sines[k, j]
+        C[k, k] = prefix
+    G = C @ C.T
+    if kind is K.HH:
+        phi = G / 2.0
+    elif kind in (K.EHH, K.FE):
+        phi = math.log(EPSILON) / 2.0 * (G - 1.0)
+    else:
+        phi = np.zeros((L, L))
+    np.fill_diagonal(phi, 1.0 if kind is K.HH else np.diag(theta))
+    d = np.diag(phi)
+    if kind is K.HH:
+        R = 2.0 * phi * d[:, None] * d[None, :]
+    else:
+        R = np.exp(-(2.0 * phi + d[:, None] + d[None, :]))
+    np.fill_diagonal(R, 1.0)
+    return R
 
 
 def level_correlation(

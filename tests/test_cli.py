@@ -532,6 +532,19 @@ def test_model_file_without_theta_exits_2(tmp_path, cosine_files, gd_model_file,
     assert "theta_flat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "export-corr"])
+def test_model_file_of_one_point_exits_2(tmp_path, cosine_files, gd_model_file, command, capsys):
+    _, _, data_file = cosine_files
+    doc = json.loads(gd_model_file.read_text())
+    doc["points"] = {name: rows[:1] for name, rows in doc["points"].items()}
+    doc["targets"] = doc["targets"][:1]
+    gd_model_file.write_text(json.dumps(doc))
+    args = [command, str(gd_model_file)] + ([str(data_file)] if command == "predict" else [])
+    assert main(args + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert "a fit needs at least 2 points, the dataset has 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_model_file_with_negative_theta_exits_2(tmp_path, cosine_files, gd_model_file, capsys):
     _, _, data_file = cosine_files
     doc = json.loads(gd_model_file.read_text())

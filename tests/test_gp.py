@@ -164,9 +164,10 @@ def test_likelihood_matches_dense_inverse_oracle():
         assert value == pytest.approx(oracle, abs=1e-8)
 
 
-def test_likelihood_single_point_floored():
+def test_likelihood_of_constant_targets_is_floored():
+    # targets without variance score against the variance floor, not log 0
     space = DesignSpace((Continuous("x", 0.0, 1.0),))
-    ds = Dataset(space, (MixedPoint((0.5,)),), np.array([3.0]))
+    ds = Dataset(space, (MixedPoint((0.25,)), MixedPoint((0.75,))), np.array([3.0, 3.0]))
     theta = HyperparameterSet.from_flat(space, K.GD, [1.0])
     value = concentrated_log_likelihood(ds, theta)
     assert math.isfinite(value)
@@ -274,6 +275,27 @@ def test_fit_refuses_a_one_point_dataset(monkeypatch):
     monkeypatch.setattr(gp, "_Workspace", lambda *args: pytest.fail("a likelihood was built"))
     with pytest.raises(ValueError, match="^a fit needs at least 2 points, the dataset has 1$"):
         fit(ds, K.GD, 2, FitConfig(n_starts=1, max_evals=5))
+
+
+@pytest.mark.parametrize("entry", ["build_model", "concentrated_log_likelihood", "load_model"])
+def test_a_one_point_dataset_is_refused_at_every_entry(tmp_path, monkeypatch, entry):
+    # one point scores the variance floor's likelihood at every theta, so
+    # every entry that scores a design refuses it as fit does
+    ds = mixed_dataset(2)
+    theta = random_theta(ds.space, K.CR, np.random.default_rng(6))
+    path = tmp_path / "model.json"
+    save_model(build_model(ds, theta), path)
+    doc = json.loads(path.read_text())
+    doc["points"] = {name: rows[:1] for name, rows in doc["points"].items()}
+    doc["targets"] = doc["targets"][:1]
+    path.write_text(json.dumps(doc))
+    one = Dataset(ds.space, ds.points[:1], ds.targets[:1])
+    calls = {"build_model": lambda: build_model(one, theta),
+             "concentrated_log_likelihood": lambda: concentrated_log_likelihood(one, theta),
+             "load_model": lambda: load_model(path)}
+    monkeypatch.setattr(gp, "_Workspace", lambda *args: pytest.fail("a likelihood was built"))
+    with pytest.raises(ValueError, match="^a fit needs at least 2 points, the dataset has 1$"):
+        calls[entry]()
 
 
 def test_fit_config_takes_numpy_integer_counts():

@@ -29,6 +29,7 @@ from mixedgp.space import Categorical, Continuous, Dataset, DesignSpace, Integer
 from conftest import random_hyper
 from oracles import (
     continuous_kernel,
+    dense_level_matrix,
     hamming_score,
     integer_kernel,
     level_correlation,
@@ -212,6 +213,20 @@ def test_categorical_matrix_matches_the_oracle(kind):
             expected = [[level_correlation(kind, phi, r, s) for s in range(1, L + 1)]
                         for r in range(1, L + 1)]
             assert np.max(np.abs(categorical_matrix(kind, L, values) - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_categorical_matrix_has_the_bits_of_the_dense_phi_form(kind):
+    # GD and CR build no Phi matrix, and no kind reads Phi's diagonal from
+    # an L x L array: each vector, alone or in an (m, count) stack, still
+    # gives the bits of kappa(2 Phi_rs) kappa(Phi_rr) kappa(Phi_ss) on a dense Phi
+    for L in (2, 3, 5, 13):
+        rng = np.random.default_rng(2000 + L)
+        stack = np.array([random_hyper(kind, L, rng) for _ in range(7)])
+        expected = [dense_level_matrix(kind, L, values) for values in stack]
+        for values, R in zip(stack, expected):
+            assert np.array_equal(categorical_matrix(kind, L, values), R)
+        assert np.array_equal(categorical_matrix(kind, L, stack), np.array(expected))
 
 
 def test_oracle_imports_no_kernel_internals():

@@ -19,6 +19,7 @@ from mixedgp.space import (
     Integer,
     MixedPoint,
     PointBatch,
+    _ROW_BLOCK,
     load_dataset,
     load_points,
     save_dataset,
@@ -220,6 +221,62 @@ def test_batch_rows_by_index_array_and_mask(cat_int_cont):
     assert isinstance(empty, PointBatch) and len(empty) == 0
     assert empty.X.shape == (0, 1) and empty.C.shape == (0, 1)
     assert batch[np.int64(3)] == rows[3]  # a numpy integer is still one row
+
+
+def _unchecked(batch, i) -> MixedPoint:
+    """Row ``i`` of ``batch`` as MixedPoint's own constructor converts it."""
+    return MixedPoint(*(A[i] for A in (batch.X, batch.Z, batch.C)))
+
+
+def _field_types(point: MixedPoint) -> list:
+    return [[type(v) for v in getattr(point, name)] for name in KINDS]
+
+
+@pytest.mark.parametrize("n", [1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+def test_iterated_rows_are_the_indexed_rows_across_block_edges(cat_int_cont, n):
+    batch = lhs(cat_int_cont, n, seed=3)
+    rows, indexed = list(batch), [batch[i] for i in range(n)]
+    assert rows == indexed == [_unchecked(batch, i) for i in range(n)]
+    assert all(_field_types(w) == [[float], [float], [int]] for w in rows + indexed)
+
+
+@pytest.mark.parametrize("variables", [
+    (Continuous("x", 0.0, 1.0), Continuous("y", -1.0, 1.0)),
+    (Categorical("c", ("a", "b", "c")),),
+    (Integer("n", 0, 9), Categorical("c", ("a", "b"))),
+], ids=["no integer or categorical", "categorical only", "no continuous"])
+def test_rows_of_a_batch_with_empty_kinds(variables):
+    space = DesignSpace(variables)
+    batch = lhs(space, 5, seed=0)
+    rows = list(batch)
+    assert rows == [batch[i] for i in range(5)] == [_unchecked(batch, i) for i in range(5)]
+    assert [_field_types(w) for w in rows] == [_field_types(_unchecked(batch, i))
+                                               for i in range(5)]
+    for name, A in zip(KINDS, (batch.X, batch.Z, batch.C)):
+        assert all(len(getattr(w, name)) == A.shape[1] for w in rows)
+
+
+def test_iterating_a_large_batch_holds_one_block_of_rows():
+    # a block of rows at a time, never the three whole-batch lists of Python numbers
+    import tracemalloc
+
+    space = DesignSpace((Continuous("x", 0.0, 1.0), Continuous("y", 0.0, 1.0),
+                         Categorical("c", ("a", "b", "c", "d"))))
+    batch = grid(space, (250, 100))
+    assert len(batch) == 100_000
+    tracemalloc.start()
+    try:
+        copies = (batch.X.tolist(), batch.Z.tolist(), batch.C.tolist())
+        whole = tracemalloc.get_traced_memory()[0]
+        del copies
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in batch:
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 20
 
 
 # ---------------------------------------------------------------------------
