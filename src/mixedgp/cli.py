@@ -125,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corr = sub.add_parser("export-corr", help="export a fitted categorical correlation matrix")
     p_corr.add_argument("model_file")
     p_corr.add_argument("--variable", type=int, default=None,
-                        help="1-based variable index in the space (default: first categorical)")
+                        help="1-based variable index in the space, 1..n "
+                             "(default: first categorical)")
     p_corr.add_argument("--out", required=True)
 
     return parser
@@ -274,6 +275,11 @@ def _cmd_export_corr(args) -> int:
     if args.variable is None and not cat_positions:
         print("error: model space has no categorical variable", file=sys.stderr)
         return EXIT_VALIDATION
+    n_variables = len(space.variables)
+    if args.variable is not None and not 1 <= args.variable <= n_variables:
+        print(f"error: --variable must be in 1..{n_variables}, the variables of the model's "
+              f"space; got {args.variable}", file=sys.stderr)
+        return EXIT_PARSE
     position = cat_positions[0] if args.variable is None else args.variable - 1
     if position not in cat_positions:
         print(f"error: variable {args.variable} is not categorical", file=sys.stderr)

@@ -49,6 +49,14 @@ factors each time, which makes duplicate design points survivable.
 Internally the GP always sees continuous/integer coordinates normalized
 to [0, 1] and targets standardized to zero mean and unit variance;
 reported trend, variance and predictions are in original units.
+:func:`predict` streams the new points in chunks of ``_PREDICT_CHUNK``
+rows.  :func:`_cross_correlations` finds runs of equal numeric
+coordinates once per window of ``_RUN_WINDOW`` chunks, not per chunk,
+and builds a run's numeric factor once, in blocks of at most
+``_PREDICT_CHUNK`` distinct numeric rows; each chunk writes its
+standardized mean and variance terms, and the affine maps to original
+units run once on the whole outputs.  Beyond the outputs, memory is
+O(chunk * n_train * d) plus O(window) whatever the batch size.
 """
 
 from __future__ import annotations
@@ -92,6 +100,10 @@ JITTER_MAX = 1e-4
 # chunk edges on multiples of 4 give every row the bits of one whole-batch
 # product (see also _row_chunks).
 _PREDICT_CHUNK = 256
+# Chunks per window of run detection in _cross_correlations: runs of equal
+# numeric coordinates are found once per window, so the run index stays
+# O(window) whatever the batch size.
+_RUN_WINDOW = 16
 
 
 def _check_jitter(jitter: float) -> None:
@@ -583,14 +595,20 @@ def _row_chunks(n: int) -> list[slice]:
 def _cross_correlations(model: GpModel, points: PointBatch):
     """Yield (rows, k(new[rows], train)) over the row chunks of ``points``, from the model alone.
 
-    Each block has shape (len(rows), n_train).  Within a chunk, a run of
-    consecutive rows with equal numeric coordinates (a grid whose
-    categorical variables come last) shares one numeric factor
-    exp(-theta . |x_new - x_train|^p): it is built for the run's first
-    row and gathered to the others, before the level-matrix tables
-    multiply in.  Every row keeps the bits of its own factor.  A chunk's
-    first row always starts a run.  The |x_new - x_train|^p work array
-    is allocated once, so memory is O(chunk * n_train * d).
+    Each block has shape (len(rows), n_train).  Runs of consecutive rows
+    with equal numeric coordinates (a grid whose categorical variables come
+    last) are found once per window of ``_RUN_WINDOW`` chunks, not per
+    chunk, and a run shares one numeric factor
+    exp(-theta . |x_new - x_train|^p).  The factors of a window's runs are
+    built in blocks of at most ``_PREDICT_CHUNK`` distinct numeric rows (a
+    chunk's own runs, and the next chunks' while they fit; a run across
+    the edge of two blocks is built in both); each chunk
+    gathers its rows from its block before the level-matrix tables
+    multiply in.  Every row keeps the bits of its own factor, as a row's
+    factor does not depend on the rows built with it.  A window's first
+    row always starts a run.  The |x_new - x_train|^p work array is
+    allocated once, so memory is O(chunk * n_train * d) plus O(window)
+    for the run index.
     """
     X, Z, C = points.normalized()
     XZ = np.hstack([X, Z])
@@ -599,58 +617,85 @@ def _cross_correlations(model: GpModel, points: PointBatch):
     tables = [(i, kr.categorical_matrix(model.kind, L, theta.variable(i))[:, training.C[:, i] - 1])
               for i, L in enumerate(training.space.level_counts)]
     work = np.empty((min(len(points), _PREDICT_CHUNK + 1), *train.shape))
-    for rows in _row_chunks(len(points)):
-        block = XZ[rows]
-        # rows equal by value share a run: -0.0 and 0.0 give |x - x_train|^p
-        # the same bits against every training coordinate
-        first = np.ones(len(block), dtype=bool)
-        np.any(block[1:] != block[:-1], axis=1, out=first[1:])
-        block = block[first]
-        diffs = work[:len(block)]
+
+    def numeric_factor(distinct: np.ndarray) -> np.ndarray:
+        diffs = work[:len(distinct)]
         for j in range(train.shape[1]):
             column = diffs[:, :, j]
-            np.subtract(block[:, j, None], train[:, j], out=column)
+            np.subtract(distinct[:, j, None], train[:, j], out=column)
             if model.p == 1:
                 np.abs(column, out=column)
             else:  # the square of -x and of |x| have the same bits
                 np.square(column, out=column)
-        K = np.exp(-(diffs @ theta.rates))
-        if len(K) < len(first):
-            K = K.take(np.cumsum(first) - 1, axis=0)
-        for i, table in tables:
-            K *= table.take(C[rows, i] - 1, axis=0)
-        yield rows, K
+        return np.exp(-(diffs @ theta.rates))
+
+    chunks = _row_chunks(len(points))
+    for w in range(0, len(chunks), _RUN_WINDOW):
+        window = chunks[w:w + _RUN_WINDOW]
+        offset = window[0].start
+        rows_xz = XZ[offset:window[-1].stop]
+        # rows equal by value share a run: -0.0 and 0.0 give |x - x_train|^p
+        # the same bits against every training coordinate
+        first = np.ones(len(rows_xz), dtype=bool)
+        np.any(rows_xz[1:] != rows_xz[:-1], axis=1, out=first[1:])
+        run = np.cumsum(first) - 1  # the run of each row of the window
+        distinct = rows_xz[first]
+        i = 0
+        while i < len(window):
+            lo, j = run[window[i].start - offset], i + 1
+            while j < len(window) and run[window[j].stop - 1 - offset] - lo < _PREDICT_CHUNK:
+                j += 1
+            E = numeric_factor(distinct[lo:run[window[j - 1].stop - 1 - offset] + 1])
+            for rows in window[i:j]:
+                index = run[rows.start - offset:rows.stop - offset] - lo
+                # a block of one chunk with no shared run is that chunk's own
+                K = E if j == i + 1 and len(index) == len(E) else E.take(index, axis=0)
+                for c, table in tables:
+                    K *= table.take(C[rows, c] - 1, axis=0)
+                yield rows, K
+            i = j
 
 
 def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at a batch or MixedPoints (original units, variance >= 0).
 
-    The points are processed in chunks of rows (:func:`_row_chunks`), so
-    memory beyond the two output vectors stays O(chunk * n_train) whatever
-    the batch size.  The quadratic term of the variance is |L^-1 k|^2, one
-    ``dtrmm`` with the model's kept L^-1 per chunk.  Consecutive points with
-    equal numeric coordinates share the numeric factor of k
-    (:func:`_cross_correlations`), so a grid whose categorical
-    variables come last builds it once per numeric point.  A mean has the bits of
-    the whole-batch formula, chunked or not.  A variance's last bits depend
-    on the chunk it falls in (a triangular multiply rounds a column by the
-    width of its right-hand side) and on the BLAS thread count; it agrees
-    with the triangular-solve formula to well within jitter * sigma2_hat.
-    A batch predicts exactly what its chunks predict one by one; with the
-    same BLAS thread count, the same batch gives the same bits on every run
-    and after a reload.
+    The kriging formulas (Rasmussen & Williams, *GPML* 2006, eqs. 2.25-2.26)
+    on the standardized model.  The points are processed in chunks of rows
+    (:func:`_row_chunks`): each chunk writes its K @ alpha and its
+    1 - |L^-1 k|^2 + (1 - 1'R^-1 k)^2 / 1'R^-1 1 into the two output
+    vectors, and the scalar maps back to original units (the trend, the
+    scale, the process variance and the clamp at 0) then run once on the
+    whole outputs.  These are the per-chunk formula's operations in its
+    order, so every value has its bits.  Memory beyond the two output
+    vectors stays O(chunk * n_train * d) plus O(window) whatever the batch
+    size.  The quadratic term is one ``dtrmm`` with the model's kept L^-1
+    per chunk.  Consecutive points with equal numeric coordinates share the
+    numeric factor of k, found per window of chunks and built per block of
+    distinct numeric rows (:func:`_cross_correlations`), so a grid whose
+    categorical variables come last builds it once per numeric point.  A
+    mean has the bits of the whole-batch formula, chunked or not.  A
+    variance's last bits depend on the chunk it falls in (a triangular
+    multiply rounds a column by the width of its right-hand side) and on the
+    BLAS thread count; it agrees with the triangular-solve formula to well
+    within jitter * sigma2_hat.  A batch predicts exactly what its chunks
+    predict one by one; with the same BLAS thread count, the same batch
+    gives the same bits on every run and after a reload.
     """
     batch = PointBatch.of(model.dataset.space, points)
     means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
     for rows, K in _cross_correlations(model, batch):
-        mean_std = model.mu_std + K @ model._alpha
-        means[rows] = model.y_mean + model.y_scale * mean_std
+        means[rows] = K @ model._alpha
         v = dtrmm(1.0, model._chol_inv, K.T, lower=1)
         quad = np.square(v, out=v).sum(axis=0)
         shortfall = 1.0 - K @ model._r_inv_ones
-        var_std = model.sigma2_std * (1.0 - quad + shortfall ** 2 / ones_r_ones)
-        variances[rows] = model.y_scale ** 2 * np.maximum(var_std, 0.0)
+        variances[rows] = 1.0 - quad + shortfall ** 2 / ones_r_ones
+    means += model.mu_std
+    means *= model.y_scale
+    means += model.y_mean
+    variances *= model.sigma2_std
+    np.maximum(variances, 0.0, out=variances)
+    variances *= model.y_scale ** 2
     return means, variances
 
 

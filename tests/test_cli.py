@@ -27,7 +27,7 @@ from mixedgp.space import (
     save_points,
     save_space,
 )
-from mixedgp.benchmarks import cosine_function, cosine_space
+from mixedgp.benchmarks import beam_space, cosine_function, cosine_space
 from mixedgp.doe import lhs
 from mixedgp.space import Dataset
 
@@ -329,6 +329,23 @@ def test_export_corr_rejects_continuous_variable(tmp_path, cosine_files):
     code = main(["export-corr", str(model_file), "--variable", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 5
+
+
+@pytest.mark.parametrize("variable", ["0", "4", "9", "-1"])
+def test_export_corr_variable_outside_the_space_exits_2(tmp_path, capsys, variable):
+    # the beam space has 3 variables: two continuous, then the categorical section
+    space = beam_space()
+    points = lhs(space, 10, seed=0)
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0, 2.0, 0.5])
+    model_file = tmp_path / "model.json"
+    gp.save_model(gp.build_model(Dataset(space, points, points.X[:, 0]), theta), model_file)
+    out = tmp_path / "corr.csv"
+    assert main(["export-corr", str(model_file), "--variable", variable, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --variable must be in 1..3, the variables of "
+                                       f"the model's space; got {variable}\n")
+    assert not out.exists()
+    assert main(["export-corr", str(model_file), "--variable", "3", "--out", str(out)]) == 0
+    assert main(["export-corr", str(model_file), "--variable", "2", "--out", str(out)]) == 5
 
 
 def test_export_corr_on_a_space_without_a_categorical_variable_exits_5(tmp_path, capsys):

@@ -11,9 +11,11 @@ formula within ``VARIANCE_TOL * sigma2_hat``, the default jitter, which is
 as finely as the model resolves the variance, and to the exact property
 that a batch predicts what its chunks predict one by one.
 
-Within a chunk, consecutive rows with equal numeric coordinates share one
-numeric factor of k; the per-row loop below is the oracle every block of
-``gp._cross_correlations`` must equal bit for bit.
+Consecutive rows with equal numeric coordinates share one numeric factor
+of k, found per window of ``gp._RUN_WINDOW`` chunks; the per-row loop
+below is the oracle every block of ``gp._cross_correlations`` must equal
+bit for bit.  The cases longer than a window put runs and distinct rows
+across its edge.
 """
 
 import tracemalloc
@@ -32,6 +34,18 @@ from conftest import VARIANCE_TOL, categorical_only_space, model_on, one_shot_pr
 K = kr.CategoricalKernelKind
 CHUNK = gp._PREDICT_CHUNK
 SIZES = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1]
+# rows per window of run detection, and the sizes around its edge
+WINDOW = gp._RUN_WINDOW * CHUNK
+WINDOW_SIZES = [WINDOW - 1, WINDOW, WINDOW + 1, WINDOW + CHUNK + 1]
+
+
+def sizes(points):
+    """SIZES, then the WINDOW_SIZES that ``points`` holds with the test's margin of 8 rows."""
+    return SIZES + [n for n in WINDOW_SIZES if len(points) >= n + 8]
+
+
+def beam_grid_40():
+    return grid(beam_space(), (40, 40))  # 19,200 rows in runs of 12
 
 
 CASES = {
@@ -39,6 +53,7 @@ CASES = {
     "cosine-ehh-p1": lambda: (model_on(cosine_space(), K.EHH, 1, 60), grid(cosine_space(), (50,))),
     "categorical-only-fe": lambda: (model_on(categorical_only_space(), K.FE, 2, 40),
                                     grid(categorical_only_space(), ())),
+    "beam-40x40-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98), beam_grid_40()),
 }
 
 
@@ -46,7 +61,7 @@ CASES = {
 def test_chunked_predict_matches_the_one_shot_formula(case):
     model, points = CASES[case]()
     assert len(points) >= max(SIZES) + 8
-    for n_new in SIZES:
+    for n_new in sizes(points):
         for start in (0, 5):  # two different runs of grid points
             batch = points[start:start + n_new]
             means, variances = gp.predict(model, batch)
@@ -59,7 +74,7 @@ def test_chunked_predict_matches_the_one_shot_formula(case):
 @pytest.mark.parametrize("case", CASES)
 def test_a_batch_predicts_what_its_chunks_predict(case):
     model, points = CASES[case]()
-    for n_new in SIZES:
+    for n_new in sizes(points):
         batch = points[3:3 + n_new]
         whole = gp.predict(model, batch)
         parts = [gp.predict(model, batch[rows]) for rows in gp._row_chunks(n_new)]
@@ -146,6 +161,22 @@ INTERLEAVED = DesignSpace((Continuous("x", 0.0, 1.0), levels("c", 4), Integer("z
                            levels("d", 3)))
 # a rounded linspace of 0..3 in 9 steps repeats values: runs of whole duplicate points
 REPEATED_INTEGER = DesignSpace((Integer("z", 0, 3), Continuous("x", -1.0, 2.0), levels("c", 6)))
+# 4,300 rows of the 40 x 40 grid from row 100: the run of grid rows 4,188-4,199
+# holds the slice's row 4,096, where its second window and its 17th chunk open
+ACROSS = slice(100, 4400)
+
+
+def lhs_beyond_a_window():
+    return lhs(beam_space(), WINDOW + CHUNK + 40, 5)  # every row its own run
+
+
+def long_run():
+    """A chunk of distinct rows, then a run of two chunks at the last one's x, levels cycling."""
+    space = DesignSpace((Continuous("x", 0.0, 1.0), levels("c", 3)))
+    X = np.concatenate([np.linspace(0.0, 1.0, CHUNK), np.ones(2 * CHUNK)])[:, None]
+    C = np.arange(3 * CHUNK)[:, None] % 3 + 1
+    return space, PointBatch(space, X, np.empty((len(X), 0)), C)
+
 
 RUN_CASES = {
     "beam-grid-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98), beam_grid()),
@@ -164,7 +195,12 @@ RUN_CASES = {
     "categorical-only-cr-p1": lambda: (model_on(categorical_only_space(), K.CR, 1, 40),
                                        grid(categorical_only_space(), ())),
     "signed-zeros-fe-p2": lambda: (model_on(signed_zeros()[0], K.FE, 2, 30), signed_zeros()[1]),
+    "long-run-cr-p2": lambda: (model_on(long_run()[0], K.CR, 2, 30), long_run()[1]),
     "lhs-beam-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98), lhs(beam_space(), 600, 3)),
+    "beam-40x40-across-a-window-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98),
+                                                 beam_grid_40()[ACROSS]),
+    "lhs-beyond-a-window-ehh-p1": lambda: (model_on(beam_space(), K.EHH, 1, 60),
+                                           lhs_beyond_a_window()),
 }
 
 
@@ -176,6 +212,14 @@ def test_the_run_cases_hold_what_they_are_named_for():
     assert len(np.unique(z)) < 9  # the integer axis repeats values
     x = signed_zeros()[1].normalized()[0][:, 0]
     assert np.signbit(x[1]) and not np.signbit(x[0]) and x[0] == x[1]
+    across = np.hstack(beam_grid_40()[ACROSS].normalized()[:2])
+    assert len(across) > WINDOW and gp._row_chunks(len(across))[gp._RUN_WINDOW].start == WINDOW
+    assert np.array_equal(across[WINDOW - 1], across[WINDOW])  # a window opens mid-run
+    lhs_rows = np.hstack(lhs_beyond_a_window().normalized()[:2])
+    assert len(lhs_rows) > WINDOW + CHUNK
+    assert not np.any(np.all(lhs_rows[1:] == lhs_rows[:-1], axis=1))  # no two rows share a run
+    x = long_run()[1].X[:, 0]
+    assert len(np.unique(x[:CHUNK])) == CHUNK and np.all(x[CHUNK - 1:] == x[CHUNK - 1])
 
 
 @pytest.mark.parametrize("case", RUN_CASES)
