@@ -269,8 +269,9 @@ def _cmd_kernel_info(args) -> int:
 
 
 def _cmd_export_corr(args) -> int:
-    model = gp.load_model(args.model_file)
-    space = model.dataset.space
+    # the variable is checked against the file's space before the model is built
+    arguments, _ = gp._read_model_file(args.model_file)
+    space, theta = arguments[0].space, arguments[1]
     cat_positions = [i for i, v in enumerate(space.variables) if isinstance(v, Categorical)]
     if args.variable is None and not cat_positions:
         print("error: model space has no categorical variable", file=sys.stderr)
@@ -284,8 +285,9 @@ def _cmd_export_corr(args) -> int:
     if position not in cat_positions:
         print(f"error: variable {args.variable} is not categorical", file=sys.stderr)
         return EXIT_VALIDATION
+    gp.build_model(*arguments)  # for its refusals: a file of one point, a factor that fails
     i = cat_positions.index(position)
-    matrix = kr.categorical_matrix(model.kind, space.level_counts[i], model.theta_star.variable(i))
+    matrix = kr.categorical_matrix(theta.kind, space.level_counts[i], theta.variable(i))
     _write_matrix(matrix, space.variables[position].levels, args.out)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} correlation matrix to {args.out}")
     return 0

@@ -599,16 +599,17 @@ def _cross_correlations(model: GpModel, points: PointBatch):
     with equal numeric coordinates (a grid whose categorical variables come
     last) are found once per window of ``_RUN_WINDOW`` chunks, not per
     chunk, and a run shares one numeric factor
-    exp(-theta . |x_new - x_train|^p).  The factors of a window's runs are
-    built in blocks of at most ``_PREDICT_CHUNK`` distinct numeric rows (a
-    chunk's own runs, and the next chunks' while they fit; a run across
-    the edge of two blocks is built in both); each chunk
-    gathers its rows from its block before the level-matrix tables
-    multiply in.  Every row keeps the bits of its own factor, as a row's
-    factor does not depend on the rows built with it.  A window's first
-    row always starts a run.  The |x_new - x_train|^p work array is
-    allocated once, so memory is O(chunk * n_train * d) plus O(window)
-    for the run index.
+    exp(-theta . |x_new - x_train|^p): a row starts a run when one of its
+    numeric columns differs from the row before, tested column by column.
+    The factors of a window's runs are built in blocks of at most
+    ``_PREDICT_CHUNK`` distinct numeric rows (a chunk's own runs, and the
+    next chunks' while they fit; a run across the edge of two blocks is
+    built in both); each chunk gathers its rows from its block before the
+    level-matrix tables multiply in.  Every row keeps the bits of its own
+    factor, as a row's factor does not depend on the rows built with it.
+    A window's first row always starts a run.  The |x_new - x_train|^p
+    work array is allocated once, so memory is O(chunk * n_train * d) plus
+    O(window) for the run index.
     """
     X, Z, C = points.normalized()
     XZ = np.hstack([X, Z])
@@ -636,8 +637,10 @@ def _cross_correlations(model: GpModel, points: PointBatch):
         rows_xz = XZ[offset:window[-1].stop]
         # rows equal by value share a run: -0.0 and 0.0 give |x - x_train|^p
         # the same bits against every training coordinate
-        first = np.ones(len(rows_xz), dtype=bool)
-        np.any(rows_xz[1:] != rows_xz[:-1], axis=1, out=first[1:])
+        first = np.zeros(len(rows_xz), dtype=bool)
+        first[0] = True
+        for j in range(rows_xz.shape[1]):
+            first[1:] |= rows_xz[1:, j] != rows_xz[:-1, j]
         run = np.cumsum(first) - 1  # the run of each row of the window
         distinct = rows_xz[first]
         i = 0
@@ -662,14 +665,15 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     The kriging formulas (Rasmussen & Williams, *GPML* 2006, eqs. 2.25-2.26)
     on the standardized model.  The points are processed in chunks of rows
     (:func:`_row_chunks`): each chunk writes its K @ alpha and its
-    1 - |L^-1 k|^2 + (1 - 1'R^-1 k)^2 / 1'R^-1 1 into the two output
-    vectors, and the scalar maps back to original units (the trend, the
-    scale, the process variance and the clamp at 0) then run once on the
-    whole outputs.  These are the per-chunk formula's operations in its
-    order, so every value has its bits.  Memory beyond the two output
-    vectors stays O(chunk * n_train * d) plus O(window) whatever the batch
-    size.  The quadratic term is one ``dtrmm`` with the model's kept L^-1
-    per chunk.  Consecutive points with equal numeric coordinates share the
+    1 - |L^-1 k|^2 + (1 - 1'R^-1 k)^2 / 1'R^-1 1 straight into its slices
+    of the two output vectors, term by term, and the scalar maps back to
+    original units (the trend, the scale, the process variance and the
+    clamp at 0) then run once on the whole outputs.  These are the
+    per-chunk formula's operations in its order, so every value has its
+    bits.  Memory beyond the two output vectors stays
+    O(chunk * n_train * d) plus O(window) whatever the batch size.  The
+    quadratic term is one ``dtrmm`` with the model's kept L^-1 per chunk.
+    Consecutive points with equal numeric coordinates share the
     numeric factor of k, found per window of chunks and built per block of
     distinct numeric rows (:func:`_cross_correlations`), so a grid whose
     categorical variables come last builds it once per numeric point.  A
@@ -685,11 +689,16 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     means, variances = np.empty(len(batch)), np.empty(len(batch))
     ones_r_ones = float(model._r_inv_ones.sum())
     for rows, K in _cross_correlations(model, batch):
-        means[rows] = K @ model._alpha
+        np.matmul(K, model._alpha, out=means[rows])
         v = dtrmm(1.0, model._chol_inv, K.T, lower=1)
-        quad = np.square(v, out=v).sum(axis=0)
-        shortfall = 1.0 - K @ model._r_inv_ones
-        variances[rows] = 1.0 - quad + shortfall ** 2 / ones_r_ones
+        variance = variances[rows]
+        np.add.reduce(np.square(v, out=v), axis=0, out=variance)
+        np.subtract(1.0, variance, out=variance)
+        shortfall = K @ model._r_inv_ones
+        np.subtract(1.0, shortfall, out=shortfall)
+        np.square(shortfall, out=shortfall)
+        shortfall /= ones_r_ones
+        variance += shortfall
     means += model.mu_std
     means *= model.y_scale
     means += model.y_mean
@@ -750,17 +759,12 @@ _MODEL_KEYS = {"version": int, "kernel": str, "p": int, "epsilon": (int, float),
                "targets": list, "fit_seconds": (int, float)}
 
 
-def load_model(path) -> GpModel:
-    """Rebuild a model saved by :func:`save_model` (bit-identical predictions).
+def _read_model_file(path) -> tuple[tuple, float]:
+    """:func:`build_model`'s arguments ``(dataset, theta, p, jitter)`` and the
+    fit's seconds, read from a file written by :func:`save_model`.
 
-    Raises ParseError when the file is not a model file, misses a key, holds
-    a value of the wrong type, its ``version`` is not 1, its ``epsilon`` is
-    not :data:`~mixedgp.kernels.EPSILON`, its jitter is not positive and
-    finite, or its hyperparameters are not finite or violate their domain
-    (negative rates, say).  The model is ``build_model`` at the saved
-    hyperparameters and jitter, the call :func:`fit` makes, with the saved
-    ``fit_seconds``; so a file of one point raises :func:`fit`'s
-    ValueError, before any evaluation.
+    The file is parsed and checked, raising the ParseErrors that
+    :func:`load_model` lists; nothing is evaluated.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -793,5 +797,20 @@ def load_model(path) -> GpModel:
         theta = kr.HyperparameterSet.from_flat(space, kind, doc["theta_flat"])
     except (KeyError, TypeError, ValueError, MixedGpError) as exc:
         raise ParseError(f"{path}: invalid model file: {exc}") from exc
-    return replace(build_model(dataset, theta, p, float(doc["jitter"])),
-                   fit_seconds=float(doc["fit_seconds"]))
+    return (dataset, theta, p, float(doc["jitter"])), float(doc["fit_seconds"])
+
+
+def load_model(path) -> GpModel:
+    """Rebuild a model saved by :func:`save_model` (bit-identical predictions).
+
+    Raises ParseError when the file is not a model file, misses a key, holds
+    a value of the wrong type, its ``version`` is not 1, its ``epsilon`` is
+    not :data:`~mixedgp.kernels.EPSILON`, its jitter is not positive and
+    finite, or its hyperparameters are not finite or violate their domain
+    (negative rates, say).  The model is ``build_model`` at the saved
+    hyperparameters and jitter, the call :func:`fit` makes, with the saved
+    ``fit_seconds``; so a file of one point raises :func:`fit`'s
+    ValueError, before any evaluation.
+    """
+    arguments, fit_seconds = _read_model_file(path)
+    return replace(build_model(*arguments), fit_seconds=fit_seconds)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -303,17 +304,33 @@ class PointBatch:
 
     @classmethod
     def from_columns(cls, space: DesignSpace, columns) -> "PointBatch":
-        """A batch from one column of raw values per variable, in space order."""
+        """A batch from one column of raw values per variable, in space order.
+
+        Each kind's (n, width) float array is filled column by column, in the
+        C order that the entry check copies.
+        """
         n, by_kind = len(columns[0]), {Continuous: [], Integer: [], Categorical: []}
         for var, column in zip(space.variables, columns):
             by_kind[type(var)].append(column)
-        return cls(space, *(np.array(cols, dtype=float).reshape(len(cols), n).T
-                            for cols in by_kind.values()))
+        arrays = [np.empty((n, len(cols))) for cols in by_kind.values()]
+        for A, cols in zip(arrays, by_kind.values()):
+            for j, column in enumerate(cols):
+                A[:, j] = np.asarray(column).reshape(n)  # a column of another length is refused
+        return cls(space, *arrays)
 
     def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, Z, C) with the continuous and integer columns mapped affinely onto [0, 1]."""
-        (lx, ux), (lz, uz) = _bounds(self.space.continuous), _bounds(self.space.integer)
-        return (self.X - lx) / (ux - lx), (self.Z - lz) / (uz - lz), self.C
+        """(X, Z, C) with the continuous and integer columns mapped affinely onto [0, 1].
+
+        Column by column, each numeric column is shifted by its lower bound
+        into a new array, then divided by its width in place.
+        """
+        X, Z = np.empty(self.X.shape), np.empty(self.Z.shape)
+        for A, out, specs in ((self.X, X, self.space.continuous), (self.Z, Z, self.space.integer)):
+            lower, upper = _bounds(specs)
+            for j, width in enumerate(upper - lower):
+                np.subtract(A[:, j], lower[j], out=out[:, j])
+                out[:, j] /= width
+        return X, Z, self.C
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -326,9 +343,10 @@ class PointBatch:
     def __iter__(self):
         for start in range(0, len(self), _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            for x, z, c in zip(self.X[rows].tolist(), self.Z[rows].tolist(),
-                               self.C[rows].tolist()):
-                yield _row(tuple(x), tuple(z), tuple(c))
+            # a row's tuple is zipped from the block's columns; a kind of width 0 gives ()
+            for x, z, c in zip(*(zip(*A[rows].T.tolist()) if A.shape[1] else itertools.repeat(())
+                                 for A in (self.X, self.Z, self.C))):
+                yield _row(x, z, c)
 
     def __eq__(self, other):
         return isinstance(other, PointBatch) and self.space == other.space and all(
@@ -340,7 +358,15 @@ def _bounds(specs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
-    """Three row sequences as (n, width) arrays; raises as validate_point on the first bad point."""
+    """Three row sequences as (n, width) arrays; raises as validate_point on the first bad point.
+
+    The checks run column by column into one vector of good rows: a row is
+    bad when a cell is below or above its variable's bounds (a level
+    outside 1..n_levels), or is an integer or a level that is not a whole
+    number.  The bounds are finite, so NaN and +-inf fail the bound
+    comparisons and need no test of their own.  :func:`validate_point`
+    then raises the first bad row's error.
+    """
     n, widths = len(rows[0]), (space.n_continuous, space.n_integer, space.n_categorical)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch(f"X, Z and C hold {[len(r) for r in rows]} rows")
@@ -352,14 +378,18 @@ def _checked_arrays(space: DesignSpace, rows) -> list[np.ndarray]:
         shaped = all(a.shape == (n, w) for a, w in zip(arrays, widths))
     except (TypeError, ValueError, OverflowError):
         shaped = False
-    bad = np.ones(n, dtype=bool)
+    ok = np.full(n, shaped)
     if shaped:
-        X, Z, C = arrays
-        bad = ~np.all(np.floor(Z) == Z, axis=1) | ~np.all(np.floor(C) == C, axis=1)
-        for A, (lower, upper) in ((X, _bounds(space.continuous)), (Z, _bounds(space.integer)),
-                                  (C, (1.0, np.array(space.level_counts, dtype=float)))):
-            bad |= ~np.all((A >= lower) & (A <= upper) & np.isfinite(A), axis=1)
-    for i in np.flatnonzero(bad):  # validate_point raises on the first bad point
+        checks = [(v.lower, v.upper, False) for v in space.continuous]
+        checks += [(v.lower, v.upper, True) for v in space.integer]
+        checks += [(1, v.n_levels, True) for v in space.categorical]
+        columns = (A[:, j] for A in arrays for j in range(A.shape[1]))
+        for column, (lower, upper, whole) in zip(columns, checks):
+            ok &= column >= lower
+            ok &= column <= upper
+            if whole:
+                ok &= np.floor(column) == column
+    for i in np.flatnonzero(~ok):  # validate_point raises on the first bad point
         try:
             validate_point(space, MixedPoint(*(r[i] for r in rows)))
         except (OutOfBounds, LevelOutOfRange) as exc:

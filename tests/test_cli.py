@@ -361,6 +361,27 @@ def test_export_corr_on_a_space_without_a_categorical_variable_exits_5(tmp_path,
     assert not out.exists()
 
 
+def test_export_corr_checks_the_variable_before_building_the_model(tmp_path, capsys,
+                                                                  monkeypatch):
+    space = beam_space()
+    points = lhs(space, 10, seed=0)
+    theta = HyperparameterSet.from_flat(space, K.GD, [1.0, 2.0, 0.5])
+    model_file = tmp_path / "model.json"
+    gp.save_model(gp.build_model(Dataset(space, points, points.X[:, 0]), theta), model_file)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(gp, "build_model", no_build)
+    out = tmp_path / "corr.csv"
+    assert main(["export-corr", str(model_file), "--variable", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --variable must be in 1..3, the variables of "
+                                       "the model's space; got 9\n")
+    assert main(["export-corr", str(model_file), "--variable", "1", "--out", str(out)]) == 5
+    assert capsys.readouterr().err == "error: variable 1 is not categorical\n"
+    assert not out.exists()
+
+
 def test_an_environment_variable_does_not_change_a_design(tmp_path, cosine_files, monkeypatch):
     _, space_file, _ = cosine_files
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -133,6 +133,7 @@ def assert_raises_like(expected, call):
     assert str(got) == str(expected)
     for attr in ("index", "value", "level"):
         assert repr(getattr(got, attr, None)) == repr(getattr(expected, attr, None))
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,6 +169,52 @@ def test_entry_checks_raise_what_validate_point_raises(case):
     assert_raises_like(expected, lambda: predict(model, points))
     if same_width:
         assert_raises_like(expected, lambda: PointBatch(space, *arrays))
+
+
+# Two variables of each kind: the entry check tests column by column, so a
+# bad cell in the last column of its kind is refused as one in the first.
+TWO_OF_EACH = DesignSpace((
+    Continuous("x0", 0.0, 1.0), Categorical("c0", ("a", "b", "c")), Integer("z0", 0, 3),
+    Continuous("x1", -1.0, 1.0), Integer("z1", -2, 2), Categorical("c1", ("p", "q", "r", "s")),
+))
+GOOD_ROW = ((0.5, 0.0), (1.0, 0.0), (2, 3))
+
+
+def spoiled(kind: int, value):
+    """Three good rows of TWO_OF_EACH; the middle one holds ``value`` last in ``kind``."""
+    rows = [[list(coords) for coords in GOOD_ROW] for _ in range(3)]
+    rows[1][kind][-1] = value
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    spoiled(0, 1.5), spoiled(0, -1.0 - 1e-9),
+    spoiled(1, float("nan")), spoiled(1, float("inf")), spoiled(1, float("-inf")),
+    spoiled(2, 0), spoiled(2, 5),
+], ids=["x1 above", "x1 below", "z1 nan", "z1 +inf", "z1 -inf", "c1 level 0", "c1 level L+1"])
+def test_a_bad_cell_in_the_last_column_of_its_kind_is_refused_at_every_entry(rows):
+    space = TWO_OF_EACH
+    points = [MixedPoint(*coords) for coords in rows]
+    expected = first_error(space, points)
+    assert expected is not None and first_error(space, points[:1] + points[2:]) is None
+    arrays = [np.array([getattr(w, kind) for w in points]) for kind in KINDS]
+    for call in (lambda: PointBatch.of(space, points),
+                 lambda: PointBatch(space, *arrays),
+                 lambda: Dataset(space, points, np.zeros(3)),
+                 lambda: predict(gd_model(space), points)):
+        assert assert_raises_like(expected, call).row == 1
+
+
+def test_a_batch_of_no_rows_passes_the_entry_checks():
+    space = TWO_OF_EACH
+    for batch in (PointBatch.of(space, []),
+                  PointBatch(space, np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2))),
+                  PointBatch.from_columns(space, [np.empty(0)] * 6)):
+        assert len(batch) == 0 and tuple(batch) == ()
+        assert [A.shape for A in (batch.X, batch.Z, batch.C)] == [(0, 2)] * 3
+        assert batch.C.dtype.kind == "i"
+        means, variances = predict(gd_model(space), batch)
+        assert means.shape == variances.shape == (0,)
 
 
 def test_non_integral_integer_fails_at_every_entry(tmp_path, cat_int_cont):

@@ -178,6 +178,15 @@ def long_run():
     return space, PointBatch(space, X, np.empty((len(X), 0)), C)
 
 
+def last_column_steps():
+    """Rows that differ from the row before only in their last numeric coordinate, z."""
+    space = DesignSpace((Continuous("x", 0.0, 1.0), Integer("y", 0, 3), levels("c", 3),
+                         Integer("z", 0, 9)))
+    n = 2 * CHUNK + 40
+    Z = np.column_stack([np.full(n, 2.0), np.arange(n) % 10])
+    return space, PointBatch(space, np.full((n, 1), 0.25), Z, np.full((n, 1), 2))
+
+
 RUN_CASES = {
     "beam-grid-cr-p2": lambda: (model_on(beam_space(), K.CR, 2, 98), beam_grid()),
     "beam-grid-reversed-gd-p1": lambda: (model_on(beam_space(), K.GD, 1, 98), beam_grid()[::-1]),
@@ -201,6 +210,8 @@ RUN_CASES = {
                                                  beam_grid_40()[ACROSS]),
     "lhs-beyond-a-window-ehh-p1": lambda: (model_on(beam_space(), K.EHH, 1, 60),
                                            lhs_beyond_a_window()),
+    "last-column-steps-cr-p2": lambda: (model_on(last_column_steps()[0], K.CR, 2, 40),
+                                        last_column_steps()[1]),
 }
 
 
@@ -220,6 +231,10 @@ def test_the_run_cases_hold_what_they_are_named_for():
     assert not np.any(np.all(lhs_rows[1:] == lhs_rows[:-1], axis=1))  # no two rows share a run
     x = long_run()[1].X[:, 0]
     assert len(np.unique(x[:CHUNK])) == CHUNK and np.all(x[CHUNK - 1:] == x[CHUNK - 1])
+    steps = np.hstack(last_column_steps()[1].normalized()[:2])
+    assert len(steps) > 2 * CHUNK
+    assert np.all(steps[1:, :-1] == steps[:-1, :-1])  # every row starts a run, found only
+    assert np.all(steps[1:, -1] != steps[:-1, -1])  # in the last numeric column
 
 
 @pytest.mark.parametrize("case", RUN_CASES)

@@ -5,22 +5,32 @@
 It fits the model of the ``predict-beam`` benchmark workload (the beam
 space, an LHS design of n = 98 points with seed 1, CR with p = 2 and
 ``max_evals=200``) and builds the 40 x 40 beam grid (19,200 points).  It
-then prints the median time, over ``--repeats`` runs, of three things on
+then prints the median time, over ``--repeats`` runs, of these things on
 that grid:
 
+- ``grid``: building the grid, ``doe.grid(beam_space(), (40, 40))``;
 - ``predict``: one ``gp.predict`` call;
 - ``cross``: iterating ``gp._cross_correlations`` over the grid, the
   cross-correlation blocks ``K`` that ``predict`` consumes;
 - ``dtrmm``: the triangular multiply ``L^-1 K^T`` alone, one call per
   chunk on the same blocks ``K``, built beforehand; this is prediction's
   floor, the part of the variance that no rewrite of the Python layers
-  removes.
+  removes;
+- ``sqsum``: the variance's square-sum, ``|L^-1 k|^2`` per column, on
+  each chunk's ``dtrmm`` result while it is fresh, as in ``predict``:
+  the time of ``dtrmm`` then the square-sum, chunk by chunk, less the
+  time of ``dtrmm`` alone;
+- ``short``: the variance's shortfall line, ``(1 - K R^-1 1)^2 / 1'R^-1 1``
+  added into the chunk's variances, one call per chunk;
 
-and the ratio of ``predict`` to ``dtrmm``.  The times depend on the BLAS
-thread count, so compare runs made with one setting.  The script imports
-the package from the ``src/`` next to it and uses only the standard
-library besides; it measures and gates nothing, and exits 0 once it
-printed.
+and the ratio of ``predict`` to ``dtrmm``.  ``grid`` plus ``predict`` is
+the timed iteration of the ``predict-beam`` workload; the percentages are
+of that iteration.  The square-sum and shortfall lines are the ones
+``predict`` runs, and ``cross``, ``dtrmm``, ``sqsum`` and ``short`` add up
+to most of ``predict``.  The times depend on the BLAS thread count, so
+compare runs made with one setting.  The script imports the package from
+the ``src/`` next to it and uses only numpy and the standard library
+besides; it measures and gates nothing, and exits 0 once it printed.
 """
 
 import argparse
@@ -28,6 +38,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -62,7 +74,10 @@ def main(argv=None) -> int:
     model = gp.fit(Dataset(space, points, targets), K.CR, 2,
                    gp.FitConfig(seed=SEED, max_evals=MAX_EVALS))
     batch = grid(space, GRID)
-    blocks = [block for _, block in gp._cross_correlations(model, batch)]
+    variances = np.empty(len(batch))
+    blocks, parts = zip(*((block, variances[rows])
+                          for rows, block in gp._cross_correlations(model, batch)))
+    ones_r_ones = float(model._r_inv_ones.sum())
 
     def cross():
         for _ in gp._cross_correlations(model, batch):
@@ -72,14 +87,33 @@ def main(argv=None) -> int:
         for block in blocks:
             gp.dtrmm(1.0, model._chol_inv, block.T, lower=1)
 
-    times = {"predict": median_ms(lambda: gp.predict(model, batch), args.repeats),
+    def floor_and_square_sums():
+        for block, variance in zip(blocks, parts):
+            v = gp.dtrmm(1.0, model._chol_inv, block.T, lower=1)
+            np.add.reduce(np.square(v, out=v), axis=0, out=variance)
+
+    def shortfalls():
+        for K, variance in zip(blocks, parts):
+            shortfall = K @ model._r_inv_ones
+            np.subtract(1.0, shortfall, out=shortfall)
+            np.square(shortfall, out=shortfall)
+            shortfall /= ones_r_ones
+            variance += shortfall
+
+    times = {"grid": median_ms(lambda: grid(space, GRID), args.repeats),
+             "predict": median_ms(lambda: gp.predict(model, batch), args.repeats),
              "cross": median_ms(cross, args.repeats),
-             "dtrmm": median_ms(floor, args.repeats)}
+             "dtrmm": median_ms(floor, args.repeats),
+             "sqsum": median_ms(floor_and_square_sums, args.repeats),
+             "short": median_ms(shortfalls, args.repeats)}
+    times["sqsum"] -= times["dtrmm"]
+    iteration = times["grid"] + times["predict"]
     print(f"predict-beam model (beam LHS seed {SEED}, n = {N_POINTS}, CR, p = 2, "
           f"max_evals = {MAX_EVALS}) on the {GRID[0]}x{GRID[1]} beam grid: {len(batch)} points "
           f"in {len(blocks)} chunks; median of {args.repeats} runs")
     for name, ms in times.items():
-        print(f"{name:>8}: {ms:8.3f} ms  ({100 * ms / times['predict']:5.1f}% of predict)")
+        print(f"{name:>8}: {ms:8.3f} ms  ({100 * ms / iteration:5.1f}% of grid + predict)")
+    print(f"grid + predict: {iteration:.3f} ms, the timed predict-beam iteration")
     print(f"predict / dtrmm: {times['predict'] / times['dtrmm']:.2f}")
     return 0
 
