@@ -132,6 +132,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(*paths) -> None:
+    """Raise the OSError of ``open(path, "w")`` for the first path that is a directory or whose
+    directory does not exist (or is a file); a path of None is skipped.
+
+    The long commands call it before their work, so such a path fails at once, not after a fit;
+    a write that fails for another reason (permissions, a full disk) still fails at the write.
+    """
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            open(path, "w")  # certain to fail here, creating nothing, with the write's own error
+
+
 def _write_matrix(matrix: np.ndarray, level_names, path) -> None:
     _write_csv(path, level_names, [_reprs(column) for column in matrix.T], len(matrix),
                lineterminator="\n")
@@ -180,6 +192,7 @@ def _cmd_doe(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_outputs(args.out_model, args.trace)
     space = load_space(args.space_file)
     dataset = load_dataset(space, args.data_file)
     kind = kr.CategoricalKernelKind.parse(args.kernel)
@@ -202,6 +215,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_outputs(args.out)
     model = gp.load_model(args.model_file)
     points = load_points(model.dataset.space, args.points_file)
     means, variances = gp.predict(model, points)
@@ -211,6 +225,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    _check_outputs(args.out)
     if args.problem == "dragon-audit":
         report = bm.dragon_space_audit()
         counts = report["hyperparameters"]

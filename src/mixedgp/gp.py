@@ -55,7 +55,9 @@ coordinates once per window of ``_RUN_WINDOW`` chunks, not per chunk,
 and builds a run's numeric factor once, in blocks of at most
 ``_PREDICT_CHUNK`` distinct numeric rows; each chunk writes its
 standardized mean and variance terms, and the affine maps to original
-units run once on the whole outputs.  Beyond the outputs, memory is
+units run once on the whole outputs.  A chunk's block is its own, so the
+variance's triangular multiply overwrites it, after the mean and the
+shortfall have read it.  Beyond the outputs, memory is
 O(chunk * n_train * d) plus O(window) whatever the batch size.
 """
 
@@ -609,7 +611,9 @@ def _cross_correlations(model: GpModel, points: PointBatch):
     factor, as a row's factor does not depend on the rows built with it.
     A window's first row always starts a run.  The |x_new - x_train|^p
     work array is allocated once, so memory is O(chunk * n_train * d) plus
-    O(window) for the run index.
+    O(window) for the run index.  Each yielded block belongs to the caller:
+    it is yielded once, nothing here reads it again, and it may be
+    overwritten.
     """
     X, Z, C = points.normalized()
     XZ = np.hstack([X, Z])
@@ -673,6 +677,9 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     bits.  Memory beyond the two output vectors stays
     O(chunk * n_train * d) plus O(window) whatever the batch size.  The
     quadratic term is one ``dtrmm`` with the model's kept L^-1 per chunk.
+    It writes L^-1 K^T over the chunk's own block K (``K.T`` is the
+    Fortran-order operand BLAS works on in place, so no copy is made);
+    K @ alpha and the shortfall's K R^-1 1 read K before it.
     Consecutive points with equal numeric coordinates share the
     numeric factor of k, found per window of chunks and built per block of
     distinct numeric rows (:func:`_cross_correlations`), so a grid whose
@@ -690,11 +697,12 @@ def predict(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     ones_r_ones = float(model._r_inv_ones.sum())
     for rows, K in _cross_correlations(model, batch):
         np.matmul(K, model._alpha, out=means[rows])
-        v = dtrmm(1.0, model._chol_inv, K.T, lower=1)
+        shortfall = K @ model._r_inv_ones
+        # K is this chunk's own block: L^-1 K^T overwrites it (K.T is Fortran-order, no copy)
+        v = dtrmm(1.0, model._chol_inv, K.T, lower=1, overwrite_b=1)
         variance = variances[rows]
         np.add.reduce(np.square(v, out=v), axis=0, out=variance)
         np.subtract(1.0, variance, out=variance)
-        shortfall = K @ model._r_inv_ones
         np.subtract(1.0, shortfall, out=shortfall)
         np.square(shortfall, out=shortfall)
         shortfall /= ones_r_ones

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedgp import gp
+from mixedgp import benchmarks as bm
+from mixedgp import cli, gp
 from mixedgp.cli import _write_trace, main
 from mixedgp.errors import NumericalFailure
 from mixedgp.kernels import CategoricalKernelKind as K
@@ -632,6 +633,59 @@ def test_fit_whose_trace_cannot_be_written_leaves_no_model_file(tmp_path, cosine
                  "--trace", str(tmp_path / "no such directory" / "t.jsonl")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not model_file.exists()
+
+
+def test_a_trace_write_that_fails_after_the_fit_leaves_no_model_file(tmp_path, cosine_files,
+                                                                       monkeypatch, capsys):
+    _, space_file, data_file = cosine_files
+    model_file = tmp_path / "m.json"
+
+    def full_disk(records, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "_write_trace", full_disk)
+    assert main(["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1",
+                 "--budget", "50", "--out-model", str(model_file),
+                 "--trace", str(tmp_path / "t.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+    assert not model_file.exists()
+
+
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize("command", ["fit --out-model", "fit --trace", "predict", "benchmark",
+                                     "benchmark dragon-audit"])
+def test_a_long_command_checks_its_output_file_before_the_work(tmp_path, cosine_files, monkeypatch,
+                                                               capsys, command, where):
+    _, space_file, data_file = cosine_files
+    out = str(tmp_path / "no such directory" / "out" if where.startswith("in") else tmp_path)
+    calls = []
+
+    def recorder(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the output file was checked")
+        return called
+
+    monkeypatch.setattr(gp, "fit", recorder("gp.fit"))
+    monkeypatch.setattr(gp, "load_model", recorder("gp.load_model"))
+    monkeypatch.setitem(cli._PROBLEMS, "cosine", (recorder("the cosine runner"),
+                                                  *cli._PROBLEMS["cosine"][1:]))
+    monkeypatch.setattr(bm, "dragon_space_audit", recorder("the dragon audit"))
+    model_file = str(tmp_path / "m.json")
+    fit = ["fit", str(space_file), str(data_file), "--kernel", "gd", "--starts", "1"]
+    args = {
+        "fit --out-model": [*fit, "--out-model", out],
+        "fit --trace": [*fit, "--out-model", model_file, "--trace", out],
+        "predict": ["predict", model_file, str(data_file), "--out", out],
+        "benchmark": ["benchmark", "--problem", "cosine", "--out", out],
+        "benchmark dragon-audit": ["benchmark", "--problem", "dragon-audit", "--out", out],
+    }[command]
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert main(args) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", f"error: {opened.value}\n")
+    assert not os.path.exists(model_file)
 
 
 def test_model_file_with_extra_point_row_exits_2(tmp_path, cosine_files, gd_model_file, capsys):

@@ -16,12 +16,19 @@ of k, found per window of ``gp._RUN_WINDOW`` chunks; the per-row loop
 below is the oracle every block of ``gp._cross_correlations`` must equal
 bit for bit.  The cases longer than a window put runs and distinct rows
 across its edge.
+
+``predict``'s triangular multiply overwrites each chunk's block.  Its
+means and variances are pinned bit for bit to the chunk formula run with
+an out-of-place multiply over the same blocks, on every case: a block
+overwritten while a later chunk still reads it would show as differing
+bits.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrmm
 
 from mixedgp import gp
 from mixedgp import kernels as kr
@@ -254,3 +261,39 @@ def test_run_sharing_predict_matches_the_one_shot_formula(case):
     expected = one_shot_predict(model, points)
     assert np.array_equal(means, expected[0])
     assert np.max(np.abs(variances - expected[1])) <= VARIANCE_TOL * model.sigma2_hat
+
+
+def out_of_place_predict(model, points):
+    """The oracle: the chunk formula over gp._cross_correlations, with a dtrmm that copies K.
+
+    The shortfall reads K after the multiply, which leaves K as it was.
+    """
+    means, variances = np.empty(len(points)), np.empty(len(points))
+    ones_r_ones = float(model._r_inv_ones.sum())
+    for rows, K in gp._cross_correlations(model, points):
+        np.matmul(K, model._alpha, out=means[rows])
+        v = dtrmm(1.0, model._chol_inv, K.T, lower=1)
+        variance = variances[rows]
+        np.add.reduce(np.square(v, out=v), axis=0, out=variance)
+        np.subtract(1.0, variance, out=variance)
+        shortfall = K @ model._r_inv_ones
+        np.subtract(1.0, shortfall, out=shortfall)
+        np.square(shortfall, out=shortfall)
+        shortfall /= ones_r_ones
+        variance += shortfall
+    means += model.mu_std
+    means *= model.y_scale
+    means += model.y_mean
+    variances *= model.sigma2_std
+    np.maximum(variances, 0.0, out=variances)
+    variances *= model.y_scale ** 2
+    return means, variances
+
+
+@pytest.mark.parametrize("case", [*RUN_CASES, *CASES])
+def test_predict_has_the_bits_of_the_out_of_place_chunk_formula(case):
+    model, points = {**RUN_CASES, **CASES}[case]()
+    means, variances = gp.predict(model, points)
+    expected = out_of_place_predict(model, points)
+    assert np.array_equal(means, expected[0])
+    assert np.array_equal(variances, expected[1])

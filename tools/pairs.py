@@ -55,6 +55,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(parent: list[float], change: list[float], sign: int):
+    """Each side's quartiles, the pairs the change won and whether it gained by the rule.
+
+    ``parent[i]`` and ``change[i]`` are one pair; ``sign`` is 1 when higher is better and -1
+    when lower is.  Ties count for neither side.
+    """
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
+    gain = 10 * wins >= 9 * len(parent) and sign * (c2 - p2) > p3 - p1
+    return (p1, p2, p3), (c1, c2, c3), wins, gain
+
+
 def summary(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
     """One line per metric: medians and quartiles per side, and the change's wins."""
     lines = [f"{len(pairs)} complete pairs; quartiles are statistics.quantiles(n=4)"]
@@ -63,9 +75,7 @@ def summary(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = 1 if better.get(name.rsplit(".", 1)[-1], "lower") == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
-        gain = 10 * wins >= 9 * len(pairs) and sign * (c2 - p2) > p3 - p1
+        (p1, p2, p3), (c1, c2, c3), wins, gain = compare(parent, change, sign)
         unit = pairs[0][1]["metrics"][name].get("unit", "")
         lines.append(f"{name} [{unit}]: parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  "
                      f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "

@@ -12,14 +12,17 @@ that grid:
 - ``predict``: one ``gp.predict`` call;
 - ``cross``: iterating ``gp._cross_correlations`` over the grid, the
   cross-correlation blocks ``K`` that ``predict`` consumes;
+- ``copy``: a Fortran-order copy of each block's ``K^T``, what ``dtrmm``
+  makes of its right-hand side when it may not overwrite it;
+  ``predict`` lets it overwrite the block, so it pays no copy;
 - ``dtrmm``: the triangular multiply ``L^-1 K^T`` alone, one call per
-  chunk on the same blocks ``K``, built beforehand; this is prediction's
-  floor, the part of the variance that no rewrite of the Python layers
-  removes;
+  chunk, in place as in ``predict``, on a fresh copy of each block ``K``
+  made outside the timed region; this is prediction's floor, the part of
+  the variance that no rewrite of the Python layers removes;
 - ``sqsum``: the variance's square-sum, ``|L^-1 k|^2`` per column, on
   each chunk's ``dtrmm`` result while it is fresh, as in ``predict``:
-  the time of ``dtrmm`` then the square-sum, chunk by chunk, less the
-  time of ``dtrmm`` alone;
+  the time of ``dtrmm`` then the square-sum, chunk by chunk, on fresh
+  copies made outside the timed region, less the time of ``dtrmm`` alone;
 - ``short``: the variance's shortfall line, ``(1 - K R^-1 1)^2 / 1'R^-1 1``
   added into the chunk's variances, one call per chunk;
 
@@ -27,10 +30,11 @@ and the ratio of ``predict`` to ``dtrmm``.  ``grid`` plus ``predict`` is
 the timed iteration of the ``predict-beam`` workload; the percentages are
 of that iteration.  The square-sum and shortfall lines are the ones
 ``predict`` runs, and ``cross``, ``dtrmm``, ``sqsum`` and ``short`` add up
-to most of ``predict``.  The times depend on the BLAS thread count, so
-compare runs made with one setting.  The script imports the package from
-the ``src/`` next to it and uses only numpy and the standard library
-besides; it measures and gates nothing, and exits 0 once it printed.
+to most of ``predict``; ``copy`` is not part of it.  The times depend on
+the BLAS thread count, so compare runs made with one setting.  The script
+imports the package from the ``src/`` next to it and uses only numpy and
+the standard library besides; it measures and gates nothing, and exits 0
+once it printed.
 """
 
 import argparse
@@ -52,15 +56,18 @@ from mixedgp.space import Dataset  # noqa: E402
 SEED, N_POINTS, MAX_EVALS, GRID = 1, 98, 200, (40, 40)
 
 
-def median_ms(call, repeats: int) -> float:
-    """Median wall time of ``call()`` over ``repeats`` runs, after one warm-up run, in ms."""
-    call()
+def median_ms(call, repeats: int, setup=lambda: None) -> float:
+    """Median wall time of ``call(setup())`` over ``repeats`` runs, after one warm-up run, in ms.
+
+    ``setup`` runs before each run, outside the timed region.
+    """
     times = []
-    for _ in range(repeats):
+    for _ in range(repeats + 1):
+        arg = setup()
         start = time.perf_counter()
-        call()
+        call(arg)
         times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+    return 1e3 * statistics.median(times[1:])
 
 
 def main(argv=None) -> int:
@@ -79,20 +86,27 @@ def main(argv=None) -> int:
                           for rows, block in gp._cross_correlations(model, batch)))
     ones_r_ones = float(model._r_inv_ones.sum())
 
-    def cross():
+    def cross(_):
         for _ in gp._cross_correlations(model, batch):
             pass
 
-    def floor():
-        for block in blocks:
-            gp.dtrmm(1.0, model._chol_inv, block.T, lower=1)
+    def copies():
+        return [np.array(block.T, order="F") for block in blocks]
 
-    def floor_and_square_sums():
-        for block, variance in zip(blocks, parts):
-            v = gp.dtrmm(1.0, model._chol_inv, block.T, lower=1)
+    def copy(_):  # each copy is dropped before the next, as in a dtrmm that copies
+        for block in blocks:
+            np.array(block.T, order="F")
+
+    def floor(operands):
+        for b in operands:
+            gp.dtrmm(1.0, model._chol_inv, b, lower=1, overwrite_b=1)
+
+    def floor_and_square_sums(operands):
+        for b, variance in zip(operands, parts):
+            v = gp.dtrmm(1.0, model._chol_inv, b, lower=1, overwrite_b=1)
             np.add.reduce(np.square(v, out=v), axis=0, out=variance)
 
-    def shortfalls():
+    def shortfalls(_):
         for K, variance in zip(blocks, parts):
             shortfall = K @ model._r_inv_ones
             np.subtract(1.0, shortfall, out=shortfall)
@@ -100,11 +114,12 @@ def main(argv=None) -> int:
             shortfall /= ones_r_ones
             variance += shortfall
 
-    times = {"grid": median_ms(lambda: grid(space, GRID), args.repeats),
-             "predict": median_ms(lambda: gp.predict(model, batch), args.repeats),
+    times = {"grid": median_ms(lambda _: grid(space, GRID), args.repeats),
+             "predict": median_ms(lambda _: gp.predict(model, batch), args.repeats),
              "cross": median_ms(cross, args.repeats),
-             "dtrmm": median_ms(floor, args.repeats),
-             "sqsum": median_ms(floor_and_square_sums, args.repeats),
+             "copy": median_ms(copy, args.repeats),
+             "dtrmm": median_ms(floor, args.repeats, copies),
+             "sqsum": median_ms(floor_and_square_sums, args.repeats, copies),
              "short": median_ms(shortfalls, args.repeats)}
     times["sqsum"] -= times["dtrmm"]
     iteration = times["grid"] + times["predict"]
